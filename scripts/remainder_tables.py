@@ -12,7 +12,6 @@ For a ladder of sizes in one residue class mod 4 this prints
 * n times the edge row sum against its decay coefficient.
 """
 import argparse
-import math
 import pathlib
 import sys
 
@@ -41,10 +40,7 @@ def main():
     print("-" * len(header))
     for n in sizes:
         p = piece_sums(n)
-        assembled = (2.0 * n * n / math.pi ** 2) * (
-            p.r_log - 2.0 * p.r_atan + p.r_edge + math.pi * p.r_sqrt
-            + 2.0 * math.pi * p.r_exp + p.q_axis)
-        d = assembled - restricted_sum_f2(n).value
+        d = p.assembled() - restricted_sum_f2(n).value
         delta = integral_f2_restricted(n).value - restricted_integral_expansion(n)
         tail = p.r_exp - tail_limit
         axis = n * n * (p.q_axis - axis_sum_expansion(n))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exceptions import DomainError
+from .lattice_sum import GridGeometry
 from .specfun import CONSTANTS, clausen_cl2, log_q_pochhammer_inv
 
 __all__ = [
@@ -187,7 +188,7 @@ def quartic_factor_params(n: int) -> tuple[float, float]:
     u_n = alpha_n + sqrt(alpha_n^2 - 1/2).  As n grows, 2 u_n - 1 -> nu
     and 1 - 1/u_n -> (nu - 1)/(nu + 1).
     """
-    beta_n = 0.5 * math.pi * (1.0 + (2.0 - n % 4) / n)
+    beta_n = GridGeometry.from_n(n).beta_n
     alpha = (beta_n * beta_n + 6.0) / (2.0 * beta_n * beta_n)
     u = alpha + math.sqrt(alpha * alpha - 0.5)
     return alpha, u

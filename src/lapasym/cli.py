@@ -58,7 +58,6 @@ class RunConfig:
     max_n: int = 200
     n0: int = 0
     workers: int | None = None
-    tol: float | None = None
 
     def to_argv(self) -> list[str]:
         argv = [self.subcommand]
@@ -84,8 +83,6 @@ class RunConfig:
             argv += ["--lattice-file", self.lattice_file]
         if self.workers is not None:
             argv += ["--workers", str(self.workers)]
-        if self.tol is not None:
-            argv += ["--tol", repr(self.tol)]
         return argv
 
 
@@ -100,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="custom lattice config file (lines 's = j k', 'divisor = d')")
         p.add_argument("--workers", type=int, default=None,
                        help="worker threads (default: LAPASYM_WORKERS or CPU count)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="quadrature tolerance override")
 
     p_sum = sub.add_parser("sum", help="one exact sum and trace")
     p_sum.add_argument("--lattice", default="square",
@@ -135,15 +130,17 @@ def config_from_argv(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     cfg = RunConfig(subcommand=ns.subcommand)
     for name in ("lattice", "lattice_file", "n", "start", "stop", "step",
-                 "out", "plot", "csv", "suite", "max_n", "n0", "workers", "tol"):
+                 "out", "plot", "csv", "suite", "max_n", "n0", "workers"):
         if hasattr(ns, name):
             value = getattr(ns, name)
-            if name == "n_list":
-                continue
-            if value is not None or name in ("lattice_file", "out", "plot", "workers", "tol", "n"):
+            if value is not None or name in ("lattice_file", "out", "plot", "workers", "n"):
                 setattr(cfg, name, value)
     if getattr(ns, "n_list", None):
-        cfg.n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok)
+        try:
+            cfg.n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok)
+        except ValueError:
+            raise DomainError(f"--n-list must be comma-separated integers, "
+                              f"got {ns.n_list!r}") from None
     return cfg
 
 
@@ -276,9 +273,6 @@ def cmd_verify(cfg: RunConfig, out=sys.stdout) -> int:
 def main(argv=None) -> int:
     try:
         cfg = config_from_argv(argv if argv is not None else sys.argv[1:])
-    except SystemExit as exc:  # argparse reports config errors with code 2
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
         if cfg.subcommand == "sum":
             return cmd_sum(cfg)
         if cfg.subcommand == "errors":
@@ -286,6 +280,8 @@ def main(argv=None) -> int:
         if cfg.subcommand == "verify":
             return cmd_verify(cfg)
         raise DomainError(f"unknown subcommand {cfg.subcommand!r}")
+    except SystemExit as exc:  # argparse reports config errors with code 2
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (SingularityError, ConvergenceError, ConsistencyError, FitError,
             ZeroDivisionError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

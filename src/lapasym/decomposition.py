@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError
-from .lattice_sum import GridGeometry, neumaier_sum
+from .lattice_sum import GridGeometry, neumaier_sum, quadrant_row_sums
 from .quadrature import integrate_1d
 from .specfun import BERNOULLI, digamma_complex, digamma_real, periodic_bernoulli
 
@@ -149,12 +149,18 @@ class PieceSums:
     N: int
     n0: int
 
+    def assembled(self) -> float:
+        """Six-piece assembly of the restricted f2 sum, up to its O(1) remainder."""
+        n = self.n
+        return (2.0 * n * n / math.pi ** 2) * (
+            self.r_log - 2.0 * self.r_atan + self.r_edge + math.pi * self.r_sqrt
+            + 2.0 * math.pi * self.r_exp + self.q_axis)
+
 
 def piece_sums(n: int) -> PieceSums:
     """Direct evaluation of every row-sum family at size n."""
+    q_axis, rows = quadrant_row_sums(n)  # DomainError for n < 4, before any 1/N
     geom = GridGeometry.from_n(n)
-    if geom.N < 1:
-        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
     N = geom.N
     c = math.pi ** 2 / (3.0 * n * n)
     k = np.arange(1, N + 1, dtype=np.float64)
@@ -173,9 +179,7 @@ def piece_sums(n: int) -> PieceSums:
     cut = int(np.searchsorted(2.0 * math.pi * sC, 42.0)) + 1
     e = np.exp(-2.0 * math.pi * sC[:cut])
     r_exp = float(np.sum((1.0 / (A[:cut] * sC[:cut])) * e / (1.0 - e)))
-    q_axis = float(np.sum(1.0 / (k2 - c * k4)))
-    rows = 1.0 / (k2[:, None] + k2[None, :] - c * (k4[:, None] + k4[None, :]))
-    total, comp = neumaier_sum(rows.sum(axis=1).tolist())
+    total, comp = neumaier_sum(rows.tolist())
     return PieceSums(
         r_log=r_log, r_atan=r_atan, r_edge=r_edge, r_sqrt=r_sqrt, r_exp=r_exp,
         q_axis=q_axis, r_double=total + comp, n=n, N=N, n0=geom.n0,

@@ -11,12 +11,17 @@ divided by a lattice-specific divisor (4, 6 or 8 for the built-ins).
 
 Numerics: psi is evaluated as (2/L) sum_l sin^2(s_l . x / 2), which is
 algebraically identical but loses no relative precision near the zeros of
-psi.  Because s_l . t_{j,k} is a multiple of 2 pi / n, every summand is a
-gather from one precomputed sin^2(pi m / n) table, so argument reduction
-is exact.  Rows (fixed j) are summed by numpy's pairwise reduction, then
-combined with Kahan-Neumaier compensation in ascending row order.  Worker
-threads only decide who computes a row block, never the arithmetic, so
-results are bit-identical for any worker count.
+psi.  Because s_l . t_{j,k} is a multiple of 2 pi / n, every summand comes
+from one precomputed sin^2(pi m / n) table, so argument reduction is
+exact.  The table is symmetric, S[m] = S[n - m], so for a stencil vector
+with |q| <= 1 a row (fixed j) is a contiguous slice of the doubled table;
+only |q| > 1 needs a gather.  One block driver serves every double sum:
+rows are formed in fixed blocks of 64, each row is summed by numpy's
+pairwise reduction, and the row sums are combined with Kahan-Neumaier
+compensation in ascending row order.  Worker threads only decide who
+computes a block, never the arithmetic, so results are bit-identical for
+any worker count.  The restricted quartic sum goes through the same
+driver, so its memory is O(64 N) rather than O(N^2).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "exact_sum",
     "trace_pseudoinverse",
     "restricted_sum_f2",
+    "quadrant_row_sums",
     "resolve_workers",
 ]
 
@@ -60,7 +66,11 @@ def resolve_workers(workers: int | None = None) -> int:
         return max(1, int(workers))
     env = os.environ.get("LAPASYM_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(
+                f"LAPASYM_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -126,11 +136,14 @@ def parse_lattice_file(path: str) -> LatticeSpec:
                 continue
             key, _, rhs = line.partition("=")
             key = key.strip()
-            parts = rhs.split()
-            if key == "s" and len(parts) == 2:
-                stencil.append((int(parts[0]), int(parts[1])))
-            elif key == "divisor" and len(parts) == 1:
-                divisor = int(parts[0])
+            try:
+                values = tuple(int(tok) for tok in rhs.split())
+            except ValueError:
+                values = ()
+            if key == "s" and len(values) == 2:
+                stencil.append(values)
+            elif key == "divisor" and len(values) == 1:
+                divisor = values[0]
             else:
                 raise DomainError(f"{path}:{lineno}: cannot parse {raw.rstrip()!r}")
     if divisor is None:
@@ -245,7 +258,7 @@ def neumaier_sum(values: Iterable[float]) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Full-window sum engine
+# Blocked row-sum engine and the full-window sum
 # ---------------------------------------------------------------------------
 
 def _sin_sq_table(n: int) -> np.ndarray:
@@ -259,72 +272,29 @@ def _sin_sq_table(n: int) -> np.ndarray:
     return table
 
 
-class _EngineTables:
-    """Precomputed gather tables for one (stencil, n) pair.
+def _row_sums(block_sums, nrows: int, workers: int | None) -> np.ndarray:
+    """Row sums of a double sum, computed in fixed blocks of _BLOCK_ROWS rows.
 
-    Stencil vectors split three ways: q = 0 vectors contribute a scalar
-    per row, p = 0 vectors one fixed row-independent vector, and the rest
-    need a per-row gather from the sin^2 table.
+    ``block_sums(j0, j1)`` returns the sums of rows j0..j1-1.  The blocks
+    depend on nrows alone and each row is reduced on its own, so workers
+    only decide who computes a block and the result is bit-identical for
+    any worker count.  Callers combine the rows in ascending order.
     """
+    out = np.empty(nrows)
 
-    def __init__(self, spec, n):
-        self.n = n
-        self.table = _sin_sq_table(n)
-        self.scale = 2.0 / spec.L
-        k = np.arange(n, dtype=np.int64)
-        self.fixed = np.zeros(n)
-        self.row_scalar_ps = []
-        self.general = []
-        for p, q in spec.stencil:
-            if p == 0:
-                self.fixed += self.table.take(np.mod(q * k, n), mode="wrap")
-            elif q == 0:
-                self.row_scalar_ps.append(p)
-            else:
-                self.general.append((p, np.mod(q * k, n)))
+    def run(j0):
+        j1 = min(j0 + _BLOCK_ROWS, nrows)
+        out[j0:j1] = block_sums(j0, j1)
 
-    def psi_rows(self, j0, j1):
-        """psi on rows j0..j1-1 as a (j1-j0, n) array."""
-        n = self.n
-        jj = np.arange(j0, j1, dtype=np.int64)
-        scalars = np.zeros(j1 - j0)
-        for p in self.row_scalar_ps:
-            scalars += self.table.take(np.mod(p * jj, n), mode="wrap")
-        acc = np.add.outer(scalars, self.fixed)
-        for p, beta in self.general:
-            idx = beta[None, :] + np.mod(p * jj, n)[:, None]
-            acc += self.table.take(idx, mode="wrap")
-        acc *= self.scale
-        return acc
-
-
-def _check_rows(psi, j0, skip_origin):
-    """Guard against vanishing denominators, reporting the offending index."""
-    view = psi[0, 1:] if skip_origin else psi
-    if view.size == 0:
-        return
-    flat = int(np.argmin(view))
-    if view.flat[flat] < _SINGULAR_FLOOR:
-        if skip_origin:
-            j, k = j0, flat + 1
-        else:
-            j, k = j0 + flat // psi.shape[1], flat % psi.shape[1]
-        raise SingularityError(
-            f"psi vanishes at grid index (j, k) = ({j}, {k})", point=(j, k))
-
-
-def _row_sums_block(tables, j0, j1, out):
-    psi = tables.psi_rows(j0, j1)
-    if j0 == 0:
-        _check_rows(psi[:1], 0, skip_origin=True)
-        row0 = psi[0, 1:]
-        out[0] = (1.0 / row0).sum() if row0.size else 0.0
-        if j1 > 1:
-            _check_rows(psi[1:], 1, skip_origin=False)
-            out[1:j1] = (1.0 / psi[1:]).sum(axis=1)
+    starts = range(0, nrows, _BLOCK_ROWS)
+    nworkers = resolve_workers(workers)
+    if nworkers > 1 and len(starts) > 4:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            list(pool.map(run, starts))
     else:
-        _check_rows(psi, j0, skip_origin=False)
-        out[j0:j1] = (1.0 / psi).sum(axis=1)
+        for j0 in starts:
+            run(j0)
+    return out
 
 
 def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResult:
@@ -336,20 +306,32 @@ def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResul
     """
     if n < 1:
         raise DomainError(f"grid size must be positive, got {n}")
-    tables = _EngineTables(spec, n)
-    row_sums = np.empty(n)
-    blocks = [(j0, min(j0 + _BLOCK_ROWS, n)) for j0 in range(0, n, _BLOCK_ROWS)]
-    nworkers = resolve_workers(workers)
-    if nworkers > 1 and len(blocks) > 4:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(_row_sums_block, tables, j0, j1, row_sums)
-                       for j0, j1 in blocks]
-            for fut in futures:
-                fut.result()
-    else:
-        for j0, j1 in blocks:
-            _row_sums_block(tables, j0, j1, row_sums)
-    total, comp = neumaier_sum(row_sums.tolist())
+    table = _sin_sq_table(n)
+    # row o of `shifted` is table[(o + k) mod n] for k in [0, n), a view
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((table, table)), n)
+    k = np.arange(n, dtype=np.int64)
+    scale = 2.0 / spec.L
+
+    def block_sums(j0, j1):
+        j = np.arange(j0, j1, dtype=np.int64)[:, None]
+        psi = np.zeros((j1 - j0, n))
+        for p, q in spec.stencil:
+            if q == 0:
+                psi += table[p * j % n]
+            elif abs(q) == 1:
+                # table[(p j + q k) mod n] == table[(q p j + k) mod n] since
+                # the table is symmetric, so the row is a slice of `shifted`
+                psi += shifted[q * p * j[:, 0] % n]
+            else:
+                psi += table[(p * j + q * k) % n]
+        psi *= scale
+        if j0 > 0:
+            return (1.0 / psi).sum(axis=1)
+        # row 0 skips the origin
+        return np.concatenate(([(1.0 / psi[0, 1:]).sum()], (1.0 / psi[1:]).sum(axis=1)))
+
+    total, comp = neumaier_sum(_row_sums(block_sums, n, workers).tolist())
     return SumResult(
         value=total + comp,
         compensation=comp,
@@ -370,6 +352,36 @@ def trace_pseudoinverse(spec: LatticeSpec, n: int, workers: int | None = None) -
 # Restricted-window quartic-kernel sum (square lattice)
 # ---------------------------------------------------------------------------
 
+def quadrant_row_sums(n: int, workers: int | None = None) -> tuple[float, np.ndarray]:
+    """Axis sum and open-quadrant row sums of the square quartic denominators.
+
+    With a = pi^2 / (3 n^2) and N from :class:`GridGeometry`, row j of the
+    quadrant is sum_{k=1}^N 1/(j^2 + k^2 - a (j^4 + k^4)).  Row j = 0 is the
+    axis sum; rows j = 1..N follow in order.  Rows are formed _BLOCK_ROWS
+    at a time, so memory is O(_BLOCK_ROWS N).  Raises DomainError when N
+    < 1 and SingularityError where a denominator vanishes.
+    """
+    N = GridGeometry.from_n(n).N
+    if N < 1:
+        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
+    c = math.pi ** 2 / (3.0 * n * n)
+    j = np.arange(N + 1, dtype=np.float64)
+    j2 = j * j
+    j4 = j2 * j2
+
+    def block_sums(j0, j1):
+        den = j2[j0:j1, None] + j2[1:] - c * (j4[j0:j1, None] + j4[1:])
+        if den.min() < _SINGULAR_FLOOR:
+            row, col = np.unravel_index(np.argmin(den), den.shape)
+            point = (j0 + int(row), int(col) + 1)
+            raise SingularityError(
+                f"restricted denominator vanishes at (j, k) = {point}", point=point)
+        return (1.0 / den).sum(axis=1)
+
+    rows = _row_sums(block_sums, N + 1, workers)
+    return float(rows[0]), rows[1:]
+
+
 def restricted_sum_f2(n: int, spec: LatticeSpec = SQUARE,
                       workers: int | None = None) -> SumResult:
     """Sum of the quartic kernel f2 over the restricted window.
@@ -382,23 +394,9 @@ def restricted_sum_f2(n: int, spec: LatticeSpec = SQUARE,
     """
     if spec.stencil != SQUARE.stencil:
         raise DomainError("the restricted quartic sum is defined for the square stencil")
-    geom = GridGeometry.from_n(n)
-    if geom.N < 1:
-        raise DomainError(f"restricted window is empty for n = {n}; need n >= 4")
-    N = geom.N
-    c = math.pi ** 2 / (3.0 * n * n)
-    k = np.arange(1, N + 1, dtype=np.float64)
-    k2 = k * k
-    k4 = k2 * k2
-    axis_den = k2 - c * k4
-    quad_den = k2[:, None] + k2[None, :] - c * (k4[:, None] + k4[None, :])
-    if min(axis_den.min(), quad_den.min()) < _SINGULAR_FLOOR:
-        bad = int(np.argmin(axis_den))
-        raise SingularityError(
-            f"restricted denominator vanishes at k = {bad + 1}", point=(bad + 1, 0))
-    rows = [float((1.0 / axis_den).sum())]
-    rows.extend((1.0 / quad_den).sum(axis=1).tolist())
-    total, comp = neumaier_sum(rows)
+    axis, rows = quadrant_row_sums(n, workers)
+    N = len(rows)
+    total, comp = neumaier_sum([axis] + rows.tolist())
     scale = 4.0 * n * n / math.pi ** 2
     return SumResult(
         value=scale * (total + comp),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .exceptions import ConvergenceError, DomainError
+from .lattice_sum import GridGeometry
 
 __all__ = [
     "QuadratureResult",
@@ -174,12 +175,9 @@ class PolarReduction:
         return self.beta_n / math.cos(theta)
 
 
-def _beta_n(n: int) -> float:
-    return 0.5 * math.pi * (1.0 + (2.0 - n % 4) / n)
-
-
 def polar_reduction(n: int) -> PolarReduction:
-    return PolarReduction(n=n, beta_n=_beta_n(n), theta_range=(0.0, 0.25 * math.pi))
+    return PolarReduction(n=n, beta_n=GridGeometry.from_n(n).beta_n,
+                          theta_range=(0.0, 0.25 * math.pi))
 
 
 def integral_f1_restricted(n: int) -> float:
@@ -190,7 +188,7 @@ def integral_f1_restricted(n: int) -> float:
     """
     if n < 4:
         raise DomainError(f"restricted region needs n >= 4, got {n}")
-    return (2.0 * n * n / math.pi) * math.log(n * _beta_n(n) / math.pi)
+    return (2.0 * n * n / math.pi) * math.log(n * GridGeometry.from_n(n).beta_n / math.pi)
 
 
 def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
@@ -203,7 +201,7 @@ def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
     """
     if n < 4:
         raise DomainError(f"restricted region needs n >= 4, got {n}")
-    beta = _beta_n(n)
+    beta = GridGeometry.from_n(n).beta_n
     pin = math.pi / n
 
     def angular(theta: float) -> float:

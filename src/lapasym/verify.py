@@ -214,11 +214,8 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
     sizes = [n - (n - n0) % 4 for n in sizes]  # keep the requested residue class
     dvals = []
     for n in sizes:
-        p = decomposition.piece_sums(n)
-        assembled = (2.0 * n * n / math.pi ** 2) * (
-            p.r_log - 2.0 * p.r_atan + p.r_edge + math.pi * p.r_sqrt
-            + 2.0 * math.pi * p.r_exp + p.q_axis)
-        dvals.append(assembled - restricted_sum_f2(n).value)
+        dvals.append(decomposition.piece_sums(n).assembled()
+                     - restricted_sum_f2(n).value)
     spread = max(dvals) - min(dvals)
     out.append(_check("assembly_remainder",
                       max(abs(d) for d in dvals) <= 5.0 and spread <= 0.05,

@@ -40,9 +40,15 @@ def test_config_rejects_unknown_lattice():
         config_from_argv(["sum", "--lattice", "kagome", "--n", "4"])
 
 
-def test_main_maps_config_error_to_exit_2():
+def test_main_maps_config_error_to_exit_2(tmp_path, monkeypatch):
     assert main(["sum", "--lattice", "nope", "--n", "4"]) == EXIT_CONFIG
     assert main(["bogus-subcommand"]) == EXIT_CONFIG
+    assert main(["errors", "--lattice", "square", "--n-list", "10,abc"]) == EXIT_CONFIG
+    path = tmp_path / "bad.lattice"
+    path.write_text("s = 1 0\ns = 0 1\ns = x 1\ndivisor = 4\n")
+    assert main(["sum", "--lattice-file", str(path), "--n", "4"]) == EXIT_CONFIG
+    monkeypatch.setenv("LAPASYM_WORKERS", "abc")
+    assert main(["sum", "--lattice", "square", "--n", "4"]) == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_trace_values():
 
 
 @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.name)
-@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("n", [3, 5, 8, 300])
 def test_exact_sum_against_brute_force(spec, n):
     got = exact_sum(spec, n)
     assert got.value == pytest.approx(brute_force_sum(spec, n), rel=1e-13)
@@ -165,12 +165,14 @@ def test_exact_sum_random_stencils(extra, n):
 
 
 def test_determinism_across_worker_counts():
-    for workers in (1, 2, 3, 8):
-        r = exact_sum(TRIANGULAR, 257, workers=workers)
-        if workers == 1:
-            base = r
-        assert r.value == base.value          # bit identical
-        assert r.compensation == base.compensation
+    for sum_at in (lambda w: exact_sum(TRIANGULAR, 257, workers=w),
+                   lambda w: restricted_sum_f2(1101, workers=w)):
+        for workers in (1, 2, 3, 8):
+            r = sum_at(workers)
+            if workers == 1:
+                base = r
+            assert r.value == base.value          # bit identical
+            assert r.compensation == base.compensation
 
 
 def test_env_var_workers(monkeypatch):
