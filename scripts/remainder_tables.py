@@ -8,11 +8,11 @@ For a ladder of sizes in one residue class mod 4 this prints
 * Delta(n): the restricted quartic integral minus its three-term
   expansion, which tends to Delta_inf(n0) = pi/12 - 1/2
   + (2 - n0)^2 (h1 + (pi^2/2) h2 - 1/pi) (-1.08196 for the 0 class;
-  h1, h2 as in tests/test_acceptance.py),
+  ``restricted_integral_remainder_limit``),
 * the exponential-tail row sum minus its Dedekind-eta limit (O(1/n^2)),
 * n^2 (axis row sum - pi^2/6 - c1/n) with c1 from ``axis_sum_expansion``,
   which tends to L(n0) = 8 + pi^4/(6 (48 - pi^2)) - 192 n0/(48 - pi^2)
-  (8.42577 for the 0 class),
+  (8.42577 for the 0 class; ``axis_gap_limit``),
 * n times the edge row sum against its decay coefficient.
 """
 import argparse

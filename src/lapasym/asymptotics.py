@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .exceptions import DomainError
 from .lattice_sum import GridGeometry
+from .quadrature import integrate_1d
 from .specfun import CONSTANTS, clausen_cl2, log_q_pochhammer_inv
 
 __all__ = [
@@ -30,11 +31,13 @@ __all__ = [
     "square_integral_expansion",
     "restricted_integral_constants",
     "restricted_integral_expansion",
+    "restricted_integral_remainder_limit",
     "quartic_factor_params",
     "log_cos_closed_forms",
     "edge_sum_decay_coefficient",
     "exp_tail_limit",
     "axis_sum_expansion",
+    "axis_gap_limit",
     "MODEL_FORMS",
     "model_for_lattice",
 ]
@@ -220,6 +223,44 @@ def restricted_integral_expansion(n: int) -> float:
     return ((2.0 / math.pi) * math.log(n) + c1) * n * n + c2 * (2.0 - n0) * n
 
 
+def _check_residue(n0: int) -> None:
+    if n0 not in (0, 1, 2, 3):
+        raise DomainError(f"residue class n0 must be 0, 1, 2 or 3, got {n0!r}")
+
+
+@lru_cache(maxsize=None)
+def _remainder_integrals() -> tuple[float, float]:
+    """h1 = int_0^{pi/4} g/(12 - (pi^2/4) g) and h2 = int_0^{pi/4} of its square,
+
+    with g = (cos^4 t + sin^4 t)/cos^2 t; both integrands are smooth.
+    """
+    def ratio(t):
+        c = math.cos(t)
+        g = (c ** 4 + math.sin(t) ** 4) / (c * c)
+        return g / (12.0 - 0.25 * math.pi ** 2 * g)
+
+    h1 = integrate_1d(ratio, 0.0, 0.25 * math.pi, tol=1e-14).value
+    h2 = integrate_1d(lambda t: ratio(t) ** 2, 0.0, 0.25 * math.pi, tol=1e-14).value
+    return h1, h2
+
+
+def restricted_integral_remainder_limit(n0: int) -> float:
+    """Limit of integral_f2_restricted(n) - restricted_integral_expansion(n)
+    over n = 4 N + n0.
+
+    In polar form the integral is (2n^2/pi) log(n beta_n/pi) plus
+    (4n^2/pi^2) int_0^{pi/4} [log(12 - (pi/n)^2 g) - log(12 - beta_n^2 g)].
+    Expanding in eps = (2 - n0)/n, with beta_n = (pi/2)(1 + eps) and
+    int_0^{pi/4} g = 3/2 - pi/4, gives the linear coefficient 2/pi + 2 h1
+    (the expansion's c2) and the limit
+    pi/12 - 1/2 + (2 - n0)^2 (h1 + (pi^2/2) h2 - 1/pi), approached like 1/n.
+    """
+    _check_residue(n0)
+    h1, h2 = _remainder_integrals()
+    return (math.pi / 12.0 - 0.5
+            + (2 - n0) ** 2 * (h1 + 0.5 * math.pi ** 2 * h2 - 1.0 / math.pi))
+
+
 # ---------------------------------------------------------------------------
 # Closed forms of the factored log integrals
 # ---------------------------------------------------------------------------
@@ -321,3 +362,16 @@ def axis_sum_expansion(n: int) -> float:
     s3 = math.sqrt(3.0)
     c1 = (math.pi / (2.0 * s3)) * math.log((4.0 * s3 + math.pi) / (4.0 * s3 - math.pi)) - 4.0
     return math.pi ** 2 / 6.0 + c1 / n
+
+
+def axis_gap_limit(n0: int) -> float:
+    """Limit of n^2 (q_axis(n) - axis_sum_expansion(n)) over n = 4 N + n0.
+
+    q_axis = sum_{k<=N} 1/k^2 + a sum_{k<=N} 1/(1 - a k^2), a = pi^2/(3n^2).
+    The zeta(2) tail gives -1/N + 1/(2N^2) and Euler-Maclaurin on the
+    second sum, with sqrt(a) N = (pi/(4 sqrt 3))(1 - n0/n), gives the rest:
+    8 + pi^4/(6 (48 - pi^2)) - 192 n0/(48 - pi^2), approached like 1/n.
+    """
+    _check_residue(n0)
+    d = 48.0 - math.pi ** 2
+    return 8.0 + math.pi ** 4 / (6.0 * d) - 192.0 * n0 / d

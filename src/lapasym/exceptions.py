@@ -18,7 +18,7 @@ class SingularityError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive refinement hit its subdivision limit before the tolerance.
+    """Adaptive refinement hit its subdivision or evaluation limit before the tolerance.
 
     The best available estimate is attached as ``partial``.
     """

@@ -15,13 +15,20 @@ psi.  Because s_l . t_{j,k} is a multiple of 2 pi / n, every summand comes
 from one precomputed sin^2(pi m / n) table, so argument reduction is
 exact.  The table is symmetric, S[m] = S[n - m], so for a stencil vector
 with |q| <= 1 a row (fixed j) is a contiguous slice of the doubled table;
-only |q| > 1 needs a gather.  One block driver serves every double sum:
-rows are formed in fixed blocks of 64, each row is summed by numpy's
-pairwise reduction, and the row sums are combined with Kahan-Neumaier
-compensation in ascending row order.  Worker threads only decide who
-computes a block, never the arithmetic, so results are bit-identical for
-any worker count.  The restricted quartic sum goes through the same
-driver, so its memory is O(64 N) rather than O(N^2).
+only |q| > 1 needs a gather.  The full-window sum is folded by two
+symmetries that keep rows intact: inversion psi(-j, -k) = psi(j, k) makes
+row n - j equal row j, so rows 0..n//2 are summed with weights 1 or 2,
+and when the stencil admits an in-row reflection k -> a j - k (a = 0 for
+square and modified union jack, a = -1 for triangular) each row is summed
+over half its columns, doubled, plus the reflection's fixed columns.
+That forms about n^2/4 reciprocals for the built-ins and n^2/2 for other
+stencils.  One blocked engine serves every double sum: rows are formed in
+fixed blocks of 64, each row is summed by numpy's pairwise reduction,
+and the row sums are combined with Kahan-Neumaier compensation in
+ascending row order.  Worker threads only decide who computes a block,
+never the arithmetic, so results are bit-identical for any worker count.
+The restricted quartic sum goes through the same engine, so its memory
+is O(64 N) rather than O(N^2).
 """
 
 from __future__ import annotations
@@ -297,41 +304,93 @@ def _row_sums(block_sums, nrows: int, workers: int | None) -> np.ndarray:
     return out
 
 
+def _row_reflection(stencil) -> int | None:
+    """Shear a with psi(j, a j - k) == psi(j, k) for every j, k; else None.
+
+    The map (j, k) -> (j, a j - k) sends stencil vector (p, q) to
+    (p + q a, -q), and psi is unchanged when that maps the stencil onto
+    itself as a multiset up to sign.  The image of (0, 1) is (a, -1), so
+    only a = -p q over vectors with |q| = 1 can work; (0, 1) comes second
+    in every stencil, so a = 0 is tried first.
+    """
+    def canon(vectors):
+        return sorted(max(v, (-v[0], -v[1])) for v in vectors)
+
+    target = canon(stencil)
+    for p, q in stencil:
+        if abs(q) == 1:
+            a = -p * q
+            if canon([(x + y * a, -y) for x, y in stencil]) == target:
+                return a
+    return None
+
+
 def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResult:
     """F_n over the full window j, k in [0, n) minus the origin.
 
+    Folded by symmetries that keep rows intact.  Inversion,
+    psi(-j, -k) = psi(j, k), makes row n - j equal row j, so only rows
+    0..n//2 are summed and rows strictly between 0 and n/2 count twice.
+    When the stencil has an in-row reflection k -> a j - k (see
+    :func:`_row_reflection`; a = 0 for square and modified union jack,
+    a = -1 for triangular), each row is summed over half its columns
+    k = s + m, m = 1..n//2, doubled, plus the reflection's fixed columns.
+    So about n^2/4 reciprocals are formed for such stencils and n^2/2 for
+    the rest; ``term_count`` still counts the n^2 - 1 terms represented.
+
     Deterministic: the value is bit-identical across runs and worker
-    counts.  Parallelism is over fixed 64-row blocks; the per-row pairwise
+    counts.  Parallelism is over fixed 64-row blocks; the weighted row
     sums are reduced with Neumaier compensation in ascending row order.
     """
     if n < 1:
         raise DomainError(f"grid size must be positive, got {n}")
+    half = n // 2
+    a = _row_reflection(spec.stencil)
+    # columns m = 0..half (+ half + 1 for odd n) around the reflection axis
+    ncols = n if a is None else min(half + 1 + n % 2, n)
     table = _sin_sq_table(n)
-    # row o of `shifted` is table[(o + k) mod n] for k in [0, n), a view
+    # row o of `shifted` is table[(o + m) mod n] for m in [0, ncols), a view
     shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((table, table)), n)
-    k = np.arange(n, dtype=np.int64)
+        np.concatenate((table, table)), ncols)
+    m = np.arange(ncols, dtype=np.int64)
     scale = 2.0 / spec.L
 
     def block_sums(j0, j1):
-        j = np.arange(j0, j1, dtype=np.int64)[:, None]
-        psi = np.zeros((j1 - j0, n))
+        j = np.arange(j0, j1, dtype=np.int64)
+        # row j covers k = s + m with s = floor(c / 2), c = a j mod n
+        c = np.zeros_like(j) if a is None else a * j % n
+        s = c // 2
+        psi = np.zeros((j1 - j0, ncols))
         for p, q in spec.stencil:
             if q == 0:
-                psi += table[p * j % n]
+                psi += table[p * j % n][:, None]
             elif abs(q) == 1:
-                # table[(p j + q k) mod n] == table[(q p j + k) mod n] since
-                # the table is symmetric, so the row is a slice of `shifted`
-                psi += shifted[q * p * j[:, 0] % n]
+                # table[(p j + q k) mod n] == table[(q p j + s + m) mod n]
+                # since the table is symmetric: a slice of `shifted`
+                psi += shifted[(q * p * j + s) % n]
             else:
-                psi += table[(p * j + q * k) % n]
+                psi += table[(p * j[:, None] + q * (s[:, None] + m)) % n]
         psi *= scale
-        if j0 > 0:
-            return (1.0 / psi).sum(axis=1)
-        # row 0 skips the origin
-        return np.concatenate(([(1.0 / psi[0, 1:]).sum()], (1.0 / psi[1:]).sum(axis=1)))
+        if j0 == 0:
+            psi[0, 0] = 1.0  # the origin; its reciprocal is dropped below
+        v = np.reciprocal(psi, out=psi)
+        if j0 == 0:
+            v[0, 0] = 0.0
+        if a is None:
+            return v.sum(axis=1)
+        # k -> c - k pairs column m with r - m, r = c - 2 s; the columns
+        # left unpaired by m = 1..half are the reflection's fixed points
+        r = c - 2 * s
+        if n % 2 == 0:
+            fixed = np.where(r == 0, v[:, 0] - v[:, half], 0.0)
+        else:
+            # v[:, -1] is column half + 1; for n = 1, r is always 0
+            fixed = np.where(r == 0, v[:, 0], v[:, -1])
+        return 2.0 * v[:, 1:half + 1].sum(axis=1) + fixed
 
-    total, comp = neumaier_sum(_row_sums(block_sums, n, workers).tolist())
+    rows = _row_sums(block_sums, half + 1, workers)
+    rows[1:(n + 1) // 2] *= 2.0  # rows j and n - j coincide for 0 < j < n/2
+    total, comp = neumaier_sum(rows.tolist())
     return SumResult(
         value=total + comp,
         compensation=comp,

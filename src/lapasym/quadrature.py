@@ -57,6 +57,7 @@ _WG = (
 )
 
 _MAX_DEPTH = 40
+_MAX_EVALUATIONS = 100_000  # integrand evaluations per integrate_1d call
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,12 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
 
     Each subinterval is bisected until its |K15 - G7| discrepancy fits its
     share of ``tol`` or depth 40 is reached.  Mild endpoint log
-    singularities are absorbed by depth.  Raises
+    singularities are absorbed by depth.  Once 100000 evaluations are
+    spent, no segment is bisected further: the pending ones (at most one
+    per level) are evaluated once and accepted.  Raises
     :class:`~lapasym.exceptions.ConvergenceError` (with the partial result
-    attached) when the subdivision limit is hit and the total estimate
-    still exceeds ``tol``.
+    attached) when the depth or evaluation limit cut refinement short and
+    the total estimate still exceeds ``tol``.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
@@ -106,7 +109,8 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
         lo, hi, seg_tol, depth = stack.pop()
         val, err = _gk15(fn, lo, hi)
         evaluations += 15
-        if err <= seg_tol or depth >= _MAX_DEPTH:
+        if (err <= seg_tol or depth >= _MAX_DEPTH
+                or evaluations >= _MAX_EVALUATIONS):
             total += val
             err_total += err
             if err > seg_tol:
@@ -119,7 +123,8 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
     result = QuadratureResult(total, err_total, evaluations)
     if exhausted and err_total > tol:
         raise ConvergenceError(
-            f"subdivision limit reached with estimate {err_total:.3e} > {tol:.3e}",
+            f"subdivision or evaluation limit reached with estimate "
+            f"{err_total:.3e} > {tol:.3e}",
             partial=result,
         )
     return result

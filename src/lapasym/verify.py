@@ -201,6 +201,16 @@ _PLATEAU_WINDOWS = {
 }
 
 
+def _distances(values, limit):
+    """Distances of a remainder ladder to its limit, with a detail string."""
+    dist = [abs(v - limit) for v in values]
+    return dist, f"limit {limit:.6f}, distances {['%.2e' % d for d in dist]}"
+
+
+def _non_increasing(values):
+    return all(b <= a for a, b in zip(values, values[1:]))
+
+
 def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[CheckResult]:
     out = []
     top = max(100, max_n)
@@ -226,9 +236,10 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
         q = quadrature.integral_f2_restricted(n).value
         deltas.append(q - asymptotics.restricted_integral_expansion(n))
     conv = abs(deltas[-1] - deltas[-2]) if len(deltas) >= 2 else 0.0
+    dist, detail = _distances(deltas, asymptotics.restricted_integral_remainder_limit(n0))
     out.append(_check("restricted_integral_remainder",
-                      max(abs(d) for d in deltas) <= 2.0 and conv <= 0.05,
-                      f"Delta = {['%.4f' % d for d in deltas]} at n = {sizes}"))
+                      max(dist) <= 0.02 and _non_increasing(dist) and conv <= 0.05,
+                      f"Delta = {['%.4f' % d for d in deltas]} at n = {sizes}, {detail}"))
 
     lim = asymptotics.exp_tail_limit()
     e100 = abs(decomposition.piece_sums(100).r_exp - lim)
@@ -236,11 +247,14 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
     out.append(_check("exp_tail_limit", e100 <= 1e-3 and e200 <= 0.35 * e100,
                       f"errors {e100:.3e} (n=100), {e200:.3e} (n=200)"))
 
-    qgaps = [n * n * abs(decomposition.piece_sums(n).q_axis
-                         - asymptotics.axis_sum_expansion(n))
-             for n in (100, 200, 400)]
-    out.append(_check("axis_sum_remainder", max(qgaps) <= 20.0,
-                      f"n^2 gaps {['%.3f' % g for g in qgaps]}"))
+    axis_sizes = [n - (n - n0) % 4 for n in (100, 200, 400)]
+    qgaps = [n * n * (decomposition.piece_sums(n).q_axis
+                      - asymptotics.axis_sum_expansion(n))
+             for n in axis_sizes]
+    dist, detail = _distances(qgaps, asymptotics.axis_gap_limit(n0))
+    out.append(_check("axis_sum_remainder", _non_increasing(dist) and dist[-1] <= 0.05,
+                      f"n^2 gaps {['%.3f' % g for g in qgaps]} at n = {axis_sizes}, "
+                      f"{detail}"))
 
     beta3 = asymptotics.edge_sum_decay_coefficient()
     gaps = [abs(n * decomposition.piece_sums(n).r_edge - beta3) * n

@@ -3,13 +3,15 @@ import math
 
 import pytest
 
-from lapasym import decomposition
-from lapasym.asymptotics import (ExpansionForm, axis_sum_expansion,
+from lapasym import decomposition, verify
+from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
+                                 axis_sum_expansion,
                                  edge_sum_decay_coefficient, exp_tail_limit,
                                  exp_tail_limit_series, log_cos_closed_forms,
                                  model_for_lattice, quartic_factor_params,
                                  restricted_integral_constants,
                                  restricted_integral_expansion,
+                                 restricted_integral_remainder_limit,
                                  square_integral_expansion,
                                  square_integral_form, square_sum_expansion,
                                  square_sum_form, triangular_sum_form,
@@ -199,3 +201,26 @@ def test_axis_sum_expansion_against_direct():
     for n in (100, 200, 400):
         gap = abs(decomposition.piece_sums(n).q_axis - axis_sum_expansion(n))
         assert gap <= 12.0 / (n * n)
+
+
+def test_remainder_limits_per_residue_class():
+    # Delta_inf(n0) and L(n0) for n0 = 0..3, to the digits of their derivation
+    deltas = [restricted_integral_remainder_limit(n0) for n0 in range(4)]
+    assert deltas == pytest.approx([-1.0819615, -0.4491408, -0.2382006, -0.4491408],
+                                   abs=1e-7)
+    assert deltas[2] == pytest.approx(math.pi / 12.0 - 0.5, abs=1e-15)
+    limits = [axis_gap_limit(n0) for n0 in range(4)]
+    assert limits == pytest.approx([8.4257718, 3.3904189, -1.6449341, -6.6802870],
+                                   abs=1e-7)
+    with pytest.raises(DomainError):
+        axis_gap_limit(4)
+    with pytest.raises(DomainError):
+        restricted_integral_remainder_limit(-1)
+
+
+@pytest.mark.parametrize("n0", [0, 1, 2, 3])
+def test_verify_remainder_checks_per_residue_class(n0):
+    checks = {r.name: r for r in verify.suite_asymptotics(max_n=100, n0=n0)}
+    for name in ("restricted_integral_remainder", "axis_sum_remainder"):
+        assert checks[name].passed, checks[name].detail
+        assert "limit" in checks[name].detail

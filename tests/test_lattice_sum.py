@@ -1,5 +1,6 @@
 """Tests for the exact-sum engine, kernels, and lattice plumbing."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 from lapasym.exceptions import DomainError, SingularityError
 from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
-                                 LatticeSpec, builtin_lattice, exact_sum,
-                                 kernel_fm, kernel_psi, neumaier_sum,
+                                 LatticeSpec, _row_reflection,
+                                 builtin_lattice, exact_sum, kernel_fm,
+                                 kernel_psi, neumaier_sum,
                                  parse_lattice_file, restricted_sum_f2,
                                  resolve_workers, trace_pseudoinverse)
 
 ALL_BUILTINS = [SQUARE, TRIANGULAR, MODIFIED_UNION_JACK]
+CUSTOM_LATTICE = Path(__file__).resolve().parents[1] / "perfbench" / "custom.lattice"
 
 
 def brute_force_sum(spec, n):
@@ -26,6 +29,22 @@ def brute_force_sum(spec, n):
                 continue
             total += 1.0 / kernel_psi(spec, (2 * math.pi * j / n, 2 * math.pi * k / n))
     return total
+
+
+def full_window_sum(spec, n):
+    """Reference F_n over the whole n x n grid, no symmetry folding.
+
+    psi comes from sin^2(pi m / n) with m = p j + q k reduced to
+    [-n/2, n/2), so the sine is accurate near its zeros, and the n^2 - 1
+    reciprocals are added exactly rounded by math.fsum.
+    """
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    psi = np.zeros((n, n))
+    for p, q in spec.stencil:
+        m = (p * j + q * k + n // 2) % n - n // 2
+        psi += np.sin(np.pi * m / n) ** 2
+    psi *= 2.0 / spec.L
+    return math.fsum((1.0 / psi.ravel()[1:]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +183,95 @@ def test_exact_sum_random_stencils(extra, n):
     assert exact_sum(spec, n).value == pytest.approx(brute_force_sum(spec, n), rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.name)
+@pytest.mark.parametrize("n", [*range(2, 41), 514, 515, 516, 517])
+def test_exact_sum_against_full_window(spec, n):
+    # every small n covers both parities, and triangular (a = -1) rows with
+    # odd reflection centres; from n = 514 on, n // 2 + 1 >= 258 folded rows
+    # make five blocks, so two workers use the pool
+    got = exact_sum(spec, n, workers=2).value
+    want = full_window_sum(spec, n)
+    assert abs(got - want) <= 1e-14 * want
+
+
+_VECTORS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda v: v != (0, 0))
+
+
+@settings(max_examples=30)
+@given(extra=st.lists(_VECTORS, min_size=0, max_size=3))
+def test_fold_random_stencils_against_full_window(extra):
+    # duplicates allowed; most of these stencils fold by inversion only
+    spec = LatticeSpec("random", ((1, 0), (0, 1)) + tuple(extra), 4)
+    for n in range(2, 41):
+        want = full_window_sum(spec, n)
+        assert abs(exact_sum(spec, n).value - want) <= 1e-14 * want
+
+
+@settings(max_examples=30)
+@given(a=st.integers(-2, 2), extra=st.lists(_VECTORS, min_size=0, max_size=2))
+def test_fold_reflective_stencils_against_full_window(a, extra):
+    # close the stencil under (p, q) -> (p + q a, -q) so an in-row
+    # reflection exists; odd a gives rows with odd reflection centres
+    images = [(p + q * a, -q) for p, q in extra]
+    shear = ((-a, 1),) if a else ()
+    spec = LatticeSpec("reflective", ((1, 0), (0, 1)) + shear + tuple(extra + images), 4)
+    assert _row_reflection(spec.stencil) is not None
+    for n in range(2, 41):
+        want = full_window_sum(spec, n)
+        assert abs(exact_sum(spec, n).value - want) <= 1e-14 * want
+
+
+def test_row_reflection_of_known_stencils():
+    assert [_row_reflection(s.stencil) for s in ALL_BUILTINS] == [0, -1, 0]
+    assert _row_reflection(parse_lattice_file(str(CUSTOM_LATTICE)).stencil) is None
+    # the stencil set is closed under a = -1, but the multiset is not
+    assert _row_reflection(((1, 0), (0, 1), (0, 1), (1, 1))) is None
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 200, 201])
+def test_exact_sum_reciprocal_count(monkeypatch, n):
+    formed = []
+    reciprocal = np.reciprocal
+
+    def counting(x, *args, **kwargs):
+        formed.append(np.size(x))
+        return reciprocal(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "reciprocal", counting)
+    half = n // 2
+    for spec in ALL_BUILTINS:
+        formed.clear()
+        exact_sum(spec, n, workers=1)
+        assert 0 < sum(formed) <= (half + 1) * (half + 2)
+    formed.clear()
+    exact_sum(parse_lattice_file(str(CUSTOM_LATTICE)), n, workers=1)
+    assert 0 < sum(formed) <= (half + 1) * n
+
+
+def test_exact_sum_against_50_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for spec in ALL_BUILTINS:
+        for n in (3, 4, 5, 6, 7, 8, 16, 17, 31, 32, 48):
+            sin_sq = [mp.sin(mp.pi * m / n) ** 2 for m in range(n)]
+            total = mp.mpf(0)
+            for j in range(n):
+                for k in range(n):
+                    if (j, k) != (0, 0):
+                        psi = sum(sin_sq[(p * j + q * k) % n] for p, q in spec.stencil)
+                        total += spec.L / (2 * psi)
+            got = exact_sum(spec, n).value
+            assert abs(mp.mpf(got) / total - 1) <= 1e-14, (spec.name, n)
+
+
 def test_determinism_across_worker_counts():
-    for sum_at in (lambda w: exact_sum(TRIANGULAR, 257, workers=w),
-                   lambda w: restricted_sum_f2(1101, workers=w)):
+    # n = 1030 and 1031 fold to 516 rows, nine blocks, so workers > 1 use the pool
+    sums = [lambda w: exact_sum(TRIANGULAR, 257, workers=w),
+            lambda w: restricted_sum_f2(1101, workers=w)]
+    sums += [lambda w, spec=spec, n=n: exact_sum(spec, n, workers=w)
+             for spec in ALL_BUILTINS for n in (1030, 1031)]
+    for sum_at in sums:
         for workers in (1, 2, 3, 8):
             r = sum_at(workers)
             if workers == 1:
