@@ -4,7 +4,7 @@
 For a ladder of sizes in one residue class mod 4 this prints
 
 * D(n): the six-piece assembly of the restricted quartic-kernel sum minus
-  its direct value (stays near 0.62 for the 0 class),
+  its direct value (stays near 0.621 in every class),
 * Delta(n): the restricted quartic integral minus its three-term
   expansion, which tends to Delta_inf(n0) = pi/12 - 1/2
   + (2 - n0)^2 (h1 + (pi^2/2) h2 - 1/pi) (-1.08196 for the 0 class;
@@ -13,7 +13,9 @@ For a ladder of sizes in one residue class mod 4 this prints
 * n^2 (axis row sum - pi^2/6 - c1/n) with c1 from ``axis_sum_expansion``,
   which tends to L(n0) = 8 + pi^4/(6 (48 - pi^2)) - 192 n0/(48 - pi^2)
   (8.42577 for the 0 class; ``axis_gap_limit``),
-* n times the edge row sum against its decay coefficient.
+* n times the edge row sum against its decay coefficient,
+* the relative gap between the quadrant double sum by the digamma route
+  and by direct summation (rounding level, about 1e-16).
 """
 import argparse
 import pathlib
@@ -24,7 +26,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from lapasym.asymptotics import (axis_sum_expansion,                 # noqa: E402
                                  edge_sum_decay_coefficient, exp_tail_limit,
                                  restricted_integral_expansion)
-from lapasym.decomposition import piece_sums                          # noqa: E402
+from lapasym.decomposition import double_sum_via_digamma, piece_sums  # noqa: E402
 from lapasym.lattice_sum import restricted_sum_f2                     # noqa: E402
 from lapasym.quadrature import integral_f2_restricted                 # noqa: E402
 
@@ -39,7 +41,7 @@ def main():
     beta3 = edge_sum_decay_coefficient()
     tail_limit = exp_tail_limit()
     header = f"{'n':>6} {'D(n)':>12} {'Delta(n)':>12} {'exp tail':>12} " \
-             f"{'n^2 axis gap':>13} {'n edge gap':>12}"
+             f"{'n^2 axis gap':>13} {'n edge gap':>12} {'route gap':>10}"
     print(header)
     print("-" * len(header))
     for n in sizes:
@@ -49,8 +51,9 @@ def main():
         tail = p.r_exp - tail_limit
         axis = n * n * (p.q_axis - axis_sum_expansion(n))
         edge = n * (n * p.r_edge - beta3)
+        route = abs(double_sum_via_digamma(n) - p.r_double) / p.r_double
         print(f"{n:>6} {d:>12.6f} {delta:>12.6f} {tail:>12.3e} "
-              f"{axis:>13.6f} {edge:>12.6f}")
+              f"{axis:>13.6f} {edge:>12.6f} {route:>10.2e}")
     return 0
 
 

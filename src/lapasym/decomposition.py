@@ -36,9 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError
-from .lattice_sum import GridGeometry, neumaier_sum, quadrant_row_sums
+from .lattice_sum import GridGeometry, neumaier_sum, quadrant_sums
 from .quadrature import integrate_1d
-from .specfun import BERNOULLI, digamma_complex, digamma_real, periodic_bernoulli
+from .specfun import BERNOULLI, digamma_array, periodic_bernoulli
 
 __all__ = [
     "PartialFractionRow",
@@ -76,10 +76,13 @@ class PartialFractionRow:
 
 def _abc(n: int, k: np.ndarray):
     c = math.pi ** 2 / (3.0 * n * n)
-    ck2 = c * k * k
+    k2 = k * k
+    ck2 = c * k2
     A = np.sqrt(1.0 + 4.0 * ck2 * (1.0 - ck2))
     scale = 3.0 * n * n / (2.0 * math.pi ** 2)
-    return A, scale * (1.0 + A), scale * (A - 1.0)
+    # C = (A - 1)/(2c) cancels for small k (A - 1 ~ 2 c k^2); 2b/(1 + A) does not
+    b = k2 - c * (k2 * k2)
+    return A, scale * (1.0 + A), 2.0 * b / (1.0 + A)
 
 
 def _check_bounds(n: int, N: int, k: np.ndarray, A, B, C):
@@ -159,7 +162,7 @@ class PieceSums:
 
 def piece_sums(n: int) -> PieceSums:
     """Direct evaluation of every row-sum family at size n."""
-    q_axis, rows = quadrant_row_sums(n)  # DomainError for n < 4, before any 1/N
+    q_axis, rows = quadrant_sums(n)  # DomainError for n < 4, before any 1/N
     geom = GridGeometry.from_n(n)
     N = geom.N
     c = math.pi ** 2 / (3.0 * n * n)
@@ -196,7 +199,9 @@ def double_sum_via_digamma(n: int) -> float:
     No asymptotic truncation anywhere: the identity chain is exact, so
     this must agree with the direct double sum to rounding.  The complex
     bracket is analytically purely imaginary; multiplying by i must give a
-    real number, and the stray real part is asserted below 1e-12.
+    real number, and the stray real part is asserted below 1e-12.  All
+    rows k = 1..N are evaluated as arrays and combined with Neumaier
+    compensation in ascending k.
     """
     geom = GridGeometry.from_n(n)
     if geom.N < 1:
@@ -204,29 +209,25 @@ def double_sum_via_digamma(n: int) -> float:
     N = geom.N
     k = np.arange(1, N + 1, dtype=np.float64)
     A, B, C = _abc(n, k)
-    parts = []
-    stray = 0.0
-    for i in range(N):
-        sB = math.sqrt(B[i])
-        sC = math.sqrt(C[i])
-        real_part = (
-            digamma_real(sB + N) - digamma_real(sB - N)
-            + 1.0 / (sB + N) - 1.0 / sB
-        ) / (2.0 * A[i] * sB)
-        psi = digamma_complex(complex(N, sC))
-        bracket = (
-            psi - psi.conjugate()
-            - 2j * sC / (C[i] + N * N)
-            - 1.0 / (1j * sC)
-            + math.pi * (-1j / math.tanh(math.pi * sC))  # pi cot(pi i sqrt C)
-        )
-        imag_part = 1j * bracket / (2.0 * A[i] * sC)
-        stray = max(stray, abs(imag_part.imag))
-        parts.append(real_part + imag_part.real)
+    sB = np.sqrt(B)
+    sC = np.sqrt(C)
+    real_part = (
+        digamma_array(sB + N) - digamma_array(sB - N)
+        + 1.0 / (sB + N) - 1.0 / sB
+    ) / (2.0 * A * sB)
+    psi = digamma_array(N + 1j * sC)
+    bracket = (
+        psi - psi.conj()
+        - 2j * sC / (C + N * N)
+        - 1.0 / (1j * sC)
+        + math.pi * (-1j / np.tanh(math.pi * sC))  # pi cot(pi i sqrt C)
+    )
+    imag_part = 1j * bracket / (2.0 * A * sC)
+    stray = float(np.max(np.abs(imag_part.imag)))
     if stray > 1e-12:
         raise ConsistencyError(
             f"complex digamma bracket is not real at n = {n}: stray {stray:.3e}")
-    total, comp = neumaier_sum(parts)
+    total, comp = neumaier_sum((real_part + imag_part.real).tolist())
     return total + comp
 
 

@@ -28,7 +28,10 @@ and the row sums are combined with Kahan-Neumaier compensation in
 ascending row order.  Worker threads only decide who computes a block,
 never the arithmetic, so results are bit-identical for any worker count.
 The restricted quartic sum goes through the same engine, so its memory
-is O(64 N) rather than O(N^2).
+is O(64 N) rather than O(N^2).  Its quadrant is folded by the swap
+j <-> k (:func:`quadrant_sums`): a block of rows spans only the columns
+k >= j0, its leading corner k <= j is masked, and each row adds its
+diagonal term plus twice the rest, about N^2/2 reciprocals in all.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ __all__ = [
     "exact_sum",
     "trace_pseudoinverse",
     "restricted_sum_f2",
-    "quadrant_row_sums",
+    "quadrant_sums",
     "resolve_workers",
 ]
 
@@ -411,31 +414,48 @@ def trace_pseudoinverse(spec: LatticeSpec, n: int, workers: int | None = None) -
 # Restricted-window quartic-kernel sum (square lattice)
 # ---------------------------------------------------------------------------
 
-def quadrant_row_sums(n: int, workers: int | None = None) -> tuple[float, np.ndarray]:
-    """Axis sum and open-quadrant row sums of the square quartic denominators.
+_LOWER = np.tri(_BLOCK_ROWS, dtype=bool)  # a block's k <= j corner
 
-    With a = pi^2 / (3 n^2) and N from :class:`GridGeometry`, row j of the
-    quadrant is sum_{k=1}^N 1/(j^2 + k^2 - a (j^4 + k^4)).  Row j = 0 is the
-    axis sum; rows j = 1..N follow in order.  Rows are formed _BLOCK_ROWS
-    at a time, so memory is O(_BLOCK_ROWS N).  Raises DomainError when N
-    < 1 and SingularityError where a denominator vanishes.
+
+def quadrant_sums(n: int, workers: int | None = None) -> tuple[float, np.ndarray]:
+    """Axis sum and folded open-quadrant contributions of the square quartic sum.
+
+    With c = pi^2 / (3 n^2), u_j = j^2 - c j^4 and N from
+    :class:`GridGeometry`, the quadrant sum is sum_{j,k=1}^N 1/(u_j + u_k).
+    The denominators are symmetric in j <-> k, so the returned array holds
+    1/(2 u_j) + 2 sum_{k>j} 1/(u_j + u_k) for j = 1..N: its entries add up
+    to the quadrant sum but are not its row sums.  The axis sum
+    sum_{k=1}^N 1/u_k, row j = 0 of the engine, comes first as a float.
+    Rows are formed _BLOCK_ROWS at a time over the columns k >= j0 of
+    their block, with the block's leading corner k <= j masked, so about
+    N^2/2 reciprocals are formed and memory is O(_BLOCK_ROWS N).  Raises
+    DomainError when N < 1 and SingularityError where a denominator
+    vanishes.
     """
     N = GridGeometry.from_n(n).N
     if N < 1:
         raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
     c = math.pi ** 2 / (3.0 * n * n)
-    j = np.arange(N + 1, dtype=np.float64)
-    j2 = j * j
-    j4 = j2 * j2
+    j2 = np.arange(N + 1, dtype=np.float64) ** 2
+    u = j2 - c * (j2 * j2)
+    # min over j, k of fl(u_j + u_k) is fl(2 min u) >= min u when u > 0
+    if u[1:].min() < _SINGULAR_FLOOR:
+        point = (0, int(np.argmin(u[1:])) + 1)
+        raise SingularityError(
+            f"restricted denominator vanishes at (j, k) = {point}", point=point)
 
     def block_sums(j0, j1):
-        den = j2[j0:j1, None] + j2[1:] - c * (j4[j0:j1, None] + j4[1:])
-        if den.min() < _SINGULAR_FLOOR:
-            row, col = np.unravel_index(np.argmin(den), den.shape)
-            point = (j0 + int(row), int(col) + 1)
-            raise SingularityError(
-                f"restricted denominator vanishes at (j, k) = {point}", point=point)
-        return (1.0 / den).sum(axis=1)
+        size = j1 - j0
+        v = np.add(u[j0:j1, None], u[j0:])  # column i is k = j0 + i
+        if j0 == 0:
+            v[0, 0] = 1.0  # the origin; masked out below
+        np.reciprocal(v, out=v)
+        diag = v.diagonal().copy()
+        v[:, :size][_LOWER[:size, :size]] = 0.0
+        out = 2.0 * v.sum(axis=1) + diag
+        if j0 == 0:
+            out[0] = v[0, 1:].sum()  # the axis row: every k once
+        return out
 
     rows = _row_sums(block_sums, N + 1, workers)
     return float(rows[0]), rows[1:]
@@ -453,7 +473,7 @@ def restricted_sum_f2(n: int, spec: LatticeSpec = SQUARE,
     """
     if spec.stencil != SQUARE.stencil:
         raise DomainError("the restricted quartic sum is defined for the square stencil")
-    axis, rows = quadrant_row_sums(n, workers)
+    axis, rows = quadrant_sums(n, workers)
     N = len(rows)
     total, comp = neumaier_sum([axis] + rows.tolist())
     scale = 4.0 * n * n / math.pi ** 2

@@ -5,7 +5,8 @@ dependency.  Provided here:
 
 * exact rational Bernoulli numbers and periodic Bernoulli polynomials,
 * the Clausen function Cl2(theta) = sum_{k>=1} sin(k theta)/k^2,
-* the digamma function on the real line and on the complex plane,
+* the digamma function on the real line and on the complex plane, for
+  scalars and elementwise over numpy arrays,
 * log of the inverse q-Pochhammer symbol, -log((q;q)_inf),
 * a table of fundamental constants shared by every closed-form expansion.
 
@@ -24,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exceptions import DomainError, PoleError
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "clausen_cl2",
     "digamma_real",
     "digamma_complex",
+    "digamma_array",
     "periodic_bernoulli",
     "log_q_pochhammer_inv",
 ]
@@ -269,6 +273,34 @@ def digamma_complex(z: complex) -> complex:
     for c in reversed(_DIGAMMA_COEFF):
         tail = (tail + c) * u
     return acc + cmath.log(z) - 0.5 / z - tail
+
+
+def digamma_array(z) -> np.ndarray:
+    """Digamma elementwise over a real or complex array.
+
+    The scheme of :func:`digamma_real` and :func:`digamma_complex`: every
+    entry with real part below 10 is shifted up by the recurrence, the
+    others are masked out, then the same asymptotic series is applied.
+    Real input gives a float array, complex input a complex array.
+    """
+    z = np.asarray(z)
+    z = z.astype(np.result_type(z.dtype, np.float64))  # a copy
+    if not np.all(np.isfinite(z)):
+        raise DomainError("arguments must be finite")
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if pole.any():
+        raise PoleError(f"digamma pole at {z[pole][0]!r}")
+    acc = np.zeros_like(z)
+    low = z.real < _DIGAMMA_SHIFT
+    while low.any():
+        acc[low] -= 1.0 / z[low]
+        z[low] += 1.0
+        low = z.real < _DIGAMMA_SHIFT
+    u = 1.0 / (z * z)
+    tail = np.zeros_like(z)
+    for c in reversed(_DIGAMMA_COEFF):
+        tail = (tail + c) * u
+    return acc + np.log(z) - 0.5 / z - tail
 
 
 # ---------------------------------------------------------------------------

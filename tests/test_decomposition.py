@@ -101,6 +101,38 @@ def test_digamma_route_equals_direct(n, rel):
     assert double_sum_via_digamma(n) == pytest.approx(direct, rel=rel)
 
 
+@pytest.mark.parametrize("n", [16000, 16003])
+def test_digamma_route_at_large_n(n):
+    direct = piece_sums(n).r_double
+    via = double_sum_via_digamma(n)
+    assert type(via) is float
+    assert abs(via - direct) <= 1e-13 * direct
+
+
+def test_imag_root_square_against_40_digit_reference():
+    # C = (A - 1)/(2a) cancels for small k; the code must not lose those digits
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for n in (100, 15938, 31872):
+        a = mp.pi ** 2 / (3 * mp.mpf(n) ** 2)
+        for row in factor_rows(n)[:5]:
+            b = row.k ** 2 - a * row.k ** 4
+            want = 2 * b / (1 + mp.sqrt(1 + 4 * a * b))
+            assert abs(mp.mpf(row.C) / want - 1) <= 1e-15, (n, row.k)
+
+
+def test_assembly_remainder_steady_across_residue_classes():
+    # D(n) settles near 0.621 in every class; a cancelling C once drove it
+    # to 0.84 and 0.96 at n = 15937 and 15938
+    def remainder(n):
+        return piece_sums(n).assembled() - restricted_sum_f2(n).value
+
+    base = remainder(3984)
+    for n in range(15936, 15940):
+        assert abs(remainder(n) - base) <= 0.01, n
+
+
 def test_partial_fraction_spot_check():
     x, a, b = 3.0, 0.01, 5.0
     A = math.sqrt(1.0 + 4.0 * a * b)

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapasym.exceptions import DomainError, SingularityError
+from lapasym import lattice_sum
 from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
                                  LatticeSpec, _row_reflection,
                                  builtin_lattice, exact_sum, kernel_fm,
                                  kernel_psi, neumaier_sum,
-                                 parse_lattice_file, restricted_sum_f2,
-                                 resolve_workers, trace_pseudoinverse)
+                                 parse_lattice_file, quadrant_sums,
+                                 restricted_sum_f2, resolve_workers,
+                                 trace_pseudoinverse)
 
 ALL_BUILTINS = [SQUARE, TRIANGULAR, MODIFIED_UNION_JACK]
 CUSTOM_LATTICE = Path(__file__).resolve().parents[1] / "perfbench" / "custom.lattice"
@@ -353,6 +355,49 @@ def test_restricted_against_brute_force(n):
     r = restricted_sum_f2(n)
     assert r.value == pytest.approx(brute_restricted(n), rel=1e-12)
     assert r.term_count == (2 * GridGeometry.from_n(n).N + 1) ** 2 - 1
+
+
+def quadrant_oracle(n):
+    """Axis sum and open-quadrant double sum, unfolded, added by math.fsum."""
+    N = GridGeometry.from_n(n).N
+    c = math.pi ** 2 / (3.0 * n * n)
+    k2 = np.arange(1, N + 1, dtype=np.float64) ** 2
+    u = k2 - c * (k2 * k2)
+    quadrant = 1.0 / np.add.outer(u, u)
+    return math.fsum((1.0 / u).tolist()), math.fsum(quadrant.ravel().tolist())
+
+
+# N = 1..10, and N = 321: six row blocks, a ragged last one, every residue class
+@pytest.mark.parametrize("n", list(range(4, 41)) + [1284, 1285, 1286, 1287])
+def test_quadrant_sums_against_fsum(n):
+    axis, folded = quadrant_sums(n, workers=2)
+    want_axis, want_quadrant = quadrant_oracle(n)
+    assert len(folded) == GridGeometry.from_n(n).N
+    assert abs(axis / want_axis - 1.0) <= 1e-14
+    assert abs(math.fsum(folded.tolist()) / want_quadrant - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 21, 200, 257, 1287])
+def test_quadrant_sums_reciprocal_count(monkeypatch, n):
+    formed = []
+    reciprocal = np.reciprocal
+
+    def counting(x, *args, **kwargs):
+        formed.append(np.size(x))
+        return reciprocal(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "reciprocal", counting)
+    quadrant_sums(n, workers=1)
+    N = GridGeometry.from_n(n).N
+    assert 0 < sum(formed) <= N * (N + 1) // 2 + 64 * N
+
+
+def test_quadrant_sums_singularity_guard(monkeypatch):
+    # denominators are at least k^2 (1 - pi^2/48) here, so raise the floor
+    monkeypatch.setattr(lattice_sum, "_SINGULAR_FLOOR", 1e300)
+    with pytest.raises(SingularityError) as err:
+        quadrant_sums(40)
+    assert err.value.point == (0, 1)
 
 
 def test_restricted_matches_pointwise_kernel():

@@ -12,7 +12,7 @@ from lapasym import specfun
 from lapasym.exceptions import DomainError, PoleError
 from lapasym.quadrature import integrate_1d
 from lapasym.specfun import (BERNOULLI, CONSTANTS, clausen_cl2,
-                             digamma_complex, digamma_real,
+                             digamma_array, digamma_complex, digamma_real,
                              log_q_pochhammer_inv, periodic_bernoulli)
 
 
@@ -207,6 +207,38 @@ def test_digamma_schwarz_property(re, im):
     z = complex(re, im)
     assert abs(digamma_complex(z.conjugate())
                - digamma_complex(z).conjugate()) <= 1e-13
+
+
+def test_digamma_array_matches_scalar_real():
+    # the grid starts far below the shift threshold 10 and reaches 1e8;
+    # relative where |psi| >= 1, absolute near the real root 1.4616
+    x = np.concatenate([np.linspace(0.01, 40.0, 4001),
+                        np.linspace(-9.95, -0.05, 100) + 1e-3, [1e3, 1e6, 1e8]])
+    got = digamma_array(x)
+    assert got.dtype == np.float64
+    want = np.array([digamma_real(float(t)) for t in x])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
+
+
+def test_digamma_array_matches_scalar_complex():
+    rng = np.random.default_rng(20261018)
+    z = np.concatenate([
+        rng.uniform(-15.0, 40.0, 2000) + 1j * rng.uniform(-30.0, 30.0, 2000),
+        3.0 + 1j * np.linspace(0.1, 50.0, 500),   # N + i sqrt(C) of small grids
+    ])
+    got = digamma_array(z)
+    assert got.dtype == np.complex128
+    want = np.array([digamma_complex(complex(t)) for t in z])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_digamma_array_rejects_poles_and_non_finite():
+    for bad in ([1.5, 0.0], [-3.0], np.array([2.0 + 0j, -1.0 + 0j])):
+        with pytest.raises(PoleError):
+            digamma_array(bad)
+    for bad in ([1.0, math.nan], [complex(math.inf, 1.0)]):
+        with pytest.raises(DomainError):
+            digamma_array(bad)
 
 
 # ---------------------------------------------------------------------------
