@@ -1,4 +1,4 @@
-"""Exact lattice sums with a deterministic parallel compensated engine.
+"""Exact lattice sums: closed-form row sums and a deterministic blocked engine.
 
 The central object is
 
@@ -9,29 +9,19 @@ where psi(x) = 1 - (1/L) sum_l cos(s_l . x) for a stencil of integer
 vectors s_l.  The trace of the lattice Laplacian pseudoinverse is F_n
 divided by a lattice-specific divisor (4, 6 or 8 for the built-ins).
 
-Numerics: psi is evaluated as (2/L) sum_l sin^2(s_l . x / 2), which is
-algebraically identical but loses no relative precision near the zeros of
-psi.  Because s_l . t_{j,k} is a multiple of 2 pi / n, every summand comes
-from one precomputed sin^2(pi m / n) table, so argument reduction is
-exact.  The table is symmetric, S[m] = S[n - m], so for a stencil vector
-with |q| <= 1 a row (fixed j) is a contiguous slice of the doubled table;
-only |q| > 1 needs a gather.  The full-window sum is folded by two
-symmetries that keep rows intact: inversion psi(-j, -k) = psi(j, k) makes
-row n - j equal row j, so rows 0..n//2 are summed with weights 1 or 2,
-and when the stencil admits an in-row reflection k -> a j - k (a = 0 for
-square and modified union jack, a = -1 for triangular) each row is summed
-over half its columns, doubled, plus the reflection's fixed columns.
-That forms about n^2/4 reciprocals for the built-ins and n^2/2 for other
-stencils.  One blocked engine serves every double sum: rows are formed in
-fixed blocks of 64, each row is summed by numpy's pairwise reduction,
-and the row sums are combined with Kahan-Neumaier compensation in
-ascending row order.  Worker threads only decide who computes a block,
-never the arithmetic, so results are bit-identical for any worker count.
-The restricted quartic sum goes through the same engine, so its memory
-is O(64 N) rather than O(N^2).  Its quadrant is folded by the swap
-j <-> k (:func:`quadrant_sums`): a block of rows spans only the columns
-k >= j0, its leading corner k <= j is masked, and each row adds its
-diagonal term plus twice the rest, about N^2/2 reciprocals in all.
+Numerics: F_n sums rows 0..n//2 of the grid, weighted by the inversion
+symmetry.  Where a unimodular change of grid basis puts the second entry
+of every stencil vector in {-1, 0, 1} (every built-in), each row sum has
+a closed form (:func:`_closed_form_rows`), so F_n costs O(n).  Every
+other double sum runs on one blocked engine: rows are formed in fixed
+blocks of 64, with psi as (2/L) sum_l sin^2(s_l . x / 2), which loses no
+relative precision near the zeros of psi; each row is summed by numpy's
+pairwise reduction, and the row sums are combined with Kahan-Neumaier
+compensation in ascending row order.  Worker threads only decide who
+computes a block, never the arithmetic, so results are bit-identical for
+any worker count.  The quadrant of the restricted quartic sum is folded
+by the swap j <-> k (:func:`quadrant_sums`): about N^2/2 reciprocals in
+O(64 N) memory.
 """
 
 from __future__ import annotations
@@ -202,8 +192,6 @@ class SumResult:
     term_count: int
     n: int
     lattice: LatticeSpec
-    kernel: str
-    region: str
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +259,6 @@ def neumaier_sum(values: Iterable[float]) -> tuple[float, float]:
 # Blocked row-sum engine and the full-window sum
 # ---------------------------------------------------------------------------
 
-def _sin_sq_table(n: int) -> np.ndarray:
-    """sin^2(pi m / n) for m in [0, n), built symmetric: S[m] == S[n - m]."""
-    half = n // 2
-    s = np.sin(np.pi * np.arange(half + 1) / n)
-    table = np.empty(n)
-    table[: half + 1] = s * s
-    if half + 1 < n:
-        table[half + 1:] = table[1: n - half][::-1]
-    return table
-
-
 def _row_sums(block_sums, nrows: int, workers: int | None) -> np.ndarray:
     """Row sums of a double sum, computed in fixed blocks of _BLOCK_ROWS rows.
 
@@ -307,91 +284,100 @@ def _row_sums(block_sums, nrows: int, workers: int | None) -> np.ndarray:
     return out
 
 
-def _row_reflection(stencil) -> int | None:
-    """Shear a with psi(j, a j - k) == psi(j, k) for every j, k; else None.
+# Unimodular grid bases (u, w) in which a stencil can have every s . w in
+# {-1, 0, 1}; (1,0) and (0,1) are in every stencil, so |w1|, |w2| <= 1
+_ROW_BASES = (((1, 0), (0, 1)), ((0, 1), (1, 0)),
+              ((1, 0), (1, 1)), ((1, 0), (1, -1)))
 
-    The map (j, k) -> (j, a j - k) sends stencil vector (p, q) to
-    (p + q a, -q), and psi is unchanged when that maps the stencil onto
-    itself as a multiset up to sign.  The image of (0, 1) is (a, -1), so
-    only a = -p q over vectors with |q| = 1 can work; (0, 1) comes second
-    in every stencil, so a = 0 is tried first.
+
+def _row_basis(stencil) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Grid basis (u, w) giving every stencil vector s . w in {-1, 0, 1}; else None.
+
+    F_n does not change under a unimodular change of grid basis, which
+    maps each stencil vector s to (s . u, s . w).  In the new basis every
+    row of psi then has the closed-form sum of :func:`_closed_form_rows`.
     """
-    def canon(vectors):
-        return sorted(max(v, (-v[0], -v[1])) for v in vectors)
-
-    target = canon(stencil)
-    for p, q in stencil:
-        if abs(q) == 1:
-            a = -p * q
-            if canon([(x + y * a, -y) for x, y in stencil]) == target:
-                return a
+    for u, w in _ROW_BASES:
+        if all(abs(p * w[0] + q * w[1]) <= 1 for p, q in stencil):
+            return u, w
     return None
+
+
+def _closed_form_rows(stencil, n: int) -> np.ndarray:
+    """Sums of rows 0..n//2 of F_n for a stencil with every q in {-1, 0, 1}.
+
+    With a = 2 pi j / n, row j of psi is A - R cos(b + phi), where
+    A = 1 - (1/L) sum_{q=0} cos(p a) and R e^{i phi} = (1/L) sum_{q!=0}
+    e^{i q p a}.  Expanding 1/psi in powers of rho = R / (A + s),
+    s = sqrt(A^2 - R^2), only the terms aliased to multiples of n survive
+    the sum over k, so
+        sum_k 1/psi = (n/s) (1 - rho^2n) / ((1 - rho^n)^2 + 2 rho^n (1 - cos n phi)).
+    Row 0 without the origin is (n^2 - 1) / (6 R0), R0 = #{q != 0} / L.
+    A - R = min_b psi comes from the sin^2 form, never as a difference,
+    and rho^n from log1p/expm1.  Rows with R = 0 have rho = 0: the log1p
+    argument is clamped at -1, whose log is -inf.
+    """
+    L = len(stencil)
+    rows = np.empty(n // 2 + 1)
+    rows[0] = (n * n - 1) / (6.0 * sum(q != 0 for _, q in stencil) / L)
+    a = 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
+    z = sum(np.exp(1j * (q * p) * a) for p, q in stencil if q) / L
+    phi = np.angle(z)
+    big_a = sum(1.0 if q else 2.0 * np.sin(0.5 * p * a) ** 2 for p, q in stencil) / L
+    a_minus_r = sum(np.sin(0.5 * (p * a - q * phi)) ** 2 for p, q in stencil) * (2.0 / L)
+    s = np.sqrt(a_minus_r * (big_a + np.abs(z)))
+    with np.errstate(divide="ignore"):
+        e = n * np.log1p(np.maximum(-(a_minus_r + s) / (big_a + s), -1.0))
+    rows[1:] = (n / s) * -np.expm1(2.0 * e) / (
+        np.expm1(e) ** 2 + 4.0 * np.exp(e) * np.sin(0.5 * n * phi) ** 2)
+    return rows
 
 
 def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResult:
     """F_n over the full window j, k in [0, n) minus the origin.
 
-    Folded by symmetries that keep rows intact.  Inversion,
-    psi(-j, -k) = psi(j, k), makes row n - j equal row j, so only rows
-    0..n//2 are summed and rows strictly between 0 and n/2 count twice.
-    When the stencil has an in-row reflection k -> a j - k (see
-    :func:`_row_reflection`; a = 0 for square and modified union jack,
-    a = -1 for triangular), each row is summed over half its columns
-    k = s + m, m = 1..n//2, doubled, plus the reflection's fixed columns.
-    So about n^2/4 reciprocals are formed for such stencils and n^2/2 for
-    the rest; ``term_count`` still counts the n^2 - 1 terms represented.
+    Inversion, psi(-j, -k) = psi(j, k), makes row n - j equal row j, so
+    only rows 0..n//2 are summed and rows strictly between 0 and n/2
+    count twice.  The rows come from one of two paths, chosen by the
+    stencil.  When a unimodular change of grid basis gives every stencil
+    vector a second entry of -1, 0 or 1 (:func:`_row_basis`; every
+    built-in and most small stencils), each row is one closed form
+    (:func:`_closed_form_rows`), O(n) work in all.  Otherwise the rows are
+    gathered from the sin^2 table in fixed 64-row blocks, serially or on
+    ``workers`` threads, about n^2/2 reciprocals.  ``term_count`` counts
+    the n^2 - 1 terms represented.
 
     Deterministic: the value is bit-identical across runs and worker
-    counts.  Parallelism is over fixed 64-row blocks; the weighted row
-    sums are reduced with Neumaier compensation in ascending row order.
+    counts.  The weighted row sums are reduced with Neumaier compensation
+    in ascending row order.
     """
     if n < 1:
         raise DomainError(f"grid size must be positive, got {n}")
-    half = n // 2
-    a = _row_reflection(spec.stencil)
-    # columns m = 0..half (+ half + 1 for odd n) around the reflection axis
-    ncols = n if a is None else min(half + 1 + n % 2, n)
-    table = _sin_sq_table(n)
-    # row o of `shifted` is table[(o + m) mod n] for m in [0, ncols), a view
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((table, table)), ncols)
-    m = np.arange(ncols, dtype=np.int64)
-    scale = 2.0 / spec.L
+    workers = resolve_workers(workers)  # a bad LAPASYM_WORKERS fails on either path
+    basis = _row_basis(spec.stencil)
+    if basis is not None:
+        (u0, u1), (w0, w1) = basis
+        rows = _closed_form_rows(
+            [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil], n)
+    else:
+        k = np.arange(n, dtype=np.int64)
+        table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
+        scale = 2.0 / spec.L
 
-    def block_sums(j0, j1):
-        j = np.arange(j0, j1, dtype=np.int64)
-        # row j covers k = s + m with s = floor(c / 2), c = a j mod n
-        c = np.zeros_like(j) if a is None else a * j % n
-        s = c // 2
-        psi = np.zeros((j1 - j0, ncols))
-        for p, q in spec.stencil:
-            if q == 0:
-                psi += table[p * j % n][:, None]
-            elif abs(q) == 1:
-                # table[(p j + q k) mod n] == table[(q p j + s + m) mod n]
-                # since the table is symmetric: a slice of `shifted`
-                psi += shifted[(q * p * j + s) % n]
-            else:
-                psi += table[(p * j[:, None] + q * (s[:, None] + m)) % n]
-        psi *= scale
-        if j0 == 0:
-            psi[0, 0] = 1.0  # the origin; its reciprocal is dropped below
-        v = np.reciprocal(psi, out=psi)
-        if j0 == 0:
-            v[0, 0] = 0.0
-        if a is None:
+        def block_sums(j0, j1):
+            j = np.arange(j0, j1, dtype=np.int64)[:, None]
+            psi = np.zeros((j1 - j0, n))
+            for p, q in spec.stencil:
+                psi += table[(p * j + q * k) % n]
+            psi *= scale
+            if j0 == 0:
+                psi[0, 0] = 1.0  # the origin; its reciprocal is dropped below
+            v = np.reciprocal(psi, out=psi)
+            if j0 == 0:
+                v[0, 0] = 0.0
             return v.sum(axis=1)
-        # k -> c - k pairs column m with r - m, r = c - 2 s; the columns
-        # left unpaired by m = 1..half are the reflection's fixed points
-        r = c - 2 * s
-        if n % 2 == 0:
-            fixed = np.where(r == 0, v[:, 0] - v[:, half], 0.0)
-        else:
-            # v[:, -1] is column half + 1; for n = 1, r is always 0
-            fixed = np.where(r == 0, v[:, 0], v[:, -1])
-        return 2.0 * v[:, 1:half + 1].sum(axis=1) + fixed
 
-    rows = _row_sums(block_sums, half + 1, workers)
+        rows = _row_sums(block_sums, n // 2 + 1, workers)
     rows[1:(n + 1) // 2] *= 2.0  # rows j and n - j coincide for 0 < j < n/2
     total, comp = neumaier_sum(rows.tolist())
     return SumResult(
@@ -400,8 +386,6 @@ def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResul
         term_count=n * n - 1,
         n=n,
         lattice=spec,
-        kernel="f",
-        region="full",
     )
 
 
@@ -483,6 +467,4 @@ def restricted_sum_f2(n: int, spec: LatticeSpec = SQUARE,
         term_count=(2 * N + 1) ** 2 - 1,
         n=n,
         lattice=spec,
-        kernel="f2",
-        region="restricted",
     )

@@ -10,9 +10,13 @@ dependency.  Provided here:
 * log of the inverse q-Pochhammer symbol, -log((q;q)_inf),
 * a table of fundamental constants shared by every closed-form expansion.
 
-Accuracy targets: Cl2 absolute error <= 1e-13 on [0, 2 pi]; digamma
-absolute error <= 1e-12 for real arguments in [1e-3, 1e8]; the
-q-Pochhammer series is truncated once terms drop below 1e-17.
+Accuracy targets: Cl2 absolute error <= 1e-13 on [0, 2 pi]; the
+q-Pochhammer series is truncated once terms drop below 1e-17.  Digamma,
+against 40-digit mpmath (relative error, absolute where |psi| < 1):
+at most 7.6e-16 for real x >= 2 and 1.6e-15 on [0.05, 2], where the
+recurrence's reciprocals cancel against log x (20000 random points per
+interval); the digamma-route gap of the restricted quadrant sum is then
+8.3e-16 at n = 7 and 3.8e-16 at n = 8.
 
 All functions are pure; the constant tables are built once at import and
 never mutated, so concurrent use needs no locking.
@@ -219,15 +223,9 @@ def clausen_cl2(theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 _DIGAMMA_SHIFT = 10.0
-# B_{2j}/(2j) for j=1..5: four asymptotic terms plus one guard term keeps the
-# absolute error below 1e-12 at the shift threshold without extended precision.
-_DIGAMMA_COEFF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-)
+# B_{2j}/(2j) for j=1..7: the first omitted term, |B_16|/(16 x^16), is
+# 4.4e-17 at the shift threshold x = 10, below the rounding of psi there.
+_DIGAMMA_COEFF = tuple(float(BERNOULLI.exact[2 * j] / (2 * j)) for j in range(1, 8))
 
 
 def digamma_real(x: float) -> float:

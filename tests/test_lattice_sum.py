@@ -1,5 +1,6 @@
 """Tests for the exact-sum engine, kernels, and lattice plumbing."""
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from lapasym.exceptions import DomainError, SingularityError
 from lapasym import lattice_sum
 from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
-                                 LatticeSpec, _row_reflection,
+                                 LatticeSpec, _row_basis,
                                  builtin_lattice, exact_sum, kernel_fm,
                                  kernel_psi, neumaier_sum,
                                  parse_lattice_file, quadrant_sums,
@@ -20,6 +21,11 @@ from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
 
 ALL_BUILTINS = [SQUARE, TRIANGULAR, MODIFIED_UNION_JACK]
 CUSTOM_LATTICE = Path(__file__).resolve().parents[1] / "perfbench" / "custom.lattice"
+# no grid basis gives every vector s . w in {-1, 0, 1}: exact_sum's gather path
+NO_ROW_BASIS = LatticeSpec("no_row_basis", ((1, 0), (0, 1), (2, 2), (2, -2)), 4)
+# R = 0 where a = 2 pi j / n = 2 pi / 3 (1 + e^{ia} + e^{2ia} = 0); at n = 39
+# rounding pushes the closed form's log1p argument below -1 there
+R_ZERO_ROWS = LatticeSpec("r_zero_rows", ((1, 0), (0, 1), (-2, -1), (2, 0), (1, 1)), 4)
 
 
 def brute_force_sum(spec, n):
@@ -116,6 +122,19 @@ def test_kernel_psi_matches_cosine_form():
             assert kernel_psi(spec, x) == pytest.approx(cos_form, abs=1e-14)
 
 
+def test_kernel_psi_against_40_digit_reference():
+    # near x = 2 pi: the float input, not kernel_psi, limits the accuracy
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for spec in ALL_BUILTINS:
+        for n in (517, 2500, 10000):
+            x = (2 * math.pi * (n - 1) / n, 0.0)
+            want = 2 * mp.fsum(mp.sin((p * mp.mpf(x[0]) + q * mp.mpf(x[1])) / 2) ** 2
+                               for p, q in spec.stencil) / spec.L
+            assert abs(mp.mpf(kernel_psi(spec, x)) / want - 1) <= 1e-15, (spec.name, n)
+
+
 @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 def test_kernel_psi_range(a, b):
     for spec in ALL_BUILTINS:
@@ -185,12 +204,12 @@ def test_exact_sum_random_stencils(extra, n):
     assert exact_sum(spec, n).value == pytest.approx(brute_force_sum(spec, n), rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", ALL_BUILTINS + [NO_ROW_BASIS, R_ZERO_ROWS],
+                         ids=lambda s: s.name)
 @pytest.mark.parametrize("n", [*range(2, 41), 514, 515, 516, 517])
 def test_exact_sum_against_full_window(spec, n):
-    # every small n covers both parities, and triangular (a = -1) rows with
-    # odd reflection centres; from n = 514 on, n // 2 + 1 >= 258 folded rows
-    # make five blocks, so two workers use the pool
+    # every small n covers both parities; from n = 514 on, the gather path's
+    # n // 2 + 1 >= 258 rows make five blocks, so two workers use the pool
     got = exact_sum(spec, n, workers=2).value
     want = full_window_sum(spec, n)
     assert abs(got - want) <= 1e-14 * want
@@ -202,7 +221,7 @@ _VECTORS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda v: v 
 @settings(max_examples=30)
 @given(extra=st.lists(_VECTORS, min_size=0, max_size=3))
 def test_fold_random_stencils_against_full_window(extra):
-    # duplicates allowed; most of these stencils fold by inversion only
+    # duplicates allowed; most of these stencils take the closed form
     spec = LatticeSpec("random", ((1, 0), (0, 1)) + tuple(extra), 4)
     for n in range(2, 41):
         want = full_window_sum(spec, n)
@@ -212,25 +231,35 @@ def test_fold_random_stencils_against_full_window(extra):
 @settings(max_examples=30)
 @given(a=st.integers(-2, 2), extra=st.lists(_VECTORS, min_size=0, max_size=2))
 def test_fold_reflective_stencils_against_full_window(a, extra):
-    # close the stencil under (p, q) -> (p + q a, -q) so an in-row
-    # reflection exists; odd a gives rows with odd reflection centres
+    # close the stencil under (p, q) -> (p + q a, -q), a symmetry of psi
     images = [(p + q * a, -q) for p, q in extra]
     shear = ((-a, 1),) if a else ()
     spec = LatticeSpec("reflective", ((1, 0), (0, 1)) + shear + tuple(extra + images), 4)
-    assert _row_reflection(spec.stencil) is not None
     for n in range(2, 41):
         want = full_window_sum(spec, n)
         assert abs(exact_sum(spec, n).value - want) <= 1e-14 * want
 
 
-def test_row_reflection_of_known_stencils():
-    assert [_row_reflection(s.stencil) for s in ALL_BUILTINS] == [0, -1, 0]
-    assert _row_reflection(parse_lattice_file(str(CUSTOM_LATTICE)).stencil) is None
-    # the stencil set is closed under a = -1, but the multiset is not
-    assert _row_reflection(((1, 0), (0, 1), (0, 1), (1, 1))) is None
+@settings(max_examples=30)
+@given(extra=st.lists(_VECTORS, min_size=1, max_size=3).filter(
+    lambda extra: _row_basis(((1, 0), (0, 1)) + tuple(extra)) is None))
+def test_gather_stencils_against_full_window(extra):
+    spec = LatticeSpec("gather", ((1, 0), (0, 1)) + tuple(extra), 4)
+    for n in range(2, 41):
+        want = full_window_sum(spec, n)
+        assert abs(exact_sum(spec, n).value - want) <= 1e-14 * want
 
 
-@pytest.mark.parametrize("n", [2, 7, 8, 200, 201])
+def test_row_basis_of_known_stencils():
+    identity = ((1, 0), (0, 1))
+    assert [_row_basis(s.stencil) for s in ALL_BUILTINS] == [identity] * 3
+    # (1,0), (0,1), (1,2), (2,1) -> (1,1), (0,-1), (1,-1), (2,1)
+    custom = parse_lattice_file(str(CUSTOM_LATTICE))
+    assert _row_basis(custom.stencil) == ((1, 0), (1, -1))
+    assert _row_basis(NO_ROW_BASIS.stencil) is None
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 200, 201, 2000])
 def test_exact_sum_reciprocal_count(monkeypatch, n):
     formed = []
     reciprocal = np.reciprocal
@@ -240,14 +269,19 @@ def test_exact_sum_reciprocal_count(monkeypatch, n):
         return reciprocal(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "reciprocal", counting)
-    half = n // 2
-    for spec in ALL_BUILTINS:
-        formed.clear()
-        exact_sum(spec, n, workers=1)
-        assert 0 < sum(formed) <= (half + 1) * (half + 2)
-    formed.clear()
-    exact_sum(parse_lattice_file(str(CUSTOM_LATTICE)), n, workers=1)
-    assert 0 < sum(formed) <= (half + 1) * n
+    # the closed form forms no reciprocal array and allocates O(n) bytes,
+    # far below the 8 n^2 of one n x n array once n is in the hundreds
+    tracemalloc.start()
+    try:
+        for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE))]:
+            tracemalloc.reset_peak()
+            exact_sum(spec, n, workers=1)
+            assert formed == []
+            assert tracemalloc.get_traced_memory()[1] < 8192 + 128 * n
+    finally:
+        tracemalloc.stop()
+    exact_sum(NO_ROW_BASIS, n, workers=1)
+    assert 0 < sum(formed) <= (n // 2 + 1) * n
 
 
 def test_exact_sum_against_50_digit_reference():
@@ -267,12 +301,43 @@ def test_exact_sum_against_50_digit_reference():
             assert abs(mp.mpf(got) / total - 1) <= 1e-14, (spec.name, n)
 
 
+def row_formula_reference(stencil, n, mp):
+    """F_n from the closed-form row sums in mpmath, for a stencil with |q| <= 1."""
+    L = len(stencil)
+    total = mp.mpf(n * n - 1) * L / (6 * sum(q != 0 for _, q in stencil))
+    for j in range(1, n // 2 + 1):
+        a = 2 * mp.pi * j / n
+        A = 1 - mp.fsum(mp.cos(p * a) for p, q in stencil if q == 0) / L
+        Z = mp.fsum(mp.expj(q * p * a) for p, q in stencil if q) / L
+        R, phi = abs(Z), mp.arg(Z)
+        s = mp.sqrt(A * A - R * R)
+        rho_n = (R / (A + s)) ** n
+        row = (n / s) * (1 - rho_n ** 2) / (1 - 2 * rho_n * mp.cos(n * phi) + rho_n ** 2)
+        total += row if 2 * j == n else 2 * row
+    return total
+
+
+def test_exact_sum_against_30_digit_row_formula():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    # the custom stencil in the basis u = (1,0), w = (1,-1)
+    cases = [(spec, spec.stencil) for spec in ALL_BUILTINS]
+    cases.append((parse_lattice_file(str(CUSTOM_LATTICE)), ((1, 1), (0, -1), (1, -1), (2, 1))))
+    for spec, row_stencil in cases:
+        for n in (517, 2500):
+            want = row_formula_reference(row_stencil, n, mp)
+            got = exact_sum(spec, n).value
+            assert abs(mp.mpf(got) / want - 1) <= 1e-15, (spec.name, n)
+
+
 def test_determinism_across_worker_counts():
-    # n = 1030 and 1031 fold to 516 rows, nine blocks, so workers > 1 use the pool
+    # n = 1030 and 1031 fold to 516 rows; on the gather path that is nine
+    # blocks, so workers > 1 use the pool
     sums = [lambda w: exact_sum(TRIANGULAR, 257, workers=w),
             lambda w: restricted_sum_f2(1101, workers=w)]
     sums += [lambda w, spec=spec, n=n: exact_sum(spec, n, workers=w)
-             for spec in ALL_BUILTINS for n in (1030, 1031)]
+             for spec in ALL_BUILTINS + [NO_ROW_BASIS] for n in (1030, 1031)]
     for sum_at in sums:
         for workers in (1, 2, 3, 8):
             r = sum_at(workers)

@@ -241,6 +241,25 @@ def test_digamma_array_rejects_poles_and_non_finite():
             digamma_array(bad)
 
 
+
+def test_digamma_against_40_digit_reference():
+    # relative error, absolute where |psi| < 1; below x = 2 the recurrence's
+    # reciprocals (about -2.8 in all near x = 1) cancel against the log, so
+    # the rounding there reaches a few ulps of 2.8
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    x = np.concatenate([np.linspace(0.05, 30.0, 600), np.geomspace(30.0, 1e8, 60)])
+    z = x[::4] + 1j * np.linspace(-30.0, 30.0, len(x[::4]))
+    cases = [(digamma_real(float(t)), t) for t in x] + list(zip(digamma_array(x), x))
+    cases += [(digamma_complex(complex(t)), t) for t in z] + list(zip(digamma_array(z), z))
+    for got, arg in cases:
+        arg = complex(arg)
+        want = mp.digamma(mp.mpc(arg.real, arg.imag))
+        err = abs(mp.mpc(complex(got).real, complex(got).imag) - want) / max(abs(want), 1)
+        assert err <= (1e-15 if arg.real >= 2.0 else 2e-15), arg
+
+
 # ---------------------------------------------------------------------------
 # Periodic Bernoulli polynomial
 # ---------------------------------------------------------------------------
