@@ -13,7 +13,8 @@ For a ladder of sizes in one residue class mod 4 this prints
 * n^2 (axis row sum - pi^2/6 - c1/n) with c1 from ``axis_sum_expansion``,
   which tends to L(n0) = 8 + pi^4/(6 (48 - pi^2)) - 192 n0/(48 - pi^2)
   (8.42577 for the 0 class; ``axis_gap_limit``),
-* n times the edge row sum against its decay coefficient,
+* n (n r_edge - beta3), the edge row sum against its decay coefficient,
+  which tends to E(n0) (-5.03535 for the 0 class; ``edge_sum_gap_limit``),
 * the relative gap between the quadrant double sum by the digamma route
   and by direct summation (rounding level, about 1e-16).
 """
@@ -27,7 +28,8 @@ from lapasym.asymptotics import (axis_sum_expansion,                 # noqa: E40
                                  edge_sum_decay_coefficient, exp_tail_limit,
                                  restricted_integral_expansion)
 from lapasym.decomposition import double_sum_via_digamma, piece_sums  # noqa: E402
-from lapasym.lattice_sum import restricted_sum_f2                     # noqa: E402
+from lapasym.lattice_sum import (neumaier_sum, quadrant_sums,         # noqa: E402
+                                 restricted_sum_f2)
 from lapasym.quadrature import integral_f2_restricted                 # noqa: E402
 
 
@@ -51,7 +53,9 @@ def main():
         tail = p.r_exp - tail_limit
         axis = n * n * (p.q_axis - axis_sum_expansion(n))
         edge = n * (n * p.r_edge - beta3)
-        route = abs(double_sum_via_digamma(n) - p.r_double) / p.r_double
+        total, comp = neumaier_sum(quadrant_sums(n)[1].tolist())  # direct sum
+        direct = total + comp
+        route = abs(double_sum_via_digamma(n) - direct) / direct
         print(f"{n:>6} {d:>12.6f} {delta:>12.6f} {tail:>12.3e} "
               f"{axis:>13.6f} {edge:>12.6f} {route:>10.2e}")
     return 0

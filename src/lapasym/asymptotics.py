@@ -35,6 +35,7 @@ __all__ = [
     "quartic_factor_params",
     "log_cos_closed_forms",
     "edge_sum_decay_coefficient",
+    "edge_sum_gap_limit",
     "exp_tail_limit",
     "axis_sum_expansion",
     "axis_gap_limit",
@@ -333,6 +334,37 @@ def edge_sum_decay_coefficient() -> float:
     a9 = (s6 / root) * (s / cal_a) * math.atan(root / (s6 * s))
     a11 = (s6 / root) * (s / cal_a)
     return 2.0 * (a8 - 2.0 * a9 + math.pi * a11)
+
+
+@lru_cache(maxsize=None)
+def _edge_integrals() -> tuple[float, float]:
+    """I = int_0^1 g and I' = int_0^1 (1 + x^4) g^2 at a0 = pi^2/48,
+
+    with g = 1/(1 + x^2 - a0 (1 + x^4)); both integrands are smooth.
+    """
+    a0 = math.pi ** 2 / 48.0
+
+    def g(x):
+        return 1.0 / (1.0 + x * x - a0 * (1.0 + x ** 4))
+
+    i0 = integrate_1d(g, 0.0, 1.0, tol=1e-14).value
+    i1 = integrate_1d(lambda x: (1.0 + x ** 4) * g(x) ** 2, 0.0, 1.0, tol=1e-14).value
+    return i0, i1
+
+
+def edge_sum_gap_limit(n0: int) -> float:
+    """Limit of n (n r_edge(n) - edge_sum_decay_coefficient()) over n = 4 N + n0.
+
+    r_edge = N^-2 sum_{k<=N} g(k/N) with g(x) = 1/(1 + x^2 - a (1 + x^4))
+    and a = a0 (1 - n0/n)^2, a0 = pi^2/48.  Euler-Maclaurin gives
+    N r_edge = I(a) + (g(1) - g(0))/(2N) + O(N^-2); with n/N = 4/(1 - n0/n)
+    and dI/da = I' this is n0 (4 I - 8 a0 I') - 4/(1 - a0), approached
+    like 1/n.  4 I is the decay coefficient itself.
+    """
+    _check_residue(n0)
+    a0 = math.pi ** 2 / 48.0
+    i0, i1 = _edge_integrals()
+    return n0 * (4.0 * i0 - 8.0 * a0 * i1) - 4.0 / (1.0 - a0)
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,12 @@ six elementary row-sum families (log, arctan, edge, inverse-sqrt,
 exponential tail, axis) whose large-n behavior the asymptotics module pins
 down, and whose summands this module also expands to second order in the
 residue shift 1/N0 (the coefficient cascade).
+
+Everything here is O(N): :func:`piece_sums` sums the six families
+directly over k = 1..N and takes the quadrant double sum through the exact
+chain above (:func:`double_sum_via_digamma`).  The direct O(N^2) quadrant
+sum lives in :func:`lapasym.lattice_sum.restricted_sum_f2` alone, and is
+the oracle the chain is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError
-from .lattice_sum import GridGeometry, neumaier_sum, quadrant_sums
+from .lattice_sum import GridGeometry, neumaier_sum
 from .quadrature import integrate_1d
 from .specfun import BERNOULLI, digamma_array, periodic_bernoulli
 
@@ -125,7 +131,11 @@ def factor_rows(n: int) -> list[PartialFractionRow]:
 
 @dataclass(frozen=True)
 class PieceSums:
-    """The six row-sum families plus the raw quadrant double sum.
+    """The six row-sum families plus the quadrant double sum.
+
+    The six families are direct sums over k = 1..N; r_double is the
+    quadrant double sum through the exact digamma route, which agrees with
+    the direct double sum to rounding.
 
     r_log   : (1/N) sum_k (1/A_k)(N/sqrt B_k) log((1 + N/sqrt B_k)/(1 - N/sqrt B_k))
     r_atan  : (1/N) sum_k (1/A_k) atan(sqrt C_k / N)/(sqrt C_k / N)
@@ -161,10 +171,18 @@ class PieceSums:
 
 
 def piece_sums(n: int) -> PieceSums:
-    """Direct evaluation of every row-sum family at size n."""
-    q_axis, rows = quadrant_sums(n)  # DomainError for n < 4, before any 1/N
+    """Every row-sum family at size n, in O(N) time and memory.
+
+    The six families are summed directly over k = 1..N; r_double comes
+    from :func:`double_sum_via_digamma`, whose identity chain is exact, so
+    no quadrant is formed here.  The direct O(N^2) quadrant sum lives in
+    :func:`lapasym.lattice_sum.restricted_sum_f2` and is the oracle for
+    that route.
+    """
     geom = GridGeometry.from_n(n)
     N = geom.N
+    if N < 1:  # before any 1/N
+        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
     c = math.pi ** 2 / (3.0 * n * n)
     k = np.arange(1, N + 1, dtype=np.float64)
     A, B, C = _abc(n, k)
@@ -176,16 +194,16 @@ def piece_sums(n: int) -> PieceSums:
     r_atan = float(np.sum((1.0 / N) * (1.0 / A) * np.arctan(rc) / rc))
     k2 = k * k
     k4 = k2 * k2
+    q_axis = float(np.sum(1.0 / (k2 - c * k4)))  # bit-identical to the engine axis row
     r_edge = float(np.sum(1.0 / (k2 + N * N - c * (k4 + N ** 4))))
     r_sqrt = float(np.sum(1.0 / (A * sC)))
     # e^(-2 pi sqrt C) decays like e^(-pi k); cut once terms are below 1e-18
     cut = int(np.searchsorted(2.0 * math.pi * sC, 42.0)) + 1
     e = np.exp(-2.0 * math.pi * sC[:cut])
     r_exp = float(np.sum((1.0 / (A[:cut] * sC[:cut])) * e / (1.0 - e)))
-    total, comp = neumaier_sum(rows.tolist())
     return PieceSums(
         r_log=r_log, r_atan=r_atan, r_edge=r_edge, r_sqrt=r_sqrt, r_exp=r_exp,
-        q_axis=q_axis, r_double=total + comp, n=n, N=N, n0=geom.n0,
+        q_axis=q_axis, r_double=double_sum_via_digamma(n), n=n, N=N, n0=geom.n0,
     )
 
 

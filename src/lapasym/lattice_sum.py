@@ -21,7 +21,9 @@ compensation in ascending row order.  Worker threads only decide who
 computes a block, never the arithmetic, so results are bit-identical for
 any worker count.  The quadrant of the restricted quartic sum is folded
 by the swap j <-> k (:func:`quadrant_sums`): about N^2/2 reciprocals in
-O(64 N) memory.
+O(64 N) memory.  :func:`restricted_sum_f2` is its one computing consumer:
+the decomposition module gets the same double sum in O(N) through digamma
+rows, and this direct sum is only the oracle that checks that route.
 """
 
 from __future__ import annotations

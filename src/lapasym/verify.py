@@ -18,7 +18,8 @@ import numpy as np
 
 from . import asymptotics, decomposition, quadrature, specfun
 from .lattice_sum import (MODIFIED_UNION_JACK, SQUARE, TRIANGULAR,
-                          exact_sum, restricted_sum_f2)
+                          exact_sum, neumaier_sum, quadrant_sums,
+                          restricted_sum_f2)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
 
@@ -114,11 +115,13 @@ def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
     worst = 0.0
     route_sizes = sorted({8, 20, 100, min(max_n, 500), max_n})
     for n in route_sizes:
-        direct = decomposition.piece_sums(n).r_double
+        total, comp = neumaier_sum(quadrant_sums(n)[1].tolist())  # direct sum
+        direct = total + comp
         via = decomposition.double_sum_via_digamma(n)
         worst = max(worst, abs(direct - via) / abs(direct))
     out.append(_check("digamma_route", worst <= 1e-10,
-                      f"max relative gap {worst:.3e} at n = {route_sizes}"))
+                      f"max relative gap to the direct sum {worst:.3e} "
+                      f"at n = {route_sizes}"))
 
     x, a, b = 3.0, 0.01, 5.0
     A = math.sqrt(1.0 + 4.0 * a * b)
@@ -259,10 +262,11 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
                       f"{detail}"))
 
     beta3 = asymptotics.edge_sum_decay_coefficient()
-    gaps = [abs(n * decomposition.piece_sums(n).r_edge - beta3) * n
-            for n in (200, 400)]
-    out.append(_check("edge_sum_decay", max(gaps) <= 50.0,
-                      f"n |n r_edge - coeff| = {['%.3f' % g for g in gaps]}"))
+    egaps = [n * (n * decomposition.piece_sums(n).r_edge - beta3) for n in sizes]
+    dist, detail = _distances(egaps, asymptotics.edge_sum_gap_limit(n0))
+    out.append(_check("edge_sum_decay", _non_increasing(dist) and dist[-1] <= 0.02,
+                      f"n (n r_edge - coeff) = {['%.4f' % g for g in egaps]} "
+                      f"at n = {sizes}, {detail}"))
     return out
 
 

@@ -6,7 +6,8 @@ import pytest
 from lapasym import decomposition, verify
 from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
                                  axis_sum_expansion,
-                                 edge_sum_decay_coefficient, exp_tail_limit,
+                                 edge_sum_decay_coefficient,
+                                 edge_sum_gap_limit, exp_tail_limit,
                                  exp_tail_limit_series, log_cos_closed_forms,
                                  model_for_lattice, quartic_factor_params,
                                  restricted_integral_constants,
@@ -224,3 +225,41 @@ def test_verify_remainder_checks_per_residue_class(n0):
     for name in ("restricted_integral_remainder", "axis_sum_remainder"):
         assert checks[name].passed, checks[name].detail
         assert "limit" in checks[name].detail
+
+
+def test_edge_sum_gap_limit_per_residue_class():
+    # E(n0) for n0 = 0..3 against the same Euler-Maclaurin formula in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    a0 = mp.pi ** 2 / 48
+
+    def g(x):
+        return 1 / (1 + x * x - a0 * (1 + x ** 4))
+
+    i0 = mp.quad(g, [0, 1])
+    i1 = mp.quad(lambda x: (1 + x ** 4) * g(x) ** 2, [0, 1])
+    assert edge_sum_decay_coefficient() == pytest.approx(float(4 * i0), rel=1e-14)
+    limits = [edge_sum_gap_limit(n0) for n0 in range(4)]
+    for n0, got in enumerate(limits):
+        want = n0 * (4 * i0 - 8 * a0 * i1) - 4 / (1 - a0)
+        assert abs(got - want) <= 1e-12, n0
+    assert limits == pytest.approx([-5.035353, -2.953456, -0.871560, 1.210337], abs=1e-6)
+    with pytest.raises(DomainError):
+        edge_sum_gap_limit(4)
+
+
+@pytest.mark.parametrize("n0", [0, 1, 2, 3])
+def test_edge_sum_gap_converges_to_limit(n0):
+    # n (n r_edge - beta3) approaches E(n0) like 1/n: each doubling halves the distance
+    beta3 = edge_sum_decay_coefficient()
+    limit = edge_sum_gap_limit(n0)
+    dist = []
+    for m in (800, 1600, 3200, 6400):
+        n = m - (m - n0) % 4
+        dist.append(abs(n * (n * decomposition.piece_sums(n).r_edge - beta3) - limit))
+    for near, far in zip(dist[1:], dist):
+        assert 0.45 <= near / far <= 0.55
+    assert dist[-1] <= 2e-3
+    check = {r.name: r for r in verify.suite_asymptotics(max_n=100, n0=n0)}["edge_sum_decay"]
+    assert check.passed and "limit" in check.detail, check.detail

@@ -1,8 +1,10 @@
 """Tests for the row-sum decomposition machinery."""
 import math
 
+import numpy as np
 import pytest
 
+from lapasym import lattice_sum
 from lapasym.asymptotics import exp_tail_limit
 from lapasym.decomposition import (cascade_profile, double_sum_via_digamma,
                                    euler_maclaurin, factor_rows,
@@ -10,7 +12,13 @@ from lapasym.decomposition import (cascade_profile, double_sum_via_digamma,
                                    piece_sums, profile_decomposition,
                                    taylor_cascade)
 from lapasym.exceptions import DomainError
-from lapasym.lattice_sum import restricted_sum_f2
+from lapasym.lattice_sum import neumaier_sum, quadrant_sums, restricted_sum_f2
+
+
+def direct_double_sum(n):
+    """The quadrant double sum by direct summation, independent of the route."""
+    total, comp = neumaier_sum(quadrant_sums(n)[1].tolist())
+    return total + comp
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +99,103 @@ def test_piece_sums_positive():
         assert p.r_sqrt > 0.0 and p.r_exp > 0.0
 
 
+@pytest.mark.parametrize("n", [4, 517, 16003])
+def test_piece_sums_never_enters_the_blocked_engine(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("piece_sums formed a quadrant")
+
+    monkeypatch.setattr(lattice_sum, "_row_sums", refuse)
+    p = piece_sums(n)
+    assert p.r_double > 0.0 and p.q_axis > 0.0
+
+
+@pytest.mark.parametrize("n", list(range(4, 65)) + [1285, 16003])
+def test_piece_sums_axis_matches_engine_axis_row(n):
+    assert piece_sums(n).q_axis == quadrant_sums(n)[0]
+
+
+@pytest.mark.parametrize("n", list(range(4, 65)) + list(range(16000, 16004)))
+def test_piece_sums_double_sum_matches_direct(n):
+    direct = direct_double_sum(n)
+    assert abs(piece_sums(n).r_double - direct) <= 1e-15 * direct
+
+
+def test_piece_sums_families_unchanged():
+    # the five direct row families, written out without _abc: bit for bit
+    n = 517
+    N = n // 4
+    c = math.pi ** 2 / (3.0 * n * n)
+    k = np.arange(1, N + 1, dtype=np.float64)
+    k2 = k * k
+    A = np.sqrt(1.0 + 4.0 * (c * k2) * (1.0 - c * k2))
+    sB = np.sqrt(3.0 * n * n / (2.0 * math.pi ** 2) * (1.0 + A))
+    sC = np.sqrt(2.0 * (k2 - c * (k2 * k2)) / (1.0 + A))
+    ratio = N / sB
+    rc = sC / N
+    cut = int(np.searchsorted(2.0 * math.pi * sC, 42.0)) + 1
+    e = np.exp(-2.0 * math.pi * sC[:cut])
+    want = {
+        "r_log": np.sum((1.0 / N) * (1.0 / A) * ratio * np.log((1.0 + ratio) / (1.0 - ratio))),
+        "r_atan": np.sum((1.0 / N) * (1.0 / A) * np.arctan(rc) / rc),
+        "r_edge": np.sum(1.0 / (k2 + N * N - c * (k2 * k2 + N ** 4))),
+        "r_sqrt": np.sum(1.0 / (A * sC)),
+        "r_exp": np.sum((1.0 / (A[:cut] * sC[:cut])) * e / (1.0 - e)),
+    }
+    p = piece_sums(n)
+    for name, value in want.items():
+        assert getattr(p, name) == float(value), name
+
+
 # ---------------------------------------------------------------------------
 # Digamma route
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,rel", [(8, 1e-11), (100, 1e-10), (500, 1e-10)])
 def test_digamma_route_equals_direct(n, rel):
-    direct = piece_sums(n).r_double
+    direct = direct_double_sum(n)
     assert double_sum_via_digamma(n) == pytest.approx(direct, rel=rel)
 
 
 @pytest.mark.parametrize("n", [16000, 16003])
 def test_digamma_route_at_large_n(n):
-    direct = piece_sums(n).r_double
+    direct = direct_double_sum(n)
     via = double_sum_via_digamma(n)
     assert type(via) is float
     assert abs(via - direct) <= 1e-13 * direct
+
+
+def partial_fraction_reference(mp, n):
+    """Quadrant double sum to mp's precision, one row at a time.
+
+    Row k sums 1/p(j) over j = 1..N with p(x) = x^2 - a x^4 + b_k; over the
+    four roots rho of p that is sum_rho (psi(N + 1 - rho) - psi(1 - rho))/p'(rho).
+    The roots are +-sqrt B and +-i sqrt C; the imaginary pair is conjugate.
+    """
+    N = n // 4
+    a = mp.pi ** 2 / (3 * mp.mpf(n) ** 2)
+    total = mp.mpf(0)
+    for k in range(1, N + 1):
+        b = k * k - a * k ** 4
+        A = mp.sqrt(1 + 4 * a * b)
+        sB = mp.sqrt((1 + A) / (2 * a))
+        isC = mp.mpc(0, mp.sqrt(2 * b / (1 + A)))
+
+        def term(rho):
+            return ((mp.digamma(N + 1 - rho) - mp.digamma(1 - rho))
+                    / (2 * rho - 4 * a * rho ** 3))
+
+        total += term(sB) + term(-sB) + 2 * mp.re(term(isC))
+    return total
+
+
+@pytest.mark.parametrize("n", [517, 4001])
+def test_double_sum_against_30_digit_partial_fractions(n):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    want = partial_fraction_reference(mp, n)
+    for got in (double_sum_via_digamma(n), direct_double_sum(n)):
+        assert abs(mp.mpf(got) / want - 1) <= 1e-15
 
 
 def test_imag_root_square_against_40_digit_reference():
