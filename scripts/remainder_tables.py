@@ -28,8 +28,7 @@ from lapasym.asymptotics import (axis_sum_expansion,                 # noqa: E40
                                  edge_sum_decay_coefficient, exp_tail_limit,
                                  restricted_integral_expansion)
 from lapasym.decomposition import double_sum_via_digamma, piece_sums  # noqa: E402
-from lapasym.lattice_sum import (neumaier_sum, quadrant_sums,         # noqa: E402
-                                 restricted_sum_f2)
+from lapasym.lattice_sum import quadrant_sum, restricted_sum_f2      # noqa: E402
 from lapasym.quadrature import integral_f2_restricted                 # noqa: E402
 
 
@@ -53,8 +52,7 @@ def main():
         tail = p.r_exp - tail_limit
         axis = n * n * (p.q_axis - axis_sum_expansion(n))
         edge = n * (n * p.r_edge - beta3)
-        total, comp = neumaier_sum(quadrant_sums(n)[1].tolist())  # direct sum
-        direct = total + comp
+        direct = quadrant_sum(n)
         route = abs(double_sum_via_digamma(n) - direct) / direct
         print(f"{n:>6} {d:>12.6f} {delta:>12.6f} {tail:>12.3e} "
               f"{axis:>13.6f} {edge:>12.6f} {route:>10.2e}")

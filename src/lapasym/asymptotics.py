@@ -208,8 +208,7 @@ def restricted_integral_expansion(n: int) -> float:
       (2 - n0) n,
     with lambda, mu, nu from :func:`restricted_integral_constants`.
     """
-    if n < 4:
-        raise DomainError(f"restricted window needs n >= 4, got {n}")
+    n0 = GridGeometry.restricted(n).n0
     k = restricted_integral_constants()
     g = CONSTANTS.catalan_G
     c1 = (2.0 / math.pi) * (
@@ -220,7 +219,6 @@ def restricted_integral_expansion(n: int) -> float:
     c2 = (96.0 / (math.pi ** 2 * k.mu)) * (
         2.0 * r * math.atan(r) + math.log((sq + 1.0) / (sq - 1.0)) / sq
     )
-    n0 = n % 4
     return ((2.0 / math.pi) * math.log(n) + c1) * n * n + c2 * (2.0 - n0) * n
 
 
@@ -389,8 +387,7 @@ def axis_sum_expansion(n: int) -> float:
 
     c1 = (pi/(2 sqrt 3)) log((4 sqrt 3 + pi)/(4 sqrt 3 - pi)) - 4.
     """
-    if n < 4:
-        raise DomainError(f"restricted window needs n >= 4, got {n}")
+    GridGeometry.restricted(n)  # the n >= 4 guard
     s3 = math.sqrt(3.0)
     c1 = (math.pi / (2.0 * s3)) * math.log((4.0 * s3 + math.pi) / (4.0 * s3 - math.pi)) - 4.0
     return math.pi ** 2 / 6.0 + c1 / n

@@ -41,7 +41,7 @@ _SMALL_PANEL_MAX = 100            # top panel: 1..100 step 1
 
 @dataclass
 class RunConfig:
-    """Parsed command configuration; round-trips losslessly through argv."""
+    """Parsed command configuration."""
 
     subcommand: str
     lattice: str = "square"
@@ -58,32 +58,6 @@ class RunConfig:
     max_n: int = 200
     n0: int = 0
     workers: int | None = None
-
-    def to_argv(self) -> list[str]:
-        argv = [self.subcommand]
-        if self.subcommand == "sum":
-            argv += ["--lattice", self.lattice, "--n", str(self.n)]
-            if self.csv:
-                argv.append("--csv")
-        elif self.subcommand == "errors":
-            argv += ["--lattice", self.lattice]
-            if self.n_list:
-                argv += ["--n-list", ",".join(map(str, self.n_list))]
-            else:
-                argv += ["--start", str(self.start), "--stop", str(self.stop),
-                         "--step", str(self.step)]
-            if self.out:
-                argv += ["--out", self.out]
-            if self.plot:
-                argv += ["--plot", self.plot]
-        elif self.subcommand == "verify":
-            argv += ["--suite", self.suite, "--max-n", str(self.max_n),
-                     "--n0", str(self.n0)]
-        if self.lattice_file:
-            argv += ["--lattice-file", self.lattice_file]
-        if self.workers is not None:
-            argv += ["--workers", str(self.workers)]
-        return argv
 
 
 def _build_parser() -> argparse.ArgumentParser:

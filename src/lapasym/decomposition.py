@@ -2,7 +2,8 @@
 
 The restricted sum splits as (4 n^2 / pi^2) (axis part + quadrant part).
 For each row k of the quadrant part, the summand 1/(j^2 - a j^4 + b_k)
-with a = pi^2/(3 n^2) and b_k = k^2 - a k^4 admits the partial fraction
+with a = pi^2/(3 n^2) and b_k = k^2 - a k^4, the row formula u_k of
+:func:`lapasym.lattice_sum.quartic_rows`, admits the partial fraction
 decomposition
 
     1/(x^2 - a x^4 + b) = (1/(2 A sqrt B)) (1/(x + sqrt B) - 1/(x - sqrt B))
@@ -26,10 +27,11 @@ exponential tail, axis) whose large-n behavior the asymptotics module pins
 down, and whose summands this module also expands to second order in the
 residue shift 1/N0 (the coefficient cascade).
 
-Everything here is O(N): :func:`piece_sums` sums the six families
-directly over k = 1..N and takes the quadrant double sum through the exact
-chain above (:func:`double_sum_via_digamma`).  The direct O(N^2) quadrant
-sum lives in :func:`lapasym.lattice_sum.restricted_sum_f2` alone, and is
+The row functions are O(N) and share one n >= 4 guard,
+:meth:`lapasym.lattice_sum.GridGeometry.restricted`.  :func:`piece_sums`
+sums the six families directly over k = 1..N and takes the quadrant
+double sum through the exact chain above (:func:`double_sum_via_digamma`).
+The direct O(N^2) quadrant sum is :func:`lapasym.lattice_sum.quadrant_sum`,
 the oracle the chain is checked against.
 """
 
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError
-from .lattice_sum import GridGeometry, neumaier_sum
+from .lattice_sum import GridGeometry, neumaier_sum, quartic_rows
 from .quadrature import integrate_1d
 from .specfun import BERNOULLI, digamma_array, periodic_bernoulli
 
@@ -80,14 +82,14 @@ class PartialFractionRow:
     inv_N0: float    # n0/(4N) for n0 in {1,2,3}, zero for n0 = 0
 
 
-def _abc(n: int, k: np.ndarray):
+def _abc(n: int):
+    """A, B and C for the rows k = 1..N, with b_k the row formula u_k."""
+    b = quartic_rows(n)
     c = math.pi ** 2 / (3.0 * n * n)
-    k2 = k * k
-    ck2 = c * k2
+    ck2 = c * np.arange(1, len(b) + 1, dtype=np.float64) ** 2
     A = np.sqrt(1.0 + 4.0 * ck2 * (1.0 - ck2))
     scale = 3.0 * n * n / (2.0 * math.pi ** 2)
     # C = (A - 1)/(2c) cancels for small k (A - 1 ~ 2 c k^2); 2b/(1 + A) does not
-    b = k2 - c * (k2 * k2)
     return A, scale * (1.0 + A), 2.0 * b / (1.0 + A)
 
 
@@ -106,11 +108,9 @@ def _check_bounds(n: int, N: int, k: np.ndarray, A, B, C):
 
 def factor_rows(n: int) -> list[PartialFractionRow]:
     """All rows k = 1..N with their bracketing bounds asserted."""
-    geom = GridGeometry.from_n(n)
-    if geom.N < 1:
-        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
+    geom = GridGeometry.restricted(n)
     k = np.arange(1, geom.N + 1, dtype=np.float64)
-    A, B, C = _abc(n, k)
+    A, B, C = _abc(n)
     _check_bounds(n, geom.N, k, A, B, C)
     inv_n0 = geom.n0 / (4.0 * geom.N) if geom.n0 else 0.0
     coef = math.pi / (4.0 * math.sqrt(3.0))
@@ -175,27 +175,24 @@ def piece_sums(n: int) -> PieceSums:
 
     The six families are summed directly over k = 1..N; r_double comes
     from :func:`double_sum_via_digamma`, whose identity chain is exact, so
-    no quadrant is formed here.  The direct O(N^2) quadrant sum lives in
-    :func:`lapasym.lattice_sum.restricted_sum_f2` and is the oracle for
-    that route.
+    no quadrant is formed here.  The direct O(N^2) quadrant sum,
+    :func:`lapasym.lattice_sum.quadrant_sum`, is the oracle for that
+    route.
     """
-    geom = GridGeometry.from_n(n)
+    geom = GridGeometry.restricted(n)  # before any 1/N
     N = geom.N
-    if N < 1:  # before any 1/N
-        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
     c = math.pi ** 2 / (3.0 * n * n)
     k = np.arange(1, N + 1, dtype=np.float64)
-    A, B, C = _abc(n, k)
+    A, B, C = _abc(n)
     sB = np.sqrt(B)
     sC = np.sqrt(C)
     ratio = N / sB
     r_log = float(np.sum((1.0 / N) * (1.0 / A) * ratio * np.log((1.0 + ratio) / (1.0 - ratio))))
     rc = sC / N
     r_atan = float(np.sum((1.0 / N) * (1.0 / A) * np.arctan(rc) / rc))
+    q_axis = float(np.sum(1.0 / quartic_rows(n)))
     k2 = k * k
-    k4 = k2 * k2
-    q_axis = float(np.sum(1.0 / (k2 - c * k4)))  # bit-identical to the engine axis row
-    r_edge = float(np.sum(1.0 / (k2 + N * N - c * (k4 + N ** 4))))
+    r_edge = float(np.sum(1.0 / (k2 + N * N - c * (k2 * k2 + N ** 4))))
     r_sqrt = float(np.sum(1.0 / (A * sC)))
     # e^(-2 pi sqrt C) decays like e^(-pi k); cut once terms are below 1e-18
     cut = int(np.searchsorted(2.0 * math.pi * sC, 42.0)) + 1
@@ -221,12 +218,8 @@ def double_sum_via_digamma(n: int) -> float:
     rows k = 1..N are evaluated as arrays and combined with Neumaier
     compensation in ascending k.
     """
-    geom = GridGeometry.from_n(n)
-    if geom.N < 1:
-        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
-    N = geom.N
-    k = np.arange(1, N + 1, dtype=np.float64)
-    A, B, C = _abc(n, k)
+    N = GridGeometry.restricted(n).N
+    A, B, C = _abc(n)
     sB = np.sqrt(B)
     sC = np.sqrt(C)
     real_part = (
@@ -485,9 +478,7 @@ class ProfileDecomposition:
 
 
 def profile_decomposition(n: int) -> ProfileDecomposition:
-    geom = GridGeometry.from_n(n)
-    if geom.N < 1:
-        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
+    geom = GridGeometry.restricted(n)
     pieces = piece_sums(n)
     inv_n0 = geom.n0 / (4.0 * geom.N) if geom.n0 else 0.0
     rows = [taylor_cascade(n, k) for k in range(1, geom.N + 1)]

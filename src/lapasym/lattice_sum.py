@@ -19,11 +19,15 @@ relative precision near the zeros of psi; each row is summed by numpy's
 pairwise reduction, and the row sums are combined with Kahan-Neumaier
 compensation in ascending row order.  Worker threads only decide who
 computes a block, never the arithmetic, so results are bit-identical for
-any worker count.  The quadrant of the restricted quartic sum is folded
-by the swap j <-> k (:func:`quadrant_sums`): about N^2/2 reciprocals in
-O(64 N) memory.  :func:`restricted_sum_f2` is its one computing consumer:
-the decomposition module gets the same double sum in O(N) through digamma
-rows, and this direct sum is only the oracle that checks that route.
+any worker count.
+
+The restricted quartic sum lives on the window |j|, |k| <= N of
+:meth:`GridGeometry.restricted`, with the row formula
+u_k = k^2 - (pi^2 / 3 n^2) k^4 of :func:`quartic_rows`.  Its open
+quadrant sum_{j,k=1}^N 1/(u_j + u_k) is folded by the swap j <-> k
+(:func:`quadrant_sum`): about N^2/2 reciprocals in O(64 N) memory.  The
+decomposition module gets the same double sum in O(N) through digamma
+rows; this direct sum is the oracle that checks that route.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,7 +58,8 @@ __all__ = [
     "exact_sum",
     "trace_pseudoinverse",
     "restricted_sum_f2",
-    "quadrant_sums",
+    "quartic_rows",
+    "quadrant_sum",
     "resolve_workers",
 ]
 
@@ -159,16 +164,13 @@ class GridGeometry:
 
     n = 4 N + n0 with n0 = n mod 4.  The restricted window keeps the grid
     frequencies with both coordinates at most pi/2 in absolute value,
-    which for the cutoff beta = 1 - pi^2/20 is exactly the index square
-    |j|, |k| <= N minus the origin.
+    which is exactly the index square |j|, |k| <= N minus the origin.
     """
 
     n: int
     n0: int
     N: int
-    delta_n: float
     beta_n: float
-    beta: float = field(default=1.0 - math.pi ** 2 / 20.0)
 
     @classmethod
     def from_n(cls, n: int) -> "GridGeometry":
@@ -179,9 +181,15 @@ class GridGeometry:
             n=n,
             n0=n0,
             N=(n - n0) // 4,
-            delta_n=2.0 * math.pi / n,
             beta_n=0.5 * math.pi * (1.0 + (2.0 - n0) / n),
         )
+
+    @classmethod
+    def restricted(cls, n: int) -> "GridGeometry":
+        """:meth:`from_n` for a nonempty restricted window, N >= 1."""
+        if n < 4:
+            raise DomainError(f"restricted window needs n >= 4, got {n}")
+        return cls.from_n(n)
 
     def in_restricted(self, j: int, k: int) -> bool:
         return abs(j) <= self.N and abs(k) <= self.N and (j, k) != (0, 0)
@@ -403,70 +411,64 @@ def trace_pseudoinverse(spec: LatticeSpec, n: int, workers: int | None = None) -
 _LOWER = np.tri(_BLOCK_ROWS, dtype=bool)  # a block's k <= j corner
 
 
-def quadrant_sums(n: int, workers: int | None = None) -> tuple[float, np.ndarray]:
-    """Axis sum and folded open-quadrant contributions of the square quartic sum.
+def quartic_rows(n: int) -> np.ndarray:
+    """The row formula u_k = k^2 - c k^4, c = pi^2 / (3 n^2), for k = 1..N.
 
-    With c = pi^2 / (3 n^2), u_j = j^2 - c j^4 and N from
-    :class:`GridGeometry`, the quadrant sum is sum_{j,k=1}^N 1/(u_j + u_k).
-    The denominators are symmetric in j <-> k, so the returned array holds
-    1/(2 u_j) + 2 sum_{k>j} 1/(u_j + u_k) for j = 1..N: its entries add up
-    to the quadrant sum but are not its row sums.  The axis sum
-    sum_{k=1}^N 1/u_k, row j = 0 of the engine, comes first as a float.
-    Rows are formed _BLOCK_ROWS at a time over the columns k >= j0 of
-    their block, with the block's leading corner k <= j masked, so about
-    N^2/2 reciprocals are formed and memory is O(_BLOCK_ROWS N).  Raises
-    DomainError when N < 1 and SingularityError where a denominator
-    vanishes.
+    u_j + u_k is the quartic denominator of the restricted window.  Raises
+    DomainError for n < 4 and SingularityError where a u_k vanishes, the
+    axis point (0, k) of the window.
     """
-    N = GridGeometry.from_n(n).N
-    if N < 1:
-        raise DomainError(f"no quadrant rows for n = {n}; need n >= 4")
+    N = GridGeometry.restricted(n).N
     c = math.pi ** 2 / (3.0 * n * n)
-    j2 = np.arange(N + 1, dtype=np.float64) ** 2
-    u = j2 - c * (j2 * j2)
+    k2 = np.arange(1, N + 1, dtype=np.float64) ** 2
+    u = k2 - c * (k2 * k2)
     # min over j, k of fl(u_j + u_k) is fl(2 min u) >= min u when u > 0
-    if u[1:].min() < _SINGULAR_FLOOR:
-        point = (0, int(np.argmin(u[1:])) + 1)
+    if u.min() < _SINGULAR_FLOOR:
+        point = (0, int(np.argmin(u)) + 1)
         raise SingularityError(
             f"restricted denominator vanishes at (j, k) = {point}", point=point)
+    return u
 
-    def block_sums(j0, j1):
-        size = j1 - j0
-        v = np.add(u[j0:j1, None], u[j0:])  # column i is k = j0 + i
-        if j0 == 0:
-            v[0, 0] = 1.0  # the origin; masked out below
+
+def quadrant_sum(n: int, workers: int | None = None) -> float:
+    """The open-quadrant double sum sum_{j,k=1}^N 1/(u_j + u_k).
+
+    u is :func:`quartic_rows`.  The denominators are symmetric in j <-> k,
+    so row j contributes 1/(2 u_j) + 2 sum_{k>j} 1/(u_j + u_k).  Rows are
+    formed _BLOCK_ROWS at a time over the columns k >= j0 of their block,
+    with the block's leading corner k <= j masked, so about N^2/2
+    reciprocals are formed and memory is O(_BLOCK_ROWS N).  The folded
+    rows are combined with Neumaier compensation in ascending j.
+    """
+    u = quartic_rows(n)
+
+    def block_sums(i0, i1):
+        size = i1 - i0
+        v = np.add(u[i0:i1, None], u[i0:])  # rows j = i0+1..i1, columns k = i0+1..N
         np.reciprocal(v, out=v)
         diag = v.diagonal().copy()
         v[:, :size][_LOWER[:size, :size]] = 0.0
-        out = 2.0 * v.sum(axis=1) + diag
-        if j0 == 0:
-            out[0] = v[0, 1:].sum()  # the axis row: every k once
-        return out
+        return 2.0 * v.sum(axis=1) + diag
 
-    rows = _row_sums(block_sums, N + 1, workers)
-    return float(rows[0]), rows[1:]
+    total, comp = neumaier_sum(_row_sums(block_sums, len(u), workers).tolist())
+    return total + comp
 
 
-def restricted_sum_f2(n: int, spec: LatticeSpec = SQUARE,
-                      workers: int | None = None) -> SumResult:
-    """Sum of the quartic kernel f2 over the restricted window.
+def restricted_sum_f2(n: int, workers: int | None = None) -> SumResult:
+    """Sum of the square lattice's quartic kernel f2 over the restricted window.
 
-    For the square stencil this is
-    (n^2/pi^2) * sum over |j|,|k| <= N, (j,k) != 0 of
-    1 / (j^2 + k^2 - (pi^2 / 3 n^2)(j^4 + k^4)),
-    computed through the four-fold sign symmetry as 4*(axis part +
-    open-quadrant part).  Denominators are positive throughout the window.
+    That is (n^2/pi^2) * sum over |j|,|k| <= N, (j,k) != 0 of
+    1 / (u_j + u_k), u_0 = 0, computed through the four-fold sign symmetry
+    as (4 n^2/pi^2) (sum_k 1/u_k + :func:`quadrant_sum`).  Denominators
+    are positive throughout the window.
     """
-    if spec.stencil != SQUARE.stencil:
-        raise DomainError("the restricted quartic sum is defined for the square stencil")
-    axis, rows = quadrant_sums(n, workers)
-    N = len(rows)
-    total, comp = neumaier_sum([axis] + rows.tolist())
+    u = quartic_rows(n)
+    total, comp = neumaier_sum([float(np.sum(1.0 / u)), quadrant_sum(n, workers)])
     scale = 4.0 * n * n / math.pi ** 2
     return SumResult(
         value=scale * (total + comp),
         compensation=scale * comp,
-        term_count=(2 * N + 1) ** 2 - 1,
+        term_count=(2 * len(u) + 1) ** 2 - 1,
         n=n,
-        lattice=spec,
+        lattice=SQUARE,
     )

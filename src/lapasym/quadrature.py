@@ -191,9 +191,7 @@ def integral_f1_restricted(n: int) -> float:
     In polar coordinates the integral is elementary:
     (2 n^2 / pi) * log(n beta_n / pi).  Exact arithmetic, no quadrature.
     """
-    if n < 4:
-        raise DomainError(f"restricted region needs n >= 4, got {n}")
-    return (2.0 * n * n / math.pi) * math.log(n * GridGeometry.from_n(n).beta_n / math.pi)
+    return (2.0 * n * n / math.pi) * math.log(n * GridGeometry.restricted(n).beta_n / math.pi)
 
 
 def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
@@ -204,9 +202,7 @@ def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
     (4 n^2 / pi^2) times a single smooth angular integral, evaluated here
     by adaptive quadrature.
     """
-    if n < 4:
-        raise DomainError(f"restricted region needs n >= 4, got {n}")
-    beta = GridGeometry.from_n(n).beta_n
+    beta = GridGeometry.restricted(n).beta_n
     pin = math.pi / n
 
     def angular(theta: float) -> float:

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapasym.exceptions import DomainError, SingularityError
-from lapasym import lattice_sum
+from lapasym import asymptotics, decomposition, lattice_sum, quadrature
 from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
                                  LatticeSpec, _row_basis,
                                  builtin_lattice, exact_sum, kernel_fm,
                                  kernel_psi, neumaier_sum,
-                                 parse_lattice_file, quadrant_sums,
-                                 restricted_sum_f2, resolve_workers,
-                                 trace_pseudoinverse)
+                                 parse_lattice_file, quadrant_sum,
+                                 quartic_rows, restricted_sum_f2,
+                                 resolve_workers, trace_pseudoinverse)
 
 ALL_BUILTINS = [SQUARE, TRIANGULAR, MODIFIED_UNION_JACK]
 CUSTOM_LATTICE = Path(__file__).resolve().parents[1] / "perfbench" / "custom.lattice"
@@ -85,9 +85,7 @@ def test_grid_geometry(n):
     g = GridGeometry.from_n(n)
     assert g.n == 4 * g.N + g.n0
     assert g.n0 == n % 4
-    assert g.delta_n == pytest.approx(2 * math.pi / n)
     assert g.beta_n == pytest.approx((math.pi / 2) * (1 + (2 - g.n0) / n))
-    assert g.beta == pytest.approx(1 - math.pi ** 2 / 20)
 
 
 @pytest.mark.parametrize("n", range(4, 21))
@@ -435,11 +433,9 @@ def quadrant_oracle(n):
 # N = 1..10, and N = 321: six row blocks, a ragged last one, every residue class
 @pytest.mark.parametrize("n", list(range(4, 41)) + [1284, 1285, 1286, 1287])
 def test_quadrant_sums_against_fsum(n):
-    axis, folded = quadrant_sums(n, workers=2)
     want_axis, want_quadrant = quadrant_oracle(n)
-    assert len(folded) == GridGeometry.from_n(n).N
-    assert abs(axis / want_axis - 1.0) <= 1e-14
-    assert abs(math.fsum(folded.tolist()) / want_quadrant - 1.0) <= 1e-14
+    assert abs(decomposition.piece_sums(n).q_axis / want_axis - 1.0) <= 1e-14
+    assert abs(quadrant_sum(n, workers=2) / want_quadrant - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 7, 8, 21, 200, 257, 1287])
@@ -452,7 +448,7 @@ def test_quadrant_sums_reciprocal_count(monkeypatch, n):
         return reciprocal(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "reciprocal", counting)
-    quadrant_sums(n, workers=1)
+    quadrant_sum(n, workers=1)
     N = GridGeometry.from_n(n).N
     assert 0 < sum(formed) <= N * (N + 1) // 2 + 64 * N
 
@@ -461,7 +457,7 @@ def test_quadrant_sums_singularity_guard(monkeypatch):
     # denominators are at least k^2 (1 - pi^2/48) here, so raise the floor
     monkeypatch.setattr(lattice_sum, "_SINGULAR_FLOOR", 1e300)
     with pytest.raises(SingularityError) as err:
-        quadrant_sums(40)
+        quadrant_sum(40)
     assert err.value.point == (0, 1)
 
 
@@ -479,9 +475,24 @@ def test_restricted_matches_pointwise_kernel():
 
 def test_restricted_rejects_non_square_and_tiny_n():
     with pytest.raises(DomainError):
-        restricted_sum_f2(10, spec=TRIANGULAR)
-    with pytest.raises(DomainError):
         restricted_sum_f2(3)
+
+
+# every entry point of the restricted window shares the n >= 4 guard
+RESTRICTED_ENTRY_POINTS = [
+    decomposition.factor_rows, decomposition.piece_sums,
+    decomposition.double_sum_via_digamma, decomposition.profile_decomposition,
+    quadrature.integral_f1_restricted, quadrature.integral_f2_restricted,
+    asymptotics.restricted_integral_expansion, asymptotics.axis_sum_expansion,
+    quartic_rows, quadrant_sum, restricted_sum_f2,
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("entry", RESTRICTED_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_restricted_entry_points_reject_tiny_n(entry, n):
+    with pytest.raises(DomainError, match="restricted window needs n >= 4"):
+        entry(n)
 
 
 def test_kernel_positivity_on_restricted_window():

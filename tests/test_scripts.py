@@ -1,0 +1,31 @@
+"""Smoke tests for the scripts under scripts/, run as a user runs them."""
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_remainder_tables_script():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "remainder_tables.py"), "--sizes", "100,200"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    rows = lines[lines.index("-" * len(lines[0])) + 1:]
+    assert [int(row.split()[0]) for row in rows] == [100, 200]
+    assert all(float(row.split()[-1]) <= 1e-14 for row in rows)  # route gap
+
+
+def test_figure1_errors_script(tmp_path, monkeypatch):
+    # in-process: the script itself puts the checkout's src first on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "argv", ["figure1_errors.py", "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "figure1_errors.py"), run_name="__main__")
+    assert done.value.code == 0
+    assert (tmp_path / "figure1_errors.csv").stat().st_size > 0
+    assert (tmp_path / "figure1_errors.gp").stat().st_size > 0
