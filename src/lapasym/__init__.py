@@ -21,8 +21,8 @@ from .decomposition import (double_sum_via_digamma, euler_maclaurin,
 from .extrapolation import error_series, fit_expansion
 from .lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK, SQUARE,
                           TRIANGULAR, GridGeometry, LatticeSpec, SumResult,
-                          builtin_lattice, exact_sum, kernel_fm, kernel_psi,
-                          parse_lattice_file, restricted_sum_f2,
+                          builtin_lattice, exact_sum, exact_sums, kernel_fm,
+                          kernel_psi, parse_lattice_file, restricted_sum_f2,
                           trace_pseudoinverse)
 from .quadrature import (QuadratureResult, factored_log_integrals,
                          integral_f1_restricted, integral_f2_restricted,

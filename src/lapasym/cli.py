@@ -194,7 +194,8 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
     ladder = _ladder(cfg)
     if not ladder:
         raise DomainError("empty ladder")
-    panel_ns = sorted(set(ladder) | set(range(1, _SMALL_PANEL_MAX + 1))) \
+    requested_ns = set(ladder)
+    panel_ns = sorted(requested_ns | set(range(1, _SMALL_PANEL_MAX + 1))) \
         if cfg.plot else ladder
 
     rows = []
@@ -205,7 +206,7 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
         series = error_series(spec, model, panel_ns, workers=cfg.workers)
         for rec in series.records:
             rows.append([name, rec.n, _fmt(rec.exact), _fmt(rec.model), _fmt(rec.error)])
-        requested = [r for r in series.records if r.n in set(ladder)]
+        requested = [r for r in series.records if r.n in requested_ns]
         decile = max(1, len(requested) // 10)
         top = sorted(requested, key=lambda r: r.n)[-decile:]
         summaries.append((name, sum(r.error for r in top) / len(top)))

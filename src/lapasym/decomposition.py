@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError
-from .lattice_sum import GridGeometry, neumaier_sum, quartic_rows
+from .lattice_sum import GridGeometry, quartic_rows
 from .quadrature import integrate_1d
 from .specfun import BERNOULLI, digamma_array, periodic_bernoulli
 
@@ -83,14 +83,14 @@ class PartialFractionRow:
 
 
 def _abc(n: int):
-    """A, B and C for the rows k = 1..N, with b_k the row formula u_k."""
+    """b, A, B and C for the rows k = 1..N, with b_k the row formula u_k."""
     b = quartic_rows(n)
     c = math.pi ** 2 / (3.0 * n * n)
     ck2 = c * np.arange(1, len(b) + 1, dtype=np.float64) ** 2
     A = np.sqrt(1.0 + 4.0 * ck2 * (1.0 - ck2))
     scale = 3.0 * n * n / (2.0 * math.pi ** 2)
     # C = (A - 1)/(2c) cancels for small k (A - 1 ~ 2 c k^2); 2b/(1 + A) does not
-    return A, scale * (1.0 + A), 2.0 * b / (1.0 + A)
+    return b, A, scale * (1.0 + A), 2.0 * b / (1.0 + A)
 
 
 def _check_bounds(n: int, N: int, k: np.ndarray, A, B, C):
@@ -110,7 +110,7 @@ def factor_rows(n: int) -> list[PartialFractionRow]:
     """All rows k = 1..N with their bracketing bounds asserted."""
     geom = GridGeometry.restricted(n)
     k = np.arange(1, geom.N + 1, dtype=np.float64)
-    A, B, C = _abc(n)
+    _, A, B, C = _abc(n)
     _check_bounds(n, geom.N, k, A, B, C)
     inv_n0 = geom.n0 / (4.0 * geom.N) if geom.n0 else 0.0
     coef = math.pi / (4.0 * math.sqrt(3.0))
@@ -183,14 +183,14 @@ def piece_sums(n: int) -> PieceSums:
     N = geom.N
     c = math.pi ** 2 / (3.0 * n * n)
     k = np.arange(1, N + 1, dtype=np.float64)
-    A, B, C = _abc(n)
+    b, A, B, C = _abc(n)
     sB = np.sqrt(B)
     sC = np.sqrt(C)
     ratio = N / sB
     r_log = float(np.sum((1.0 / N) * (1.0 / A) * ratio * np.log((1.0 + ratio) / (1.0 - ratio))))
     rc = sC / N
     r_atan = float(np.sum((1.0 / N) * (1.0 / A) * np.arctan(rc) / rc))
-    q_axis = float(np.sum(1.0 / quartic_rows(n)))
+    q_axis = float(np.sum(1.0 / b))
     k2 = k * k
     r_edge = float(np.sum(1.0 / (k2 + N * N - c * (k2 * k2 + N ** 4))))
     r_sqrt = float(np.sum(1.0 / (A * sC)))
@@ -200,7 +200,7 @@ def piece_sums(n: int) -> PieceSums:
     r_exp = float(np.sum((1.0 / (A[:cut] * sC[:cut])) * e / (1.0 - e)))
     return PieceSums(
         r_log=r_log, r_atan=r_atan, r_edge=r_edge, r_sqrt=r_sqrt, r_exp=r_exp,
-        q_axis=q_axis, r_double=double_sum_via_digamma(n), n=n, N=N, n0=geom.n0,
+        q_axis=q_axis, r_double=_route_sum(n, A, B, C), n=n, N=N, n0=geom.n0,
     )
 
 
@@ -215,11 +215,15 @@ def double_sum_via_digamma(n: int) -> float:
     this must agree with the direct double sum to rounding.  The complex
     bracket is analytically purely imaginary; multiplying by i must give a
     real number, and the stray real part is asserted below 1e-12.  All
-    rows k = 1..N are evaluated as arrays and combined with Neumaier
-    compensation in ascending k.
+    rows k = 1..N are evaluated as arrays and combined by math.fsum.
     """
-    N = GridGeometry.restricted(n).N
-    A, B, C = _abc(n)
+    _, A, B, C = _abc(n)
+    return _route_sum(n, A, B, C)
+
+
+def _route_sum(n: int, A, B, C) -> float:
+    """:func:`double_sum_via_digamma` from the factor rows of :func:`_abc`."""
+    N = len(A)
     sB = np.sqrt(B)
     sC = np.sqrt(C)
     real_part = (
@@ -238,8 +242,7 @@ def double_sum_via_digamma(n: int) -> float:
     if stray > 1e-12:
         raise ConsistencyError(
             f"complex digamma bracket is not real at n = {n}: stray {stray:.3e}")
-    total, comp = neumaier_sum((real_part + imag_part.real).tolist())
-    return total + comp
+    return math.fsum((real_part + imag_part.real).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +489,13 @@ def profile_decomposition(n: int) -> ProfileDecomposition:
     lead_atan = [r.alpha[9] for r in rows]
     corr_log = [r.alpha[8] + inv_n0 * (r.beta[8] + inv_n0 * r.gamma[8]) for r in rows]
     corr_atan = [r.alpha[9] + inv_n0 * (r.beta[9] + inv_n0 * r.gamma[9]) for r in rows]
-    s_log, c_log = neumaier_sum(corr_log)
-    s_atan, c_atan = neumaier_sum(corr_atan)
     samples = tuple(
         (r.x, lead_log[i], lead_atan[i]) for i, r in enumerate(rows)
     )
     return ProfileDecomposition(
         r_log=pieces.r_log,
         r_atan=pieces.r_atan,
-        r_log_profile=(s_log + c_log) / geom.N,
-        r_atan_profile=(s_atan + c_atan) / geom.N,
+        r_log_profile=math.fsum(corr_log) / geom.N,
+        r_atan_profile=math.fsum(corr_atan) / geom.N,
         samples=samples,
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .asymptotics import ExpansionForm
 from .exceptions import DomainError, FitError
-from .lattice_sum import LatticeSpec, builtin_lattice, exact_sum
+from .lattice_sum import LatticeSpec, builtin_lattice, exact_sums
 
 __all__ = [
     "BASIS_FUNCTIONS",
@@ -57,16 +57,15 @@ class ErrorSeries:
 
 def error_series(lattice: LatticeSpec | str, model: ExpansionForm,
                  n_values: Sequence[int], workers: int | None = None) -> ErrorSeries:
-    """E_n = F_n - model(n) for each requested n."""
+    """E_n = F_n - model(n) for each requested n, all F_n from one :func:`exact_sums`."""
     if isinstance(lattice, str):
         lattice = builtin_lattice(lattice)
     if not n_values:
         raise DomainError("n_values must be nonempty")
     records = []
-    for n in n_values:
-        exact = exact_sum(lattice, n, workers=workers).value
-        m = model.evaluate(n)
-        records.append(ErrorRecord(n=n, exact=exact, model=m, error=exact - m))
+    for result in exact_sums(lattice, n_values, workers=workers):
+        exact, m = result.value, model.evaluate(result.n)
+        records.append(ErrorRecord(n=result.n, exact=exact, model=m, error=exact - m))
     return ErrorSeries(lattice.name, model.label or "model", tuple(records))
 
 

@@ -12,14 +12,15 @@ divided by a lattice-specific divisor (4, 6 or 8 for the built-ins).
 Numerics: F_n sums rows 0..n//2 of the grid, weighted by the inversion
 symmetry.  Where a unimodular change of grid basis puts the second entry
 of every stencil vector in {-1, 0, 1} (every built-in), each row sum has
-a closed form (:func:`_closed_form_rows`), so F_n costs O(n).  Every
-other double sum runs on one blocked engine: rows are formed in fixed
-blocks of 64, with psi as (2/L) sum_l sin^2(s_l . x / 2), which loses no
-relative precision near the zeros of psi; each row is summed by numpy's
-pairwise reduction, and the row sums are combined with Kahan-Neumaier
-compensation in ascending row order.  Worker threads only decide who
-computes a block, never the arithmetic, so results are bit-identical for
-any worker count.
+a closed form (:func:`_closed_form_rows`), so F_n costs O(n), and the
+rows of consecutive sizes are evaluated together in one elementwise pass
+(:func:`exact_sums`).  Every other double sum runs on one blocked engine:
+rows are formed in fixed blocks of 64, with psi as
+(2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
+the zeros of psi, and each row is summed by numpy's pairwise reduction.
+Worker threads only decide who computes a block, never the arithmetic.
+Row sums are combined by math.fsum, which is correctly rounded, so results
+are bit-identical for any worker count and any batch of sizes.
 
 The restricted quartic sum lives on the window |j|, |k| <= N of
 :meth:`GridGeometry.restricted`, with the row formula
@@ -52,10 +53,10 @@ __all__ = [
     "BUILTIN_LATTICES",
     "builtin_lattice",
     "parse_lattice_file",
-    "neumaier_sum",
     "kernel_psi",
     "kernel_fm",
     "exact_sum",
+    "exact_sums",
     "trace_pseudoinverse",
     "restricted_sum_f2",
     "quartic_rows",
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 64          # fixed row-block size; independent of worker count
+_BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
 
 
@@ -197,6 +199,13 @@ class GridGeometry:
 
 @dataclass(frozen=True)
 class SumResult:
+    """A lattice sum and how it was combined.
+
+    ``value`` is the correctly rounded sum (math.fsum) of the weighted
+    row sums; ``compensation`` is ``value`` minus their plain numpy sum,
+    i.e. what the exact combine changed.
+    """
+
     value: float
     compensation: float
     term_count: int
@@ -241,28 +250,6 @@ def kernel_fm(spec: LatticeSpec, m: int, x: Sequence[float]) -> float:
     if abs(denom) < _SINGULAR_FLOOR:
         raise SingularityError(f"p_{m} vanishes at x = {tuple(x)!r}", point=tuple(x))
     return 1.0 / denom
-
-
-# ---------------------------------------------------------------------------
-# Compensated accumulation
-# ---------------------------------------------------------------------------
-
-def neumaier_sum(values: Iterable[float]) -> tuple[float, float]:
-    """Kahan-Neumaier accumulation -> (running sum, compensation).
-
-    The compensated total is ``sum + compensation``.  Strictly sequential
-    in the order given, which is what the determinism contract relies on.
-    """
-    s = 0.0
-    c = 0.0
-    for x in values:
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s, c
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +300,33 @@ def _row_basis(stencil) -> tuple[tuple[int, int], tuple[int, int]] | None:
     return None
 
 
-def _closed_form_rows(stencil, n: int) -> np.ndarray:
-    """Sums of rows 0..n//2 of F_n for a stencil with every q in {-1, 0, 1}.
+def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
+    """Sums of rows 0..n//2 of F_n for each n in sizes, concatenated in order.
 
-    With a = 2 pi j / n, row j of psi is A - R cos(b + phi), where
-    A = 1 - (1/L) sum_{q=0} cos(p a) and R e^{i phi} = (1/L) sum_{q!=0}
-    e^{i q p a}.  Expanding 1/psi in powers of rho = R / (A + s),
-    s = sqrt(A^2 - R^2), only the terms aliased to multiples of n survive
-    the sum over k, so
+    For a stencil with every q in {-1, 0, 1}.  With a = 2 pi j / n, row j
+    of psi is A - R cos(b + phi), where A = 1 - (1/L) sum_{q=0} cos(p a)
+    and R e^{i phi} = (1/L) sum_{q!=0} e^{i q p a}.  Expanding 1/psi in
+    powers of rho = R / (A + s), s = sqrt(A^2 - R^2), only the terms
+    aliased to multiples of n survive the sum over k, so
         sum_k 1/psi = (n/s) (1 - rho^2n) / ((1 - rho^n)^2 + 2 rho^n (1 - cos n phi)).
     Row 0 without the origin is (n^2 - 1) / (6 R0), R0 = #{q != 0} / L.
     A - R = min_b psi comes from the sin^2 form, never as a difference,
     and rho^n from log1p/expm1.  Rows with R = 0 have rho = 0: the log1p
     argument is clamped at -1, whose log is -inf.
+
+    Every element carries its own n and j, so all sizes share one
+    elementwise pass and a row's value does not depend on the other sizes.
     """
     L = len(stencil)
-    rows = np.empty(n // 2 + 1)
-    rows[0] = (n * n - 1) / (6.0 * sum(q != 0 for _, q in stencil) / L)
-    a = 2.0 * np.pi * np.arange(1, n // 2 + 1) / n
+    sizes = np.asarray(sizes, dtype=np.int64)
+    count = sizes // 2 + 1
+    n = np.repeat(sizes, count)
+    j = np.arange(len(n)) - np.repeat(np.cumsum(count) - count, count)
+    rows = np.empty(len(n))
+    rows[j == 0] = (sizes * sizes - 1) / (6.0 * sum(q != 0 for _, q in stencil) / L)
+    rest = j > 0
+    n, j = n[rest], j[rest]
+    a = 2.0 * np.pi * j / n
     z = sum(np.exp(1j * (q * p) * a) for p, q in stencil if q) / L
     phi = np.angle(z)
     big_a = sum(1.0 if q else 2.0 * np.sin(0.5 * p * a) ** 2 for p, q in stencil) / L
@@ -338,13 +334,62 @@ def _closed_form_rows(stencil, n: int) -> np.ndarray:
     s = np.sqrt(a_minus_r * (big_a + np.abs(z)))
     with np.errstate(divide="ignore"):
         e = n * np.log1p(np.maximum(-(a_minus_r + s) / (big_a + s), -1.0))
-    rows[1:] = (n / s) * -np.expm1(2.0 * e) / (
+    rows[rest] = (n / s) * -np.expm1(2.0 * e) / (
         np.expm1(e) ** 2 + 4.0 * np.exp(e) * np.sin(0.5 * n * phi) ** 2)
     return rows
 
 
-def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResult:
-    """F_n over the full window j, k in [0, n) minus the origin.
+def _gathered_rows(spec: LatticeSpec, n: int, workers: int) -> np.ndarray:
+    """Sums of rows 0..n//2 of F_n gathered from the sin^2 table, any stencil."""
+    k = np.arange(n, dtype=np.int64)
+    table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
+    scale = 2.0 / spec.L
+
+    def block_sums(j0, j1):
+        j = np.arange(j0, j1, dtype=np.int64)[:, None]
+        psi = np.zeros((j1 - j0, n))
+        for p, q in spec.stencil:
+            psi += table[(p * j + q * k) % n]
+        psi *= scale
+        if j0 == 0:
+            psi[0, 0] = 1.0  # the origin; its reciprocal is dropped below
+        v = np.reciprocal(psi, out=psi)
+        if j0 == 0:
+            v[0, 0] = 0.0
+        return v.sum(axis=1)
+
+    return _row_sums(block_sums, n // 2 + 1, workers)
+
+
+def _batches(sizes: list[int]):
+    """Consecutive runs of sizes, each cut once it holds _BATCH_ROWS rows."""
+    batch, rows = [], 0
+    for n in sizes:
+        batch.append(n)
+        rows += n // 2 + 1
+        if rows >= _BATCH_ROWS:
+            yield batch
+            batch, rows = [], 0
+    if batch:
+        yield batch
+
+
+def _combined(spec: LatticeSpec, n: int, rows: np.ndarray) -> SumResult:
+    """F_n from its rows 0..n//2, weighted in place by the inversion symmetry."""
+    rows[1:(n + 1) // 2] *= 2.0  # rows j and n - j coincide for 0 < j < n/2
+    value = math.fsum(rows.tolist())
+    return SumResult(
+        value=value,
+        compensation=value - float(rows.sum()),
+        term_count=n * n - 1,
+        n=n,
+        lattice=spec,
+    )
+
+
+def exact_sums(spec: LatticeSpec, ns: Iterable[int],
+               workers: int | None = None) -> list[SumResult]:
+    """F_n over the full window j, k in [0, n) minus the origin, for each n in ns.
 
     Inversion, psi(-j, -k) = psi(j, k), makes row n - j equal row j, so
     only rows 0..n//2 are summed and rows strictly between 0 and n/2
@@ -352,51 +397,44 @@ def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResul
     stencil.  When a unimodular change of grid basis gives every stencil
     vector a second entry of -1, 0 or 1 (:func:`_row_basis`; every
     built-in and most small stencils), each row is one closed form
-    (:func:`_closed_form_rows`), O(n) work in all.  Otherwise the rows are
-    gathered from the sin^2 table in fixed 64-row blocks, serially or on
-    ``workers`` threads, about n^2/2 reciprocals.  ``term_count`` counts
-    the n^2 - 1 terms represented.
+    (:func:`_closed_form_rows`), O(n) work per size; consecutive sizes
+    share one elementwise pass until it holds at least _BATCH_ROWS rows,
+    so a ladder of sizes pays numpy's per-call cost once per batch and
+    memory stays O(_BATCH_ROWS + max n).  Otherwise the rows are gathered
+    from the sin^2 table in fixed 64-row blocks, one size at a time,
+    serially or on ``workers`` threads, about n^2/2 reciprocals each.
+    ``term_count`` counts the n^2 - 1 terms represented.
 
-    Deterministic: the value is bit-identical across runs and worker
-    counts.  The weighted row sums are reduced with Neumaier compensation
-    in ascending row order.
+    Deterministic: the weighted row sums are combined by math.fsum, which
+    is correctly rounded, so each value is bit-identical across runs,
+    worker counts and the other sizes in ns.  Results come in the order
+    of ns; sizes may repeat and need not be sorted.
     """
-    if n < 1:
-        raise DomainError(f"grid size must be positive, got {n}")
+    sizes = list(ns)
+    for n in sizes:
+        if n < 1:
+            raise DomainError(f"grid size must be positive, got {n}")
     workers = resolve_workers(workers)  # a bad LAPASYM_WORKERS fails on either path
     basis = _row_basis(spec.stencil)
-    if basis is not None:
-        (u0, u1), (w0, w1) = basis
-        rows = _closed_form_rows(
-            [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil], n)
-    else:
-        k = np.arange(n, dtype=np.int64)
-        table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
-        scale = 2.0 / spec.L
+    if basis is None:
+        return [_combined(spec, n, _gathered_rows(spec, n, workers)) for n in sizes]
+    (u0, u1), (w0, w1) = basis
+    stencil = [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
+    results = []
+    for batch in _batches(sizes):
+        rows = _closed_form_rows(stencil, batch)
+        parts = np.split(rows, np.cumsum([n // 2 + 1 for n in batch])[:-1])
+        results += [_combined(spec, n, part) for n, part in zip(batch, parts)]
+    return results
 
-        def block_sums(j0, j1):
-            j = np.arange(j0, j1, dtype=np.int64)[:, None]
-            psi = np.zeros((j1 - j0, n))
-            for p, q in spec.stencil:
-                psi += table[(p * j + q * k) % n]
-            psi *= scale
-            if j0 == 0:
-                psi[0, 0] = 1.0  # the origin; its reciprocal is dropped below
-            v = np.reciprocal(psi, out=psi)
-            if j0 == 0:
-                v[0, 0] = 0.0
-            return v.sum(axis=1)
 
-        rows = _row_sums(block_sums, n // 2 + 1, workers)
-    rows[1:(n + 1) // 2] *= 2.0  # rows j and n - j coincide for 0 < j < n/2
-    total, comp = neumaier_sum(rows.tolist())
-    return SumResult(
-        value=total + comp,
-        compensation=comp,
-        term_count=n * n - 1,
-        n=n,
-        lattice=spec,
-    )
+def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResult:
+    """F_n over the full window j, k in [0, n) minus the origin.
+
+    ``exact_sums(spec, (n,), workers)[0]``: one code path for one size or
+    a ladder, with the same bits either way.
+    """
+    return exact_sums(spec, (n,), workers)[0]
 
 
 def trace_pseudoinverse(spec: LatticeSpec, n: int, workers: int | None = None) -> float:
@@ -438,7 +476,7 @@ def quadrant_sum(n: int, workers: int | None = None) -> float:
     formed _BLOCK_ROWS at a time over the columns k >= j0 of their block,
     with the block's leading corner k <= j masked, so about N^2/2
     reciprocals are formed and memory is O(_BLOCK_ROWS N).  The folded
-    rows are combined with Neumaier compensation in ascending j.
+    rows are combined by math.fsum.
     """
     u = quartic_rows(n)
 
@@ -450,8 +488,7 @@ def quadrant_sum(n: int, workers: int | None = None) -> float:
         v[:, :size][_LOWER[:size, :size]] = 0.0
         return 2.0 * v.sum(axis=1) + diag
 
-    total, comp = neumaier_sum(_row_sums(block_sums, len(u), workers).tolist())
-    return total + comp
+    return math.fsum(_row_sums(block_sums, len(u), workers).tolist())
 
 
 def restricted_sum_f2(n: int, workers: int | None = None) -> SumResult:
@@ -463,11 +500,12 @@ def restricted_sum_f2(n: int, workers: int | None = None) -> SumResult:
     are positive throughout the window.
     """
     u = quartic_rows(n)
-    total, comp = neumaier_sum([float(np.sum(1.0 / u)), quadrant_sum(n, workers)])
+    axis, quadrant = float(np.sum(1.0 / u)), quadrant_sum(n, workers)
+    total = math.fsum((axis, quadrant))
     scale = 4.0 * n * n / math.pi ** 2
     return SumResult(
-        value=scale * (total + comp),
-        compensation=scale * comp,
+        value=scale * total,
+        compensation=scale * (total - (axis + quadrant)),
         term_count=(2 * len(u) + 1) ** 2 - 1,
         n=n,
         lattice=SQUARE,

@@ -1,6 +1,7 @@
 """Tests for the exact-sum engine, kernels, and lattice plumbing."""
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ from lapasym.exceptions import DomainError, SingularityError
 from lapasym import asymptotics, decomposition, lattice_sum, quadrature
 from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
-                                 LatticeSpec, _row_basis,
-                                 builtin_lattice, exact_sum, kernel_fm,
-                                 kernel_psi, neumaier_sum,
+                                 LatticeSpec, _closed_form_rows, _combined,
+                                 _gathered_rows, _row_basis,
+                                 builtin_lattice, exact_sum, exact_sums,
+                                 kernel_fm, kernel_psi,
                                  parse_lattice_file, quadrant_sum,
                                  quartic_rows, restricted_sum_f2,
                                  resolve_workers, trace_pseudoinverse)
@@ -345,6 +347,71 @@ def test_determinism_across_worker_counts():
             assert r.compensation == base.compensation
 
 
+# the Figure-1 ladder as `lapasym errors --plot` builds it: 196 sizes
+FIGURE1_LADDER = sorted(set(range(1, 101)) | set(range(25, 2501, 25)))
+
+
+def test_exact_sums_match_exact_sum():
+    # ladders that cross batch boundaries, unsorted and repeated sizes,
+    # n in {1, 2, 3}, and one size with more rows than a whole batch
+    big = 2 * lattice_sum._BATCH_ROWS + 3
+    ladders = [FIGURE1_LADDER, [3, 1, 2, 2, 1, 3],
+               [5000, 7, 8191, 7, 1, big, 2, 4096, 3, 9999]]
+    batches = list(lattice_sum._batches(FIGURE1_LADDER))
+    assert len(batches) > 10
+    for batch in batches[:-1]:
+        rows = [n // 2 + 1 for n in batch]
+        assert sum(rows) - rows[-1] < lattice_sum._BATCH_ROWS <= sum(rows)
+    for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE)), R_ZERO_ROWS]:
+        for ladder in ladders:
+            results = exact_sums(spec, ladder)
+            assert [r.n for r in results] == ladder
+            for r in results:
+                assert r == exact_sum(spec, r.n), (spec.name, r.n)  # bit identical
+
+
+def test_exact_sums_gather_path_matches_exact_sum():
+    ladder = [1030, 3, 1, 64, 1030, 2]
+    want = [exact_sum(NO_ROW_BASIS, n, workers=1) for n in ladder]
+    for workers in (1, 2, 3, 8):
+        assert exact_sums(NO_ROW_BASIS, ladder, workers=workers) == want
+
+
+def test_exact_sums_inputs():
+    assert exact_sums(SQUARE, []) == []
+    with pytest.raises(DomainError):
+        exact_sums(SQUARE, [4, 0, 8])
+
+
+def test_exact_sums_memory_is_per_batch():
+    # peak memory follows the batch budget plus the largest size; summing
+    # the whole ladder in one pass would peak near 130 bytes per ladder row
+    budget_rows = lattice_sum._BATCH_ROWS + max(FIGURE1_LADDER) // 2 + 1
+    assert sum(n // 2 + 1 for n in FIGURE1_LADDER) > 10 * budget_rows
+    exact_sums(TRIANGULAR, FIGURE1_LADDER)  # warm numpy's lazy setup
+    tracemalloc.start()
+    try:
+        for spec in ALL_BUILTINS:
+            tracemalloc.reset_peak()
+            exact_sums(spec, FIGURE1_LADDER)
+            assert tracemalloc.get_traced_memory()[1] < 8192 + 256 * budget_rows
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 517, 2500])
+def test_row_combine_is_correctly_rounded(n):
+    cases = [(spec, _closed_form_rows(spec.stencil, [n])) for spec in ALL_BUILTINS]
+    cases.append((NO_ROW_BASIS, _gathered_rows(NO_ROW_BASIS, n, 1)))
+    for spec, rows in cases:
+        if spec is not NO_ROW_BASIS:
+            assert _row_basis(spec.stencil) == ((1, 0), (0, 1))
+        result = _combined(spec, n, rows)  # weights the rows in place
+        assert result == exact_sum(spec, n)
+        assert result.value == float(sum(Fraction(r) for r in rows.tolist()))
+        assert result.compensation == result.value - float(np.sum(rows))
+
+
 def test_env_var_workers(monkeypatch):
     monkeypatch.setenv("LAPASYM_WORKERS", "3")
     assert resolve_workers(None) == 3
@@ -357,15 +424,14 @@ def test_env_var_workers(monkeypatch):
 @pytest.mark.parametrize("n", [17, 32, 64])
 def test_reversed_order_summation(spec, n):
     forward = exact_sum(spec, n).value
-    # reversed index order, compensated the same way
+    # reversed index order, combined exactly rounded
     terms = []
     for j in reversed(range(n)):
         for k in reversed(range(n)):
             if (j, k) != (0, 0):
                 terms.append(1.0 / kernel_psi(
                     spec, (2 * math.pi * j / n, 2 * math.pi * k / n)))
-    s, c = neumaier_sum(terms)
-    assert abs(forward - (s + c)) <= 1e-12 * abs(forward)
+    assert abs(forward - math.fsum(terms)) <= 1e-12 * abs(forward)
 
 
 @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.name)
@@ -381,12 +447,6 @@ def test_periodicity_window_shift(spec, n):
                 total += 1.0 / kernel_psi(
                     spec, (2 * math.pi * j / n, 2 * math.pi * k / n))
     assert exact_sum(spec, n).value == pytest.approx(total, rel=1e-11)
-
-
-def test_neumaier_compensation_tracks_residual():
-    values = [1e16, 1.0, -1e16]
-    s, c = neumaier_sum(values)
-    assert s + c == 1.0
 
 
 # ---------------------------------------------------------------------------

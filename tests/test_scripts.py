@@ -1,10 +1,13 @@
 """Smoke tests for the scripts under scripts/, run as a user runs them."""
+import csv
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from lapasym.lattice_sum import BUILTIN_LATTICES, exact_sum
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -27,5 +30,11 @@ def test_figure1_errors_script(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as done:
         runpy.run_path(str(SCRIPTS / "figure1_errors.py"), run_name="__main__")
     assert done.value.code == 0
-    assert (tmp_path / "figure1_errors.csv").stat().st_size > 0
     assert (tmp_path / "figure1_errors.gp").stat().st_size > 0
+    # the batched ladder writes each F_n exactly as a lone exact_sum gives it
+    with open(tmp_path / "figure1_errors.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 196
+    for row in rows:
+        want = exact_sum(BUILTIN_LATTICES[row["lattice"]], int(row["n"])).value
+        assert float(row["F_n"]) == want, (row["lattice"], row["n"])
