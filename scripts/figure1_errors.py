@@ -21,7 +21,6 @@ from lapasym.cli import config_from_argv, cmd_errors  # noqa: E402
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
@@ -29,8 +28,6 @@ def main():
     argv = ["errors", "--lattice", "all",
             "--out", str(out_dir / "figure1_errors.csv"),
             "--plot", str(out_dir / "figure1_errors.gp")]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
     code = cmd_errors(config_from_argv(argv))
     print(f"wrote {out_dir / 'figure1_errors.csv'} and {out_dir / 'figure1_errors.gp'}")
     return code

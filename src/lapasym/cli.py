@@ -8,9 +8,8 @@ Subcommands:
 * ``verify`` : the cross-module verification suites
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical error, 4 I/O error.  Workers come from --workers, else the
-LAPASYM_WORKERS environment variable, else the CPU count.  All floats are
-written with 17 significant digits so CSV output round-trips binary64.
+3 numerical error, 4 I/O error.  All floats are written with 17
+significant digits so CSV output round-trips binary64.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ _SMALL_PANEL_MAX = 100            # top panel: 1..100 step 1
 
 @dataclass
 class RunConfig:
-    """Parsed command configuration."""
+    """Parsed command configuration.  ``workers`` is ignored; kept for existing callers."""
 
     subcommand: str
     lattice: str = "square"
@@ -69,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--lattice-file", default=None,
                        help="custom lattice config file (lines 's = j k', 'divisor = d')")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: LAPASYM_WORKERS or CPU count)")
 
     p_sum = sub.add_parser("sum", help="one exact sum and trace")
     p_sum.add_argument("--lattice", default="square",
@@ -104,10 +101,10 @@ def config_from_argv(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     cfg = RunConfig(subcommand=ns.subcommand)
     for name in ("lattice", "lattice_file", "n", "start", "stop", "step",
-                 "out", "plot", "csv", "suite", "max_n", "n0", "workers"):
+                 "out", "plot", "csv", "suite", "max_n", "n0"):
         if hasattr(ns, name):
             value = getattr(ns, name)
-            if value is not None or name in ("lattice_file", "out", "plot", "workers", "n"):
+            if value is not None or name in ("lattice_file", "out", "plot", "n"):
                 setattr(cfg, name, value)
     if getattr(ns, "n_list", None):
         try:
@@ -135,7 +132,7 @@ def _fmt(x: float) -> str:
 def cmd_sum(cfg: RunConfig, out=sys.stdout) -> int:
     spec = _resolve_lattice(cfg)
     started = time.perf_counter()
-    result = exact_sum(spec, cfg.n, workers=cfg.workers)
+    result = exact_sum(spec, cfg.n)
     elapsed = time.perf_counter() - started
     trace = result.value / spec.trace_divisor
     if cfg.csv:
@@ -153,6 +150,8 @@ def cmd_sum(cfg: RunConfig, out=sys.stdout) -> int:
 def _ladder(cfg: RunConfig) -> list[int]:
     if cfg.n_list:
         return list(cfg.n_list)
+    if cfg.step < 1:
+        raise DomainError(f"--step must be at least 1, got {cfg.step}")
     return list(range(cfg.start, cfg.stop + 1, cfg.step))
 
 
@@ -203,7 +202,7 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
     for name in names:
         spec = _resolve_lattice(cfg, name)
         model = model_for_lattice(name)
-        series = error_series(spec, model, panel_ns, workers=cfg.workers)
+        series = error_series(spec, model, panel_ns)
         for rec in series.records:
             rows.append([name, rec.n, _fmt(rec.exact), _fmt(rec.model), _fmt(rec.error)])
         requested = [r for r in series.records if r.n in requested_ns]
@@ -234,8 +233,7 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out=sys.stdout) -> int:
-    results = verify.run_suite(cfg.suite, max_n=cfg.max_n, n0=cfg.n0,
-                               workers=cfg.workers)
+    results = verify.run_suite(cfg.suite, max_n=cfg.max_n, n0=cfg.n0)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

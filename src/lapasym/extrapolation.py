@@ -56,14 +56,14 @@ class ErrorSeries:
 
 
 def error_series(lattice: LatticeSpec | str, model: ExpansionForm,
-                 n_values: Sequence[int], workers: int | None = None) -> ErrorSeries:
+                 n_values: Sequence[int]) -> ErrorSeries:
     """E_n = F_n - model(n) for each requested n, all F_n from one :func:`exact_sums`."""
     if isinstance(lattice, str):
         lattice = builtin_lattice(lattice)
     if not n_values:
         raise DomainError("n_values must be nonempty")
     records = []
-    for result in exact_sums(lattice, n_values, workers=workers):
+    for result in exact_sums(lattice, n_values):
         exact, m = result.value, model.evaluate(result.n)
         records.append(ErrorRecord(n=result.n, exact=exact, model=m, error=exact - m))
     return ErrorSeries(lattice.name, model.label or "model", tuple(records))

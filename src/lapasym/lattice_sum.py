@@ -14,13 +14,12 @@ symmetry.  Where a unimodular change of grid basis puts the second entry
 of every stencil vector in {-1, 0, 1} (every built-in), each row sum has
 a closed form (:func:`_closed_form_rows`), so F_n costs O(n), and the
 rows of consecutive sizes are evaluated together in one elementwise pass
-(:func:`exact_sums`).  Every other double sum runs on one blocked engine:
-rows are formed in fixed blocks of 64, with psi as
+(:func:`exact_sums`).  Every other double sum runs on one serial blocked
+engine: rows are formed in fixed blocks of 64, with psi as
 (2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
 the zeros of psi, and each row is summed by numpy's pairwise reduction.
-Worker threads only decide who computes a block, never the arithmetic.
-Row sums are combined by math.fsum, which is correctly rounded, so results
-are bit-identical for any worker count and any batch of sizes.
+Row sums are combined by math.fsum, which is correctly rounded, so a
+result does not depend on the batch of sizes it was computed in.
 
 The restricted quartic sum lives on the window |j|, |k| <= N of
 :meth:`GridGeometry.restricted`, with the row formula
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,26 +59,11 @@ __all__ = [
     "restricted_sum_f2",
     "quartic_rows",
     "quadrant_sum",
-    "resolve_workers",
 ]
 
-_BLOCK_ROWS = 64          # fixed row-block size; independent of worker count
+_BLOCK_ROWS = 64          # fixed row-block size; bounds memory per block
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else LAPASYM_WORKERS, else the CPU count."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("LAPASYM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(
-                f"LAPASYM_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +239,18 @@ def kernel_fm(spec: LatticeSpec, m: int, x: Sequence[float]) -> float:
 # Blocked row-sum engine and the full-window sum
 # ---------------------------------------------------------------------------
 
-def _row_sums(block_sums, nrows: int, workers: int | None) -> np.ndarray:
+def _row_sums(block_sums, nrows: int) -> np.ndarray:
     """Row sums of a double sum, computed in fixed blocks of _BLOCK_ROWS rows.
 
     ``block_sums(j0, j1)`` returns the sums of rows j0..j1-1.  The blocks
-    depend on nrows alone and each row is reduced on its own, so workers
-    only decide who computes a block and the result is bit-identical for
-    any worker count.  Callers combine the rows in ascending order.
+    depend on nrows alone and each row is reduced on its own, so memory is
+    O(_BLOCK_ROWS) rows at a time.  Callers combine the rows in ascending
+    order.
     """
     out = np.empty(nrows)
-
-    def run(j0):
+    for j0 in range(0, nrows, _BLOCK_ROWS):
         j1 = min(j0 + _BLOCK_ROWS, nrows)
         out[j0:j1] = block_sums(j0, j1)
-
-    starts = range(0, nrows, _BLOCK_ROWS)
-    nworkers = resolve_workers(workers)
-    if nworkers > 1 and len(starts) > 4:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for j0 in starts:
-            run(j0)
     return out
 
 
@@ -339,7 +312,7 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     return rows
 
 
-def _gathered_rows(spec: LatticeSpec, n: int, workers: int) -> np.ndarray:
+def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
     """Sums of rows 0..n//2 of F_n gathered from the sin^2 table, any stencil."""
     k = np.arange(n, dtype=np.int64)
     table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
@@ -358,7 +331,7 @@ def _gathered_rows(spec: LatticeSpec, n: int, workers: int) -> np.ndarray:
             v[0, 0] = 0.0
         return v.sum(axis=1)
 
-    return _row_sums(block_sums, n // 2 + 1, workers)
+    return _row_sums(block_sums, n // 2 + 1)
 
 
 def _batches(sizes: list[int]):
@@ -387,8 +360,7 @@ def _combined(spec: LatticeSpec, n: int, rows: np.ndarray) -> SumResult:
     )
 
 
-def exact_sums(spec: LatticeSpec, ns: Iterable[int],
-               workers: int | None = None) -> list[SumResult]:
+def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
     """F_n over the full window j, k in [0, n) minus the origin, for each n in ns.
 
     Inversion, psi(-j, -k) = psi(j, k), makes row n - j equal row j, so
@@ -402,22 +374,21 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int],
     so a ladder of sizes pays numpy's per-call cost once per batch and
     memory stays O(_BATCH_ROWS + max n).  Otherwise the rows are gathered
     from the sin^2 table in fixed 64-row blocks, one size at a time,
-    serially or on ``workers`` threads, about n^2/2 reciprocals each.
+    about n^2/2 reciprocals each.
     ``term_count`` counts the n^2 - 1 terms represented.
 
     Deterministic: the weighted row sums are combined by math.fsum, which
-    is correctly rounded, so each value is bit-identical across runs,
-    worker counts and the other sizes in ns.  Results come in the order
+    is correctly rounded, so each value is bit-identical across runs and
+    does not depend on the other sizes in ns.  Results come in the order
     of ns; sizes may repeat and need not be sorted.
     """
     sizes = list(ns)
     for n in sizes:
         if n < 1:
             raise DomainError(f"grid size must be positive, got {n}")
-    workers = resolve_workers(workers)  # a bad LAPASYM_WORKERS fails on either path
     basis = _row_basis(spec.stencil)
     if basis is None:
-        return [_combined(spec, n, _gathered_rows(spec, n, workers)) for n in sizes]
+        return [_combined(spec, n, _gathered_rows(spec, n)) for n in sizes]
     (u0, u1), (w0, w1) = basis
     stencil = [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
     results = []
@@ -431,15 +402,16 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int],
 def exact_sum(spec: LatticeSpec, n: int, workers: int | None = None) -> SumResult:
     """F_n over the full window j, k in [0, n) minus the origin.
 
-    ``exact_sums(spec, (n,), workers)[0]``: one code path for one size or
-    a ladder, with the same bits either way.
+    ``exact_sums(spec, (n,))[0]``: one code path for one size or a
+    ladder, with the same bits either way.  ``workers`` is ignored; kept
+    for existing callers.
     """
-    return exact_sums(spec, (n,), workers)[0]
+    return exact_sums(spec, (n,))[0]
 
 
-def trace_pseudoinverse(spec: LatticeSpec, n: int, workers: int | None = None) -> float:
+def trace_pseudoinverse(spec: LatticeSpec, n: int) -> float:
     """tr of the Laplacian pseudoinverse: F_n / trace_divisor."""
-    return exact_sum(spec, n, workers=workers).value / spec.trace_divisor
+    return exact_sum(spec, n).value / spec.trace_divisor
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +440,7 @@ def quartic_rows(n: int) -> np.ndarray:
     return u
 
 
-def quadrant_sum(n: int, workers: int | None = None) -> float:
+def quadrant_sum(n: int) -> float:
     """The open-quadrant double sum sum_{j,k=1}^N 1/(u_j + u_k).
 
     u is :func:`quartic_rows`.  The denominators are symmetric in j <-> k,
@@ -488,10 +460,10 @@ def quadrant_sum(n: int, workers: int | None = None) -> float:
         v[:, :size][_LOWER[:size, :size]] = 0.0
         return 2.0 * v.sum(axis=1) + diag
 
-    return math.fsum(_row_sums(block_sums, len(u), workers).tolist())
+    return math.fsum(_row_sums(block_sums, len(u)).tolist())
 
 
-def restricted_sum_f2(n: int, workers: int | None = None) -> SumResult:
+def restricted_sum_f2(n: int) -> SumResult:
     """Sum of the square lattice's quartic kernel f2 over the restricted window.
 
     That is (n^2/pi^2) * sum over |j|,|k| <= N, (j,k) != 0 of
@@ -500,7 +472,7 @@ def restricted_sum_f2(n: int, workers: int | None = None) -> SumResult:
     are positive throughout the window.
     """
     u = quartic_rows(n)
-    axis, quadrant = float(np.sum(1.0 / u)), quadrant_sum(n, workers)
+    axis, quadrant = float(np.sum(1.0 / u)), quadrant_sum(n)
     total = math.fsum((axis, quadrant))
     scale = 4.0 * n * n / math.pi ** 2
     return SumResult(

@@ -39,6 +39,7 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult]:
+    """Special-function contracts.  ``workers`` is ignored; kept for existing callers."""
     del max_n, n0, workers
     out = []
     c = specfun.CONSTANTS
@@ -98,6 +99,7 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
 # ---------------------------------------------------------------------------
 
 def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckResult]:
+    """Exact identities.  ``workers`` is ignored; kept for existing callers."""
     del n0, workers
     out = []
 
@@ -152,6 +154,7 @@ def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
 # ---------------------------------------------------------------------------
 
 def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckResult]:
+    """Quadrature against closed forms.  ``workers`` is ignored; kept for existing callers."""
     del max_n, n0, workers
     out = []
     c = specfun.CONSTANTS
@@ -215,11 +218,13 @@ def _non_increasing(values):
 
 
 def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[CheckResult]:
+    """Large-n remainder checks.  ``workers`` is ignored; kept for existing callers."""
+    del workers
     out = []
     top = max(100, max_n)
 
     for name, (spec, form, lo, hi) in _PLATEAU_WINDOWS.items():
-        e = exact_sum(spec, top, workers=workers).value - form().evaluate(top)
+        e = exact_sum(spec, top).value - form().evaluate(top)
         out.append(_check(f"plateau_{name}", lo <= e <= hi,
                           f"E_{top} = {e:.4f}, window [{lo}, {hi}]"))
 
@@ -285,11 +290,13 @@ _SUITE_ORDER = ("specfun", "quadrature", "identities", "asymptotics")
 
 def run_suite(name: str, max_n: int = 200, n0: int = 0,
               workers=None) -> list[CheckResult]:
+    """One suite by name, or all of them.  ``workers`` is ignored; kept for existing callers."""
+    del workers
     if name == "all":
         results = []
         for key in _SUITE_ORDER:
-            results.extend(SUITES[key](max_n=max_n, n0=n0, workers=workers))
+            results.extend(SUITES[key](max_n=max_n, n0=n0))
         return results
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](max_n=max_n, n0=n0, workers=workers)
+    return SUITES[name](max_n=max_n, n0=n0)

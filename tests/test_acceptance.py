@@ -38,9 +38,9 @@ def report(name, ok, detail):
     return ok
 
 
-def errors_square(ns, workers=None):
+def errors_square(ns):
     form = square_sum_form()
-    return {n: exact_sum(SQUARE, n, workers=workers).value - form.evaluate(n)
+    return {n: exact_sum(SQUARE, n).value - form.evaluate(n)
             for n in ns}
 
 

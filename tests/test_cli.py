@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
-from lapasym.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED,
+from lapasym import verify
+from lapasym.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, RunConfig,
                          cmd_errors, cmd_sum, cmd_verify, config_from_argv,
                          main)
+from lapasym.lattice_sum import SQUARE, LatticeSpec, exact_sum
 
 
 def run_cmd(fn, cfg):
@@ -27,15 +29,15 @@ def test_config_rejects_unknown_lattice():
         config_from_argv(["sum", "--lattice", "kagome", "--n", "4"])
 
 
-def test_main_maps_config_error_to_exit_2(tmp_path, monkeypatch):
+def test_main_maps_config_error_to_exit_2(tmp_path):
     assert main(["sum", "--lattice", "nope", "--n", "4"]) == EXIT_CONFIG
     assert main(["bogus-subcommand"]) == EXIT_CONFIG
     assert main(["errors", "--lattice", "square", "--n-list", "10,abc"]) == EXIT_CONFIG
     path = tmp_path / "bad.lattice"
     path.write_text("s = 1 0\ns = 0 1\ns = x 1\ndivisor = 4\n")
     assert main(["sum", "--lattice-file", str(path), "--n", "4"]) == EXIT_CONFIG
-    monkeypatch.setenv("LAPASYM_WORKERS", "abc")
-    assert main(["sum", "--lattice", "square", "--n", "4"]) == EXIT_CONFIG
+    assert main(["sum", "--n", "4", "--workers", "2"]) == EXIT_CONFIG
+    assert main(["errors", "--lattice", "square", "--step", "0"]) == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +97,6 @@ def test_errors_csv_and_summary(tmp_path):
         assert float(row[2]) == float(format(float(row[2]), ".17g"))  # round trip
 
 
-def test_errors_csv_is_bit_stable_across_workers(tmp_path):
-    outputs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"errors_{workers}.csv"
-        cfg = config_from_argv([
-            "errors", "--lattice", "triangular", "--n-list", "40,80,120",
-            "--out", str(out), "--workers", workers])
-        run_cmd(cmd_errors, cfg)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-
-
 def test_errors_plot_requires_out(tmp_path):
     assert main(["errors", "--lattice", "square", "--n-list", "30,60",
                  "--plot", str(tmp_path / "p.gp")]) == EXIT_CONFIG
@@ -146,7 +136,7 @@ def test_numerical_error_exit_code(monkeypatch):
     import lapasym.cli as cli_mod
     from lapasym.exceptions import SingularityError
 
-    def explode(spec, n, workers=None):
+    def explode(spec, n):
         raise SingularityError("synthetic vanishing denominator", point=(1, 1))
 
     monkeypatch.setattr(cli_mod, "exact_sum", explode)
@@ -175,7 +165,7 @@ def test_verify_identities_suite_passes():
 def test_verify_reports_failures(monkeypatch):
     from lapasym import verify as vmod
 
-    def broken(max_n=0, n0=0, workers=None):
+    def broken(max_n=0, n0=0):
         return [vmod.CheckResult("always_fails", False, "synthetic")]
 
     monkeypatch.setitem(vmod.SUITES, "specfun", broken)
@@ -198,12 +188,27 @@ def test_console_script_runs():
     assert "F_n=2.5" in proc.stdout
 
 
-def test_workers_env_passthrough(monkeypatch):
-    monkeypatch.setenv("LAPASYM_WORKERS", "1")
-    code, text = run_cmd(cmd_sum, config_from_argv(["sum", "--lattice", "square", "--n", "64"]))
-    assert code == EXIT_OK
-    value_env = text.split("F_n=")[1].split()[0]
-    monkeypatch.setenv("LAPASYM_WORKERS", "4")
-    code, text = run_cmd(cmd_sum, config_from_argv(["sum", "--lattice", "square", "--n", "64"]))
-    value4 = text.split("F_n=")[1].split()[0]
-    assert value_env == value4  # bit-identical formatting either way
+# ---------------------------------------------------------------------------
+# The ignored ``workers`` keyword
+# ---------------------------------------------------------------------------
+
+def test_ignored_workers_keyword_changes_nothing(tmp_path):
+    # the benchmark harness passes workers= to these signatures; each must
+    # still accept it and return exactly what the call without it returns
+    gather = LatticeSpec("gather", ((1, 0), (0, 1), (2, 2), (2, -2)), 4)
+    for spec, n in ((SQUARE, 517), (gather, 130)):
+        got, want = exact_sum(spec, n, workers=3), exact_sum(spec, n)
+        assert (got.value, got.compensation) == (want.value, want.compensation)
+
+    csvs = []
+    for extra in ({"workers": 3}, {}):
+        out = tmp_path / f"errors{len(csvs)}.csv"
+        cfg = RunConfig(subcommand="errors", lattice="triangular",
+                        n_list=(40, 80, 120), out=str(out), **extra)
+        assert run_cmd(cmd_errors, cfg)[0] == EXIT_OK
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+    specfun = verify.SUITES["specfun"]
+    assert specfun(max_n=0, n0=0, workers=3) == specfun(max_n=0, n0=0)
+    assert verify.run_suite("specfun", workers=3) == verify.run_suite("specfun")

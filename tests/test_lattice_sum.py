@@ -19,7 +19,7 @@ from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  kernel_fm, kernel_psi,
                                  parse_lattice_file, quadrant_sum,
                                  quartic_rows, restricted_sum_f2,
-                                 resolve_workers, trace_pseudoinverse)
+                                 trace_pseudoinverse)
 
 ALL_BUILTINS = [SQUARE, TRIANGULAR, MODIFIED_UNION_JACK]
 CUSTOM_LATTICE = Path(__file__).resolve().parents[1] / "perfbench" / "custom.lattice"
@@ -209,8 +209,8 @@ def test_exact_sum_random_stencils(extra, n):
 @pytest.mark.parametrize("n", [*range(2, 41), 514, 515, 516, 517])
 def test_exact_sum_against_full_window(spec, n):
     # every small n covers both parities; from n = 514 on, the gather path's
-    # n // 2 + 1 >= 258 rows make five blocks, so two workers use the pool
-    got = exact_sum(spec, n, workers=2).value
+    # n // 2 + 1 >= 258 rows make five blocks
+    got = exact_sum(spec, n).value
     want = full_window_sum(spec, n)
     assert abs(got - want) <= 1e-14 * want
 
@@ -275,12 +275,12 @@ def test_exact_sum_reciprocal_count(monkeypatch, n):
     try:
         for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE))]:
             tracemalloc.reset_peak()
-            exact_sum(spec, n, workers=1)
+            exact_sum(spec, n)
             assert formed == []
             assert tracemalloc.get_traced_memory()[1] < 8192 + 128 * n
     finally:
         tracemalloc.stop()
-    exact_sum(NO_ROW_BASIS, n, workers=1)
+    exact_sum(NO_ROW_BASIS, n)
     assert 0 < sum(formed) <= (n // 2 + 1) * n
 
 
@@ -331,22 +331,6 @@ def test_exact_sum_against_30_digit_row_formula():
             assert abs(mp.mpf(got) / want - 1) <= 1e-15, (spec.name, n)
 
 
-def test_determinism_across_worker_counts():
-    # n = 1030 and 1031 fold to 516 rows; on the gather path that is nine
-    # blocks, so workers > 1 use the pool
-    sums = [lambda w: exact_sum(TRIANGULAR, 257, workers=w),
-            lambda w: restricted_sum_f2(1101, workers=w)]
-    sums += [lambda w, spec=spec, n=n: exact_sum(spec, n, workers=w)
-             for spec in ALL_BUILTINS + [NO_ROW_BASIS] for n in (1030, 1031)]
-    for sum_at in sums:
-        for workers in (1, 2, 3, 8):
-            r = sum_at(workers)
-            if workers == 1:
-                base = r
-            assert r.value == base.value          # bit identical
-            assert r.compensation == base.compensation
-
-
 # the Figure-1 ladder as `lapasym errors --plot` builds it: 196 sizes
 FIGURE1_LADDER = sorted(set(range(1, 101)) | set(range(25, 2501, 25)))
 
@@ -372,9 +356,8 @@ def test_exact_sums_match_exact_sum():
 
 def test_exact_sums_gather_path_matches_exact_sum():
     ladder = [1030, 3, 1, 64, 1030, 2]
-    want = [exact_sum(NO_ROW_BASIS, n, workers=1) for n in ladder]
-    for workers in (1, 2, 3, 8):
-        assert exact_sums(NO_ROW_BASIS, ladder, workers=workers) == want
+    want = [exact_sum(NO_ROW_BASIS, n) for n in ladder]
+    assert exact_sums(NO_ROW_BASIS, ladder) == want
 
 
 def test_exact_sums_inputs():
@@ -402,7 +385,7 @@ def test_exact_sums_memory_is_per_batch():
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 517, 2500])
 def test_row_combine_is_correctly_rounded(n):
     cases = [(spec, _closed_form_rows(spec.stencil, [n])) for spec in ALL_BUILTINS]
-    cases.append((NO_ROW_BASIS, _gathered_rows(NO_ROW_BASIS, n, 1)))
+    cases.append((NO_ROW_BASIS, _gathered_rows(NO_ROW_BASIS, n)))
     for spec, rows in cases:
         if spec is not NO_ROW_BASIS:
             assert _row_basis(spec.stencil) == ((1, 0), (0, 1))
@@ -410,14 +393,6 @@ def test_row_combine_is_correctly_rounded(n):
         assert result == exact_sum(spec, n)
         assert result.value == float(sum(Fraction(r) for r in rows.tolist()))
         assert result.compensation == result.value - float(np.sum(rows))
-
-
-def test_env_var_workers(monkeypatch):
-    monkeypatch.setenv("LAPASYM_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(5) == 5
-    monkeypatch.delenv("LAPASYM_WORKERS")
-    assert resolve_workers(None) >= 1
 
 
 @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.name)
@@ -495,7 +470,7 @@ def quadrant_oracle(n):
 def test_quadrant_sums_against_fsum(n):
     want_axis, want_quadrant = quadrant_oracle(n)
     assert abs(decomposition.piece_sums(n).q_axis / want_axis - 1.0) <= 1e-14
-    assert abs(quadrant_sum(n, workers=2) / want_quadrant - 1.0) <= 1e-14
+    assert abs(quadrant_sum(n) / want_quadrant - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 7, 8, 21, 200, 257, 1287])
@@ -508,7 +483,7 @@ def test_quadrant_sums_reciprocal_count(monkeypatch, n):
         return reciprocal(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "reciprocal", counting)
-    quadrant_sum(n, workers=1)
+    quadrant_sum(n)
     N = GridGeometry.from_n(n).N
     assert 0 < sum(formed) <= N * (N + 1) // 2 + 64 * N
 
