@@ -11,10 +11,7 @@ from .asymptotics import (ExpansionForm, axis_sum_expansion,
                           edge_sum_decay_coefficient, exp_tail_limit,
                           log_cos_closed_forms, model_for_lattice,
                           restricted_integral_constants,
-                          restricted_integral_expansion,
-                          square_integral_expansion, square_sum_expansion,
-                          square_sum_form, triangular_sum_expansion,
-                          union_jack_sum_expansion)
+                          restricted_integral_expansion, square_sum_form)
 from .decomposition import (double_sum_via_digamma, euler_maclaurin,
                             factor_rows, piece_sums, profile_decomposition,
                             taylor_cascade)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .exceptions import DomainError
 from .lattice_sum import GridGeometry
 from .quadrature import integrate_1d
-from .specfun import CONSTANTS, clausen_cl2, log_q_pochhammer_inv
+from .specfun import CONSTANTS, clausen_cl2
 
 __all__ = [
     "ExpansionForm",
@@ -25,10 +25,6 @@ __all__ = [
     "triangular_sum_form",
     "union_jack_sum_form",
     "square_integral_form",
-    "square_sum_expansion",
-    "triangular_sum_expansion",
-    "union_jack_sum_expansion",
-    "square_integral_expansion",
     "restricted_integral_constants",
     "restricted_integral_expansion",
     "restricted_integral_remainder_limit",
@@ -46,17 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExpansionForm:
-    """Coefficients of c0 n^2 log n + c1 n^2 + c2 n + c3.
-
-    ``n0_class`` records the residue class (n mod 4) the linear term is
-    valid for, or "all" when the form is residue-independent.
-    """
+    """Coefficients of c0 n^2 log n + c1 n^2 + c2 n + c3."""
 
     c0: float
     c1: float
     c2: float = 0.0
     c3: float = 0.0
-    n0_class: int | str = "all"
     label: str = ""
 
     def evaluate(self, n: int | float) -> float:
@@ -110,22 +101,6 @@ def square_integral_form() -> ExpansionForm:
         math.log(8.0 / c.pi_squared) + 4.0 * c.catalan_G / math.pi
     )
     return ExpansionForm(2.0 / math.pi, c1, label="square_integral")
-
-
-def square_sum_expansion(n: int) -> float:
-    return square_sum_form().evaluate(n)
-
-
-def triangular_sum_expansion(n: int) -> float:
-    return triangular_sum_form().evaluate(n)
-
-
-def union_jack_sum_expansion(n: int) -> float:
-    return union_jack_sum_form().evaluate(n)
-
-
-def square_integral_expansion(n: int) -> float:
-    return square_integral_form().evaluate(n)
 
 
 MODEL_FORMS = {
@@ -375,11 +350,6 @@ def exp_tail_limit() -> float:
     """
     c = CONSTANTS
     return math.log(2.0 * c.pi_three_quarters) - math.pi / 12.0 - math.log(c.gamma_quarter)
-
-
-def exp_tail_limit_series() -> float:
-    """Same limit evaluated through the q-Pochhammer series (cross-check)."""
-    return log_q_pochhammer_inv(math.exp(-2.0 * math.pi))
 
 
 def axis_sum_expansion(n: int) -> float:

@@ -189,6 +189,8 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
     if cfg.lattice_file:
         raise DomainError("errors needs a built-in lattice; only those carry "
                           "expansion models")
+    if cfg.plot and not cfg.out:
+        raise DomainError("--plot requires --out (the script references the CSV)")
     names = sorted(BUILTIN_LATTICES) if cfg.lattice == "all" else [cfg.lattice]
     ladder = _ladder(cfg)
     if not ladder:
@@ -202,10 +204,10 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
     for name in names:
         spec = _resolve_lattice(cfg, name)
         model = model_for_lattice(name)
-        series = error_series(spec, model, panel_ns)
-        for rec in series.records:
+        records = error_series(spec, model, panel_ns)
+        for rec in records:
             rows.append([name, rec.n, _fmt(rec.exact), _fmt(rec.model), _fmt(rec.error)])
-        requested = [r for r in series.records if r.n in requested_ns]
+        requested = [r for r in records if r.n in requested_ns]
         decile = max(1, len(requested) // 10)
         top = sorted(requested, key=lambda r: r.n)[-decile:]
         summaries.append((name, sum(r.error for r in top) / len(top)))
@@ -222,8 +224,6 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
         writer.writerows(rows)
 
     if cfg.plot:
-        if not cfg.out:
-            raise DomainError("--plot requires --out (the script references the CSV)")
         with open(cfg.plot, "w") as fh:
             fh.write(_gnuplot_script(cfg.out, names))
 

@@ -59,7 +59,6 @@ __all__ = [
     "taylor_cascade",
     "cascade_profile",
     "invsqrt_profile",
-    "invsqrt_profile_reduced",
     "euler_maclaurin",
     "profile_decomposition",
 ]
@@ -77,9 +76,6 @@ class PartialFractionRow:
     A: float         # sqrt(1 + 4 a b_k)
     B: float         # (1 + A) / (2a): square of the real root pair
     C: float         # (A - 1) / (2a): square of the imaginary root pair
-    a_k: float       # (pi / (4 sqrt 3)) (k / N)
-    cal_A: float     # sqrt(1 + 4 a_k^2 (1 - a_k^2)), the n0 = 0 value of A
-    inv_N0: float    # n0/(4N) for n0 in {1,2,3}, zero for n0 = 0
 
 
 def _abc(n: int):
@@ -112,15 +108,10 @@ def factor_rows(n: int) -> list[PartialFractionRow]:
     k = np.arange(1, geom.N + 1, dtype=np.float64)
     _, A, B, C = _abc(n)
     _check_bounds(n, geom.N, k, A, B, C)
-    inv_n0 = geom.n0 / (4.0 * geom.N) if geom.n0 else 0.0
-    coef = math.pi / (4.0 * math.sqrt(3.0))
     rows = []
     for i in range(geom.N):
-        a_k = coef * (i + 1.0) / geom.N
         rows.append(PartialFractionRow(
             k=i + 1, A=float(A[i]), B=float(B[i]), C=float(C[i]),
-            a_k=a_k, cal_A=math.sqrt(1.0 + 4.0 * a_k * a_k * (1.0 - a_k * a_k)),
-            inv_N0=inv_n0,
         ))
     return rows
 
@@ -378,13 +369,6 @@ def invsqrt_profile(x: float) -> float:
     return row.alpha[11]
 
 
-def invsqrt_profile_reduced(x: float) -> float:
-    """(invsqrt_profile(x) - 1)/x, extended by continuity to 0 at x = 0."""
-    if x == 0.0:
-        return 0.0
-    return (invsqrt_profile(x) - 1.0) / x
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin engine
 # ---------------------------------------------------------------------------
@@ -470,14 +454,12 @@ class ProfileDecomposition:
     For n = 0 mod 4 the residue shift vanishes and the stage 8/9 profiles
     reproduce the summands exactly; otherwise the reconstruction carries
     the first and second order 1/N0 corrections.
-    ``samples`` holds (x, log summand profile, arctan summand profile).
     """
 
     r_log: float
     r_atan: float
     r_log_profile: float
     r_atan_profile: float
-    samples: tuple[tuple[float, float, float], ...]
 
 
 def profile_decomposition(n: int) -> ProfileDecomposition:
@@ -485,17 +467,11 @@ def profile_decomposition(n: int) -> ProfileDecomposition:
     pieces = piece_sums(n)
     inv_n0 = geom.n0 / (4.0 * geom.N) if geom.n0 else 0.0
     rows = [taylor_cascade(n, k) for k in range(1, geom.N + 1)]
-    lead_log = [r.alpha[8] for r in rows]
-    lead_atan = [r.alpha[9] for r in rows]
     corr_log = [r.alpha[8] + inv_n0 * (r.beta[8] + inv_n0 * r.gamma[8]) for r in rows]
     corr_atan = [r.alpha[9] + inv_n0 * (r.beta[9] + inv_n0 * r.gamma[9]) for r in rows]
-    samples = tuple(
-        (r.x, lead_log[i], lead_atan[i]) for i, r in enumerate(rows)
-    )
     return ProfileDecomposition(
         r_log=pieces.r_log,
         r_atan=pieces.r_atan,
         r_log_profile=math.fsum(corr_log) / geom.N,
         r_atan_profile=math.fsum(corr_atan) / geom.N,
-        samples=samples,
     )

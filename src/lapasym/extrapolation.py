@@ -16,12 +16,11 @@ import numpy as np
 
 from .asymptotics import ExpansionForm
 from .exceptions import DomainError, FitError
-from .lattice_sum import LatticeSpec, builtin_lattice, exact_sums
+from .lattice_sum import LatticeSpec, exact_sums
 
 __all__ = [
     "BASIS_FUNCTIONS",
     "ErrorRecord",
-    "ErrorSeries",
     "FitResult",
     "error_series",
     "fit_expansion",
@@ -34,8 +33,6 @@ BASIS_FUNCTIONS = {
     "1": lambda n: 1.0,
 }
 
-_BASIS_TO_COEFF = {"n2logn": "c0", "n2": "c1", "n": "c2", "1": "c3"}
-
 
 @dataclass(frozen=True)
 class ErrorRecord:
@@ -45,41 +42,23 @@ class ErrorRecord:
     error: float
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
-    lattice: str
-    model_label: str
-    records: tuple[ErrorRecord, ...]
-
-    def errors(self) -> list[float]:
-        return [r.error for r in self.records]
-
-
-def error_series(lattice: LatticeSpec | str, model: ExpansionForm,
-                 n_values: Sequence[int]) -> ErrorSeries:
+def error_series(lattice: LatticeSpec, model: ExpansionForm,
+                 n_values: Sequence[int]) -> list[ErrorRecord]:
     """E_n = F_n - model(n) for each requested n, all F_n from one :func:`exact_sums`."""
-    if isinstance(lattice, str):
-        lattice = builtin_lattice(lattice)
     if not n_values:
         raise DomainError("n_values must be nonempty")
     records = []
     for result in exact_sums(lattice, n_values):
         exact, m = result.value, model.evaluate(result.n)
         records.append(ErrorRecord(n=result.n, exact=exact, model=m, error=exact - m))
-    return ErrorSeries(lattice.name, model.label or "model", tuple(records))
+    return records
 
 
 @dataclass(frozen=True)
 class FitResult:
     coefficients: dict[str, float]   # keyed by basis name, fixed ones included
     residual_max: float
-    n_ladder: tuple[int, ...]
     condition_estimate: float
-
-    def as_expansion_form(self, label: str = "fit",
-                          n0_class: int | str = "all") -> ExpansionForm:
-        kw = {_BASIS_TO_COEFF[k]: v for k, v in self.coefficients.items()}
-        return ExpansionForm(label=label, n0_class=n0_class, **kw)
 
 
 def fit_expansion(values: Sequence[tuple[int, float]],
@@ -128,6 +107,5 @@ def fit_expansion(values: Sequence[tuple[int, float]],
     return FitResult(
         coefficients=coefficients,
         residual_max=residual_max,
-        n_ladder=tuple(ns),
         condition_estimate=condition,
     )

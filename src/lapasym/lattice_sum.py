@@ -118,26 +118,30 @@ def builtin_lattice(name: str) -> LatticeSpec:
 
 
 def parse_lattice_file(path: str) -> LatticeSpec:
-    """Read a lattice config file with lines ``s = j k`` and ``divisor = d``."""
+    """Read a UTF-8 lattice config file with lines ``s = j k`` and ``divisor = d``."""
     stencil: list[tuple[int, int]] = []
     divisor = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, rhs = line.partition("=")
-            key = key.strip()
-            try:
-                values = tuple(int(tok) for tok in rhs.split())
-            except ValueError:
-                values = ()
-            if key == "s" and len(values) == 2:
-                stencil.append(values)
-            elif key == "divisor" and len(values) == 1:
-                divisor = values[0]
-            else:
-                raise DomainError(f"{path}:{lineno}: cannot parse {raw.rstrip()!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, rhs = line.partition("=")
+        key = key.strip()
+        try:
+            values = tuple(int(tok) for tok in rhs.split())
+        except ValueError:
+            values = ()
+        if key == "s" and len(values) == 2:
+            stencil.append(values)
+        elif key == "divisor" and len(values) == 1:
+            divisor = values[0]
+        else:
+            raise DomainError(f"{path}:{lineno}: cannot parse {raw.rstrip()!r}")
     if divisor is None:
         raise DomainError(f"{path}: missing 'divisor = d' line")
     return LatticeSpec(os.path.basename(path), tuple(stencil), divisor)

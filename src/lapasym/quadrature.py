@@ -19,13 +19,12 @@ from .lattice_sum import GridGeometry
 
 __all__ = [
     "QuadratureResult",
-    "PolarReduction",
     "integrate_1d",
     "integrate_2d",
+    "eta_sq",
     "integral_f1_restricted",
     "integral_f2_restricted",
     "factored_log_integrals",
-    "polar_reduction",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
@@ -153,36 +152,17 @@ def integrate_2d(fn: Callable[[float, float], float],
 # Restricted-region kernel integrals (square lattice)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolarReduction:
-    """Polar-coordinate description of the restricted square region.
+def eta_sq(theta: float) -> float:
+    """eta^2(theta) = cos^4 theta + sin^4 theta, the angular quartic factor.
 
     By eight-fold symmetry the region [0, beta_n]^2 minus [0, pi/n]^2 maps
     to angles theta in [0, pi/4] with radius running between
     pi/(n cos theta) and beta_n/cos theta; the quartic part of the kernel
-    enters only through eta^2(theta) = cos^4 theta + sin^4 theta.
+    enters only through eta^2(theta).
     """
-
-    n: int
-    beta_n: float
-    theta_range: tuple[float, float]
-
-    @staticmethod
-    def eta_sq(theta: float) -> float:
-        c = math.cos(theta)
-        s = math.sin(theta)
-        return c ** 4 + s ** 4
-
-    def r_lower(self, theta: float) -> float:
-        return math.pi / (self.n * math.cos(theta))
-
-    def r_upper(self, theta: float) -> float:
-        return self.beta_n / math.cos(theta)
-
-
-def polar_reduction(n: int) -> PolarReduction:
-    return PolarReduction(n=n, beta_n=GridGeometry.from_n(n).beta_n,
-                          theta_range=(0.0, 0.25 * math.pi))
+    c = math.cos(theta)
+    s = math.sin(theta)
+    return c ** 4 + s ** 4
 
 
 def integral_f1_restricted(n: int) -> float:
@@ -207,7 +187,7 @@ def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
 
     def angular(theta: float) -> float:
         c = math.cos(theta)
-        g = PolarReduction.eta_sq(theta) / (c * c)
+        g = eta_sq(theta) / (c * c)
         return math.log(12.0 - pin * pin * g) - math.log(12.0 - beta * beta * g)
 
     inner = integrate_1d(angular, 0.0, 0.25 * math.pi, tol=tol)

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import asymptotics, decomposition, quadrature, specfun
-from .lattice_sum import (MODIFIED_UNION_JACK, SQUARE, TRIANGULAR,
-                          exact_sum, quadrant_sum, restricted_sum_f2)
+from .lattice_sum import (BUILTIN_LATTICES, GridGeometry, exact_sum,
+                          quadrant_sum, restricted_sum_f2)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
 
@@ -134,7 +134,6 @@ def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
     out.append(_check("partial_fraction", gap <= 1e-14, f"reconstruction gap {gap:.3e}"))
 
     n = 40
-    worst = 0.0
     pr = decomposition.profile_decomposition(n)
     worst = max(abs(pr.r_log - pr.r_log_profile), abs(pr.r_atan - pr.r_atan_profile))
     out.append(_check("cascade_profiles_n0_zero", worst <= 1e-12,
@@ -180,13 +179,13 @@ def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
                       f"max closed-form gap {worst:.3e} over 100 random arguments"))
 
     n = 20
+    beta_n = GridGeometry.from_n(n).beta_n
     oracle = quadrature.integrate_2d(
         lambda x, y: 4.0 / (x * x + y * y), math.pi / n,
-        quadrature.polar_reduction(n).beta_n, 0.0,
-        quadrature.polar_reduction(n).beta_n, tol=1e-8)
+        beta_n, 0.0, beta_n, tol=1e-8)
     corner = quadrature.integrate_2d(
         lambda x, y: 4.0 / (x * x + y * y), 0.0, math.pi / n,
-        math.pi / n, quadrature.polar_reduction(n).beta_n, tol=1e-8)
+        math.pi / n, beta_n, tol=1e-8)
     dn2 = (2.0 * math.pi / n) ** 2
     ref = 4.0 * (oracle.value + corner.value) / dn2
     got = quadrature.integral_f1_restricted(n)
@@ -200,10 +199,9 @@ def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
 # ---------------------------------------------------------------------------
 
 _PLATEAU_WINDOWS = {
-    "square": (SQUARE, asymptotics.square_sum_form, -0.14, -0.10),
-    "triangular": (TRIANGULAR, asymptotics.triangular_sum_form, -0.28, -0.22),
-    "modified_union_jack": (MODIFIED_UNION_JACK, asymptotics.union_jack_sum_form,
-                            -0.40, -0.34),
+    "square": (-0.14, -0.10),
+    "triangular": (-0.28, -0.22),
+    "modified_union_jack": (-0.40, -0.34),
 }
 
 
@@ -223,13 +221,13 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
     out = []
     top = max(100, max_n)
 
-    for name, (spec, form, lo, hi) in _PLATEAU_WINDOWS.items():
-        e = exact_sum(spec, top).value - form().evaluate(top)
+    for name, (lo, hi) in _PLATEAU_WINDOWS.items():
+        e = (exact_sum(BUILTIN_LATTICES[name], top).value
+             - asymptotics.model_for_lattice(name).evaluate(top))
         out.append(_check(f"plateau_{name}", lo <= e <= hi,
                           f"E_{top} = {e:.4f}, window [{lo}, {hi}]"))
 
-    sizes = [n for n in (200, 400, 800) if n <= max(800, max_n)]
-    sizes = [n - (n - n0) % 4 for n in sizes]  # keep the requested residue class
+    sizes = [n - (n - n0) % 4 for n in (200, 400, 800)]  # keep the requested residue class
     dvals = []
     for n in sizes:
         dvals.append(decomposition.piece_sums(n).assembled()
@@ -243,7 +241,7 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
     for n in sizes:
         q = quadrature.integral_f2_restricted(n).value
         deltas.append(q - asymptotics.restricted_integral_expansion(n))
-    conv = abs(deltas[-1] - deltas[-2]) if len(deltas) >= 2 else 0.0
+    conv = abs(deltas[-1] - deltas[-2])
     dist, detail = _distances(deltas, asymptotics.restricted_integral_remainder_limit(n0))
     out.append(_check("restricted_integral_remainder",
                       max(dist) <= 0.02 and _non_increasing(dist) and conv <= 0.05,

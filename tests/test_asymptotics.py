@@ -8,18 +8,17 @@ from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
                                  axis_sum_expansion,
                                  edge_sum_decay_coefficient,
                                  edge_sum_gap_limit, exp_tail_limit,
-                                 exp_tail_limit_series, log_cos_closed_forms,
+                                 log_cos_closed_forms,
                                  model_for_lattice, quartic_factor_params,
                                  restricted_integral_constants,
                                  restricted_integral_expansion,
                                  restricted_integral_remainder_limit,
-                                 square_integral_expansion,
-                                 square_integral_form, square_sum_expansion,
-                                 square_sum_form, triangular_sum_form,
+                                 square_integral_form, square_sum_form,
+                                 triangular_sum_form,
                                  union_jack_sum_form)
 from lapasym.exceptions import DomainError
 from lapasym.quadrature import integrate_1d
-from lapasym.specfun import CONSTANTS
+from lapasym.specfun import CONSTANTS, log_q_pochhammer_inv
 
 
 def test_expansion_form_evaluation_is_literal():
@@ -49,13 +48,13 @@ def test_square_integral_coefficients():
         math.log(8.0 / math.pi ** 2) + 4.0 * CONSTANTS.catalan_G / math.pi)
     assert f.c1 == pytest.approx(expected, rel=1e-15)
     # at n = 1 the log term drops out
-    assert square_integral_expansion(1) == pytest.approx(f.c1, rel=1e-15)
+    assert f.evaluate(1) == pytest.approx(f.c1, rel=1e-15)
 
 
 def test_integral_minus_sum_model_is_pure_n2():
     c = square_integral_form().c1 - square_sum_form().c1
     for n in (10, 100, 1000):
-        diff = square_integral_expansion(n) - square_sum_expansion(n)
+        diff = square_integral_form().evaluate(n) - square_sum_form().evaluate(n)
         assert diff == pytest.approx(c * n * n, rel=1e-12)
 
 
@@ -182,7 +181,9 @@ def test_edge_sum_decay_against_direct_sums():
 
 
 def test_exp_tail_limit_routes_agree():
-    assert exp_tail_limit() == pytest.approx(exp_tail_limit_series(), abs=1e-12)
+    # the q-Pochhammer series route to the same limit
+    series = log_q_pochhammer_inv(math.exp(-2.0 * math.pi))
+    assert exp_tail_limit() == pytest.approx(series, abs=1e-12)
     assert exp_tail_limit() > 0.0
 
 

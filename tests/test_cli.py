@@ -76,6 +76,12 @@ def test_sum_with_lattice_file(tmp_path):
     assert code == EXIT_OK and "F_n=2.5" in text
 
 
+def test_sum_rejects_non_utf8_lattice_file(tmp_path):
+    path = tmp_path / "binary.lattice"
+    path.write_bytes(b"s = 1 0\ns = 0 1\n\xff\ndivisor = 4\n")
+    assert main(["sum", "--n", "8", "--lattice-file", str(path)]) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------
@@ -100,6 +106,17 @@ def test_errors_csv_and_summary(tmp_path):
 def test_errors_plot_requires_out(tmp_path):
     assert main(["errors", "--lattice", "square", "--n-list", "30,60",
                  "--plot", str(tmp_path / "p.gp")]) == EXIT_CONFIG
+
+
+def test_errors_plot_without_out_fails_before_any_output(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lapasym.cli", "errors", "--lattice", "square",
+         "--n-list", "30,60", "--plot", str(tmp_path / "p.gp")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert "--plot requires --out" in proc.stderr
 
 
 def test_errors_plot_script(tmp_path):

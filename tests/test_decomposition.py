@@ -8,8 +8,7 @@ from lapasym import lattice_sum
 from lapasym.asymptotics import exp_tail_limit
 from lapasym.decomposition import (cascade_profile, double_sum_via_digamma,
                                    euler_maclaurin, factor_rows,
-                                   invsqrt_profile, invsqrt_profile_reduced,
-                                   piece_sums, profile_decomposition,
+                                   invsqrt_profile, piece_sums, profile_decomposition,
                                    taylor_cascade)
 from lapasym.exceptions import DomainError
 from lapasym.lattice_sum import quadrant_sum, restricted_sum_f2
@@ -18,6 +17,13 @@ from lapasym.lattice_sum import quadrant_sum, restricted_sum_f2
 def direct_double_sum(n):
     """The quadrant double sum by direct summation, independent of the route."""
     return quadrant_sum(n)
+
+
+def invsqrt_profile_reduced(x):
+    """(invsqrt_profile(x) - 1)/x, extended by continuity to 0 at x = 0."""
+    if x == 0.0:
+        return 0.0
+    return (invsqrt_profile(x) - 1.0) / x
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +35,8 @@ def test_factor_row_smallest_grid():
     assert len(rows) == 1
     expected = math.sqrt(1.0 + (math.pi ** 2 / 12.0) * (1.0 - math.pi ** 2 / 48.0))
     assert rows[0].A == pytest.approx(expected, abs=1e-5)
-    assert rows[0].inv_N0 == 0.0
+    # n = 4 has n0 = 0, so A equals its n0 = 0 value calA
+    assert rows[0].A == pytest.approx(taylor_cascade(4, 1).cal_A, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [5, 12, 37, 100])
@@ -43,9 +50,9 @@ def test_factor_row_discriminant_identity(n):
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64, 256])
 def test_scaled_row_fraction_below_half(n):
-    rows = factor_rows(n)
-    assert all(0.0 < r.a_k <= math.pi / (4.0 * math.sqrt(3.0)) for r in rows)
-    assert rows[-1].a_k < 0.5
+    a = [taylor_cascade(n, r.k).a for r in factor_rows(n)]
+    assert all(0.0 < a_k <= math.pi / (4.0 * math.sqrt(3.0)) for a_k in a)
+    assert a[-1] < 0.5
 
 
 @pytest.mark.parametrize("n", [5, 11, 26, 103, 500, 1000, 2500])
@@ -358,7 +365,6 @@ def test_profiles_exact_at_residue_zero():
     pr = profile_decomposition(40)
     assert abs(pr.r_log - pr.r_log_profile) <= 1e-12
     assert abs(pr.r_atan - pr.r_atan_profile) <= 1e-12
-    assert len(pr.samples) == 10
 
 
 def test_profiles_track_other_residues():

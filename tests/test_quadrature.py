@@ -10,10 +10,11 @@ from lapasym.asymptotics import (log_cos_closed_forms,
                                  quartic_factor_params,
                                  restricted_integral_expansion)
 from lapasym.exceptions import ConvergenceError, DomainError
-from lapasym.quadrature import (PolarReduction, factored_log_integrals,
+from lapasym.lattice_sum import GridGeometry
+from lapasym.quadrature import (eta_sq, factored_log_integrals,
                                 integral_f1_restricted,
                                 integral_f2_restricted, integrate_1d,
-                                integrate_2d, polar_reduction)
+                                integrate_2d)
 from lapasym.specfun import CONSTANTS
 
 
@@ -96,14 +97,7 @@ def test_eta_sq_identity():
     for theta in np.linspace(0.0, math.pi / 4.0, 1000):
         c = math.cos(theta)
         alt = 2.0 * c ** 4 - 2.0 * c * c + 1.0
-        assert abs(PolarReduction.eta_sq(theta) - alt) <= 1e-15
-
-
-def test_polar_reduction_bounds():
-    red = polar_reduction(8)
-    assert red.theta_range == (0.0, math.pi / 4.0)
-    assert red.r_lower(0.0) == pytest.approx(math.pi / 8.0)
-    assert red.r_upper(0.0) == pytest.approx(red.beta_n)
+        assert abs(eta_sq(theta) - alt) <= 1e-15
 
 
 def test_f1_restricted_closed_arithmetic():
@@ -129,7 +123,7 @@ def test_f1_restricted_three_term_expansion(n):
 
 def test_f1_restricted_against_2d_oracle():
     n = 20
-    beta_n = polar_reduction(n).beta_n
+    beta_n = GridGeometry.from_n(n).beta_n
     a = math.pi / n
 
     def f1(x, y):
@@ -144,7 +138,7 @@ def test_f1_restricted_against_2d_oracle():
 
 def test_f2_restricted_against_2d_oracle():
     n = 5
-    beta_n = polar_reduction(n).beta_n
+    beta_n = GridGeometry.from_n(n).beta_n
     a = math.pi / n
 
     def f2(x, y):
@@ -159,11 +153,11 @@ def test_f2_restricted_against_2d_oracle():
 def test_f2_integrand_at_zero_angle():
     # eta(0) = 1, so the angular integrand at 0 is log(12 - (pi/n)^2) - log(12 - beta_n^2)
     n = 16
-    assert PolarReduction.eta_sq(0.0) == 1.0
-    beta_n = polar_reduction(n).beta_n
-    general = math.log(12.0 - (math.pi / n) ** 2 * PolarReduction.eta_sq(0.0)
+    assert eta_sq(0.0) == 1.0
+    beta_n = GridGeometry.from_n(n).beta_n
+    general = math.log(12.0 - (math.pi / n) ** 2 * eta_sq(0.0)
                        / math.cos(0.0) ** 2) \
-        - math.log(12.0 - beta_n ** 2 * PolarReduction.eta_sq(0.0) / math.cos(0.0) ** 2)
+        - math.log(12.0 - beta_n ** 2 * eta_sq(0.0) / math.cos(0.0) ** 2)
     reduced = math.log(12.0 - (math.pi / n) ** 2) - math.log(12.0 - beta_n ** 2)
     assert general == reduced
     assert reduced > 0.0  # the lower radial bound sits closer to the log branch point
