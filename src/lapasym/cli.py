@@ -129,7 +129,8 @@ def _fmt(x: float) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_sum(cfg: RunConfig, out=sys.stdout) -> int:
+def cmd_sum(cfg: RunConfig, out=None) -> int:
+    out = sys.stdout if out is None else out
     spec = _resolve_lattice(cfg)
     started = time.perf_counter()
     result = exact_sum(spec, cfg.n)
@@ -185,7 +186,8 @@ def _gnuplot_script(csv_path: str, lattices: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
+def cmd_errors(cfg: RunConfig, out=None) -> int:
+    out = sys.stdout if out is None else out
     if cfg.lattice_file:
         raise DomainError("errors needs a built-in lattice; only those carry "
                           "expansion models")
@@ -232,7 +234,8 @@ def cmd_errors(cfg: RunConfig, out=sys.stdout) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out=sys.stdout) -> int:
+def cmd_verify(cfg: RunConfig, out=None) -> int:
+    out = sys.stdout if out is None else out
     results = verify.run_suite(cfg.suite, max_n=cfg.max_n, n0=cfg.n0)
     failed = 0
     for r in results:

@@ -14,7 +14,10 @@ symmetry.  Where a unimodular change of grid basis puts the second entry
 of every stencil vector in {-1, 0, 1} (every built-in), each row sum has
 a closed form (:func:`_closed_form_rows`), so F_n costs O(n), and the
 rows of consecutive sizes are evaluated together in one elementwise pass
-(:func:`exact_sums`).  Every other double sum runs on one serial blocked
+(:func:`exact_sums`).  A row costs two sines: s^2 = A^2 - R^2 is a sum of
+sin^2 terms built by angle addition, so it needs no difference, and
+rho^n is formed only on the few rows per size where it is representable
+beside 1.  Every other double sum runs on one serial blocked
 engine: rows are formed in fixed blocks of 64, with psi as
 (2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
 the zeros of psi, and each row is summed by numpy's pairwise reduction.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,6 +68,7 @@ __all__ = [
 _BLOCK_ROWS = 64          # fixed row-block size; bounds memory per block
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
+_TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +282,74 @@ def _row_basis(stencil) -> tuple[tuple[int, int], tuple[int, int]] | None:
     return None
 
 
+def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
+    """s = sqrt(A^2 - R^2) and e = n log rho for rows j >= 1 of sizes n.
+
+    With x = pi j / n, K = #{q != 0} and t_l = q_l p_l over the vectors
+    with q != 0, A = K/L + X and R^2 = K^2/L^2 - Y, where
+        X = (2/L) sum_{q=0} sin^2(p x),  Y = (4/L^2) sum_{l<m} sin^2((t_l - t_m) x),
+    so s^2 = 2 (K/L) X + X^2 + Y is a sum of nonnegative terms.  Each
+    sin(m x) comes by angle addition from S = sin x and C = cos x, the
+    latter as sin(pi (n - 2j) / 2n) with the angle reduced in integers:
+    two sines per row.  1 - rho = s (s + A + R) / ((A + R) (A + s)) needs
+    R only through A + R; R^2 is clamped at 0 where R = 0.
+    """
+    L = len(stencil)
+    t = [q * p for p, q in stencil if q]
+    K = len(t)
+    xs = [abs(p) for p, q in stencil if not q]
+    ys = [abs(a - b) for i, a in enumerate(t) for b in t[i + 1:]]
+    top = max(xs + ys)
+    S = np.sin(np.pi * j / n)
+    C = np.sin(np.pi * (n - 2 * j) / (2 * n)) if top > 1 else None
+    X, Y = np.zeros(len(n)), np.zeros(len(n))
+    sin_m, cos_m = S, C
+    for m in range(1, top + 1):
+        if m > 1:
+            sin_m, cos_m = sin_m * C + cos_m * S, cos_m * C - sin_m * S
+        sq = sin_m * sin_m
+        if m in xs:
+            X += xs.count(m) * sq
+        if m in ys:
+            Y += ys.count(m) * sq
+    X *= 2.0 / L
+    Y *= 4.0 / (L * L)
+    s = np.sqrt(X * (2.0 * K / L + X) + Y)
+    big_a = K / L + X
+    a_plus_r = big_a + np.sqrt(np.maximum(K * K / (L * L) - Y, 0.0))
+    one_minus_rho = s * (s + a_plus_r) / (a_plus_r * (big_a + s))
+    with np.errstate(divide="ignore"):
+        e = n * np.log1p(np.maximum(-one_minus_rho, -1.0))
+    return s, e
+
+
+def _tail_rows(stencil, n, j, s, e) -> np.ndarray:
+    """The full row formula, with phi = arg z, for rows j >= 1 of sizes n."""
+    L = len(stencil)
+    a = 2.0 * np.pi * j / n
+    z = sum(np.exp(1j * (q * p) * a) for p, q in stencil if q) / L
+    phi = np.angle(z)
+    return (n / s) * -np.expm1(2.0 * e) / (
+        np.expm1(e) ** 2 + 4.0 * np.exp(e) * np.sin(0.5 * n * phi) ** 2)
+
+
 def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     """Sums of rows 0..n//2 of F_n for each n in sizes, concatenated in order.
 
     For a stencil with every q in {-1, 0, 1}.  With a = 2 pi j / n, row j
     of psi is A - R cos(b + phi), where A = 1 - (1/L) sum_{q=0} cos(p a)
-    and R e^{i phi} = (1/L) sum_{q!=0} e^{i q p a}.  Expanding 1/psi in
-    powers of rho = R / (A + s), s = sqrt(A^2 - R^2), only the terms
+    and R e^{i phi} = z = (1/L) sum_{q!=0} e^{i q p a}.  Expanding 1/psi
+    in powers of rho = R / (A + s), s = sqrt(A^2 - R^2), only the terms
     aliased to multiples of n survive the sum over k, so
         sum_k 1/psi = (n/s) (1 - rho^2n) / ((1 - rho^n)^2 + 2 rho^n (1 - cos n phi)).
     Row 0 without the origin is (n^2 - 1) / (6 R0), R0 = #{q != 0} / L.
-    A - R = min_b psi comes from the sin^2 form, never as a difference,
-    and rho^n from log1p/expm1.  Rows with R = 0 have rho = 0: the log1p
+    s^2 = A^2 - R^2 is written as a sum of sin^2 terms and 1 - rho
+    without a difference (:func:`_row_kernel`), and e = n log rho comes
+    from log1p.  Where e <= -40, rho^n < 4.3e-18: 1 - rho^2n and
+    (1 - rho^n)^2 round to 1 and 4 rho^n sin^2(n phi / 2) vanishes beside
+    1, so the row rounds to exactly n/s.  Only the first few rows of each
+    size have e > -40; they alone need phi and the full formula
+    (:func:`_tail_rows`).  Rows with R = 0 have rho = 0: the log1p
     argument is clamped at -1, whose log is -inf.
 
     Every element carries its own n and j, so all sizes share one
@@ -303,16 +364,11 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     rows[j == 0] = (sizes * sizes - 1) / (6.0 * sum(q != 0 for _, q in stencil) / L)
     rest = j > 0
     n, j = n[rest], j[rest]
-    a = 2.0 * np.pi * j / n
-    z = sum(np.exp(1j * (q * p) * a) for p, q in stencil if q) / L
-    phi = np.angle(z)
-    big_a = sum(1.0 if q else 2.0 * np.sin(0.5 * p * a) ** 2 for p, q in stencil) / L
-    a_minus_r = sum(np.sin(0.5 * (p * a - q * phi)) ** 2 for p, q in stencil) * (2.0 / L)
-    s = np.sqrt(a_minus_r * (big_a + np.abs(z)))
-    with np.errstate(divide="ignore"):
-        e = n * np.log1p(np.maximum(-(a_minus_r + s) / (big_a + s), -1.0))
-    rows[rest] = (n / s) * -np.expm1(2.0 * e) / (
-        np.expm1(e) ** 2 + 4.0 * np.exp(e) * np.sin(0.5 * n * phi) ** 2)
+    s, e = _row_kernel(stencil, n, j)
+    tail = e > _TAIL_LOG_RHO_N
+    out = n / s
+    out[tail] = _tail_rows(stencil, n[tail], j[tail], s[tail], e[tail])
+    rows[rest] = out
     return rows
 
 
@@ -398,8 +454,9 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
     results = []
     for batch in _batches(sizes):
         rows = _closed_form_rows(stencil, batch)
-        parts = np.split(rows, np.cumsum([n // 2 + 1 for n in batch])[:-1])
-        results += [_combined(spec, n, part) for n, part in zip(batch, parts)]
+        stops = accumulate(n // 2 + 1 for n in batch)
+        results += [_combined(spec, n, rows[stop - n // 2 - 1:stop])
+                    for n, stop in zip(batch, stops)]
     return results
 
 

@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import contextlib
 import csv
 import io
 import os
@@ -56,6 +57,14 @@ def test_sum_n_one_is_empty():
     code, text = run_cmd(cmd_sum, config_from_argv(["sum", "--lattice", "square", "--n", "1"]))
     assert code == EXIT_OK
     assert "F_n=0" in text
+
+
+def test_main_writes_to_the_current_stdout():
+    # the stream is looked up when main runs, not when the module is imported
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["sum", "--n", "4"]) == EXIT_OK
+    assert "n=4 F_n=" in buf.getvalue()
 
 
 def test_sum_csv_output():

@@ -14,7 +14,8 @@ from lapasym import asymptotics, decomposition, lattice_sum, quadrature
 from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
                                  LatticeSpec, _closed_form_rows, _combined,
-                                 _gathered_rows, _row_basis,
+                                 _gathered_rows, _row_basis, _row_kernel,
+                                 _tail_rows,
                                  builtin_lattice, exact_sum, exact_sums,
                                  kernel_fm, kernel_psi,
                                  parse_lattice_file, quadrant_sum,
@@ -325,10 +326,27 @@ def test_exact_sum_against_30_digit_row_formula():
     cases = [(spec, spec.stencil) for spec in ALL_BUILTINS]
     cases.append((parse_lattice_file(str(CUSTOM_LATTICE)), ((1, 1), (0, -1), (1, -1), (2, 1))))
     for spec, row_stencil in cases:
-        for n in (517, 2500):
+        for n in (517, 2500, 4099):
             want = row_formula_reference(row_stencil, n, mp)
             got = exact_sum(spec, n).value
             assert abs(mp.mpf(got) / want - 1) <= 1e-15, (spec.name, n)
+
+
+@pytest.mark.parametrize("n", [2, 7, 39, 517, 2500, 10007])
+def test_rows_past_the_tail_cutoff_are_n_over_s(n):
+    # e = n log rho <= -40 means rho^n < 4.3e-18, so every factor of the
+    # full row formula beside n/s rounds to 1; only a handful of rows stay
+    j = np.arange(1, n // 2 + 1)
+    sizes = np.full(len(j), n)
+    for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE)), R_ZERO_ROWS]:
+        (u0, u1), (w0, w1) = _row_basis(spec.stencil)
+        stencil = [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
+        s, e = _row_kernel(stencil, sizes, j)
+        far = e <= lattice_sum._TAIL_LOG_RHO_N
+        full = _tail_rows(stencil, sizes, j, s, e)
+        assert np.array_equal(full[far], (n / s)[far]), spec.name
+        assert np.count_nonzero(~far) <= 8, spec.name
+        assert np.array_equal(_closed_form_rows(stencil, [n])[1:], np.where(far, n / s, full))
 
 
 # the Figure-1 ladder as `lapasym errors --plot` builds it: 196 sizes
