@@ -98,7 +98,7 @@ def square_integral_form() -> ExpansionForm:
     """
     c = CONSTANTS
     c1 = (1.0 / math.pi) * (
-        math.log(8.0 / c.pi_squared) + 4.0 * c.catalan_G / math.pi
+        math.log(8.0 / (math.pi * math.pi)) + 4.0 * c.catalan_G / math.pi
     )
     return ExpansionForm(2.0 / math.pi, c1, label="square_integral")
 

@@ -25,8 +25,8 @@ from .asymptotics import model_for_lattice
 from .exceptions import (ConsistencyError, ConvergenceError, DomainError,
                          FitError, SingularityError)
 from .extrapolation import error_series
-from .lattice_sum import (BUILTIN_LATTICES, LatticeSpec, builtin_lattice,
-                          exact_sum, parse_lattice_file)
+from .lattice_sum import (BUILTIN_LATTICES, builtin_lattice, exact_sum,
+                          parse_lattice_file)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -40,7 +40,12 @@ _SMALL_PANEL_MAX = 100            # top panel: 1..100 step 1
 
 @dataclass
 class RunConfig:
-    """Parsed command configuration.  ``workers`` is ignored; kept for existing callers."""
+    """Parsed command configuration.
+
+    The field defaults are the CLI's defaults, except that ``errors
+    --lattice`` defaults to ``all``.  ``workers`` is ignored; kept for
+    existing callers.
+    """
 
     subcommand: str
     lattice: str = "square"
@@ -60,65 +65,52 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # options left out of argv stay out of the namespace, so every default
+    # comes from RunConfig
     parser = argparse.ArgumentParser(
         prog="lapasym",
         description="Exact lattice pseudoinverse-trace sums and their asymptotics.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--lattice-file", default=None,
+    p_sum = sub.add_parser("sum", argument_default=argparse.SUPPRESS,
+                           help="one exact sum and trace")
+    p_sum.add_argument("--lattice", choices=sorted(BUILTIN_LATTICES),
+                       help="built-in lattice")
+    p_sum.add_argument("--lattice-file",
                        help="custom lattice config file (lines 's = j k', 'divisor = d')")
-
-    p_sum = sub.add_parser("sum", help="one exact sum and trace")
-    p_sum.add_argument("--lattice", default="square",
-                       choices=sorted(BUILTIN_LATTICES), help="built-in lattice")
     p_sum.add_argument("--n", type=int, required=True, help="grid size")
     p_sum.add_argument("--csv", action="store_true", help="emit one CSV row")
-    common(p_sum)
 
-    p_err = sub.add_parser("errors", help="error ladder CSV against the expansion models")
+    p_err = sub.add_parser("errors", argument_default=argparse.SUPPRESS,
+                           help="error ladder CSV against the expansion models")
     p_err.add_argument("--lattice", default="all",
                        choices=sorted(BUILTIN_LATTICES) + ["all"])
-    p_err.add_argument("--start", type=int, default=_FIGURE_LADDER[0])
-    p_err.add_argument("--stop", type=int, default=_FIGURE_LADDER[1])
-    p_err.add_argument("--step", type=int, default=_FIGURE_LADDER[2])
-    p_err.add_argument("--n-list", default=None,
+    p_err.add_argument("--start", type=int)
+    p_err.add_argument("--stop", type=int)
+    p_err.add_argument("--step", type=int)
+    p_err.add_argument("--n-list",
                        help="explicit comma-separated ladder, overrides start/stop/step")
-    p_err.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p_err.add_argument("--plot", default=None,
+    p_err.add_argument("--out", help="CSV output path (default stdout)")
+    p_err.add_argument("--plot",
                        help="also write a gnuplot script rendering the two error panels")
-    common(p_err)
 
-    p_ver = sub.add_parser("verify", help="run the cross-module verification suites")
-    p_ver.add_argument("--suite", default="all", choices=verify.available_suites())
-    p_ver.add_argument("--max-n", type=int, default=200, dest="max_n")
-    p_ver.add_argument("--n0", type=int, default=0, choices=(0, 1, 2, 3))
-    common(p_ver)
+    p_ver = sub.add_parser("verify", argument_default=argparse.SUPPRESS,
+                           help="run the cross-module verification suites")
+    p_ver.add_argument("--suite", choices=verify.available_suites())
+    p_ver.add_argument("--max-n", type=int)
+    p_ver.add_argument("--n0", type=int, choices=(0, 1, 2, 3))
     return parser
 
 
 def config_from_argv(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for name in ("lattice", "lattice_file", "n", "start", "stop", "step",
-                 "out", "plot", "csv", "suite", "max_n", "n0"):
-        if hasattr(ns, name):
-            value = getattr(ns, name)
-            if value is not None or name in ("lattice_file", "out", "plot", "n"):
-                setattr(cfg, name, value)
-    if getattr(ns, "n_list", None):
+    fields = vars(_build_parser().parse_args(argv))
+    if "n_list" in fields:
         try:
-            cfg.n_list = tuple(int(tok) for tok in ns.n_list.split(",") if tok)
+            fields["n_list"] = tuple(int(tok) for tok in fields["n_list"].split(",") if tok)
         except ValueError:
             raise DomainError(f"--n-list must be comma-separated integers, "
-                              f"got {ns.n_list!r}") from None
-    return cfg
-
-
-def _resolve_lattice(cfg: RunConfig, name: str | None = None) -> LatticeSpec:
-    if cfg.lattice_file:
-        return parse_lattice_file(cfg.lattice_file)
-    return builtin_lattice(name or cfg.lattice)
+                              f"got {fields['n_list']!r}") from None
+    return RunConfig(**fields)
 
 
 def _fmt(x: float) -> str:
@@ -131,7 +123,8 @@ def _fmt(x: float) -> str:
 
 def cmd_sum(cfg: RunConfig, out=None) -> int:
     out = sys.stdout if out is None else out
-    spec = _resolve_lattice(cfg)
+    spec = (parse_lattice_file(cfg.lattice_file) if cfg.lattice_file
+            else builtin_lattice(cfg.lattice))
     started = time.perf_counter()
     result = exact_sum(spec, cfg.n)
     elapsed = time.perf_counter() - started
@@ -204,7 +197,7 @@ def cmd_errors(cfg: RunConfig, out=None) -> int:
     rows = []
     summaries = []
     for name in names:
-        spec = _resolve_lattice(cfg, name)
+        spec = builtin_lattice(name)
         model = model_for_lattice(name)
         records = error_series(spec, model, panel_ns)
         for rec in records:

@@ -130,21 +130,21 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
 
 
 def integrate_2d(fn: Callable[[float, float], float],
-                 ax: float, bx: float, ay: float, by: float,
-                 tol: float = 1e-9) -> QuadratureResult:
+                 ax: float, bx: float, ay: float, by: float) -> QuadratureResult:
     """Tensor-product oracle: adaptive outer integral of adaptive inner ones.
 
+    The outer integral runs to tolerance 1e-8, each inner one to 1e-9.
     Meant only for small cross-checks; cost grows multiplicatively.
     """
     evaluations = 0
 
     def outer(x: float) -> float:
         nonlocal evaluations
-        inner = integrate_1d(lambda y: fn(x, y), ay, by, tol=0.1 * tol)
+        inner = integrate_1d(lambda y: fn(x, y), ay, by, tol=1e-9)
         evaluations += inner.evaluations
         return inner.value
 
-    res = integrate_1d(outer, ax, bx, tol=tol)
+    res = integrate_1d(outer, ax, bx, tol=1e-8)
     return QuadratureResult(res.value, res.abs_error_estimate, evaluations)
 
 
@@ -174,7 +174,7 @@ def integral_f1_restricted(n: int) -> float:
     return (2.0 * n * n / math.pi) * math.log(n * GridGeometry.restricted(n).beta_n / math.pi)
 
 
-def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
+def integral_f2_restricted(n: int) -> QuadratureResult:
     """Normalized integral of the quartic kernel f2 over the restricted region.
 
     Splitting 1/(r - eta^2 r^3 / 12) into 1/r plus a rational remainder
@@ -190,7 +190,7 @@ def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
         g = eta_sq(theta) / (c * c)
         return math.log(12.0 - pin * pin * g) - math.log(12.0 - beta * beta * g)
 
-    inner = integrate_1d(angular, 0.0, 0.25 * math.pi, tol=tol)
+    inner = integrate_1d(angular, 0.0, 0.25 * math.pi)
     scale = 4.0 * n * n / (math.pi * math.pi)
     return QuadratureResult(
         integral_f1_restricted(n) + scale * inner.value,
@@ -199,7 +199,7 @@ def integral_f2_restricted(n: int, tol: float = 1e-11) -> QuadratureResult:
     )
 
 
-def factored_log_integrals(u: float, tol: float = 1e-11) -> tuple[float, float]:
+def factored_log_integrals(u: float) -> tuple[float, float]:
     """The two log integrals the quartic factorization produces.
 
     Returns (J1, J2) with
@@ -211,6 +211,6 @@ def factored_log_integrals(u: float, tol: float = 1e-11) -> tuple[float, float]:
         raise DomainError(f"need u > 1, got {u!r}")
     s1 = 2.0 * u - 1.0
     s2 = 1.0 - 1.0 / u
-    j1 = integrate_1d(lambda t: math.log(s1 - math.cos(t)), 0.0, 0.5 * math.pi, tol=tol)
-    j2 = integrate_1d(lambda t: math.log(math.cos(t) + s2), 0.0, 0.5 * math.pi, tol=tol)
+    j1 = integrate_1d(lambda t: math.log(s1 - math.cos(t)), 0.0, 0.5 * math.pi)
+    j2 = integrate_1d(lambda t: math.log(math.cos(t) + s2), 0.0, 0.5 * math.pi)
     return j1.value, j2.value

@@ -116,8 +116,6 @@ class FundamentalConstants:
     gamma_quarter: float
     gamma_third: float
     eta_at_i: float
-    pi: float
-    pi_squared: float
     pi_three_quarters: float
 
 
@@ -129,8 +127,6 @@ def _make_constants() -> FundamentalConstants:
         gamma_quarter=gamma_quarter,
         gamma_third=2.6789385347077476336556929409746776441286893779573011009505,
         eta_at_i=gamma_quarter / (2.0 * math.pi ** 0.75),
-        pi=math.pi,
-        pi_squared=math.pi * math.pi,
         pi_three_quarters=math.pi ** 0.75,
     )
 
@@ -228,25 +224,35 @@ _DIGAMMA_SHIFT = 10.0
 _DIGAMMA_COEFF = tuple(float(BERNOULLI.exact[2 * j] / (2 * j)) for j in range(1, 8))
 
 
+def _digamma_finish(acc, z, log):
+    """acc + psi(z) for Re z >= 10: log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j})."""
+    u = 1.0 / (z * z)
+    tail = 0.0
+    for c in reversed(_DIGAMMA_COEFF):
+        tail = (tail + c) * u
+    return acc + log(z) - 0.5 / z - tail
+
+
+def _digamma_scalar(z, log):
+    """Digamma of a real or complex scalar; ``log`` is math.log or cmath.log."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument must be finite, got {z!r}")
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+        raise PoleError(f"digamma pole at {z!r}")
+    acc = 0.0
+    while z.real < _DIGAMMA_SHIFT:
+        acc -= 1.0 / z
+        z += 1.0
+    return _digamma_finish(acc, z, log)
+
+
 def digamma_real(x: float) -> float:
     """Digamma (logarithmic derivative of Gamma) for real non-pole arguments.
 
     Uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument to
     x >= 10, then psi(x) = log x - 1/(2x) - sum_j B_{2j}/(2j x^{2j}).
     """
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"digamma pole at {x!r}")
-    acc = 0.0
-    while x < _DIGAMMA_SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    u = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_DIGAMMA_COEFF):
-        tail = (tail + c) * u
-    return acc + math.log(x) - 0.5 / x - tail
+    return _digamma_scalar(x, math.log)
 
 
 def digamma_complex(z: complex) -> complex:
@@ -257,20 +263,7 @@ def digamma_complex(z: complex) -> complex:
     the expansion safely inside its sector of validity.  Conjugate symmetry
     psi(conj z) = conj(psi(z)) holds to within rounding.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"digamma pole at {z!r}")
-    acc = complex(0.0)
-    while z.real < _DIGAMMA_SHIFT:
-        acc -= 1.0 / z
-        z += 1.0
-    u = 1.0 / (z * z)
-    tail = complex(0.0)
-    for c in reversed(_DIGAMMA_COEFF):
-        tail = (tail + c) * u
-    return acc + cmath.log(z) - 0.5 / z - tail
+    return _digamma_scalar(complex(z), cmath.log)
 
 
 def digamma_array(z) -> np.ndarray:
@@ -294,11 +287,7 @@ def digamma_array(z) -> np.ndarray:
         acc[low] -= 1.0 / z[low]
         z[low] += 1.0
         low = z.real < _DIGAMMA_SHIFT
-    u = 1.0 / (z * z)
-    tail = np.zeros_like(z)
-    for c in reversed(_DIGAMMA_COEFF):
-        tail = (tail + c) * u
-    return acc + np.log(z) - 0.5 / z - tail
+    return _digamma_finish(acc, z, np.log)
 
 
 # ---------------------------------------------------------------------------

@@ -182,10 +182,10 @@ def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
     beta_n = GridGeometry.from_n(n).beta_n
     oracle = quadrature.integrate_2d(
         lambda x, y: 4.0 / (x * x + y * y), math.pi / n,
-        beta_n, 0.0, beta_n, tol=1e-8)
+        beta_n, 0.0, beta_n)
     corner = quadrature.integrate_2d(
         lambda x, y: 4.0 / (x * x + y * y), 0.0, math.pi / n,
-        math.pi / n, beta_n, tol=1e-8)
+        math.pi / n, beta_n)
     dn2 = (2.0 * math.pi / n) ** 2
     ref = 4.0 * (oracle.value + corner.value) / dn2
     got = quadrature.integral_f1_restricted(n)

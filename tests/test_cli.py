@@ -41,6 +41,21 @@ def test_main_maps_config_error_to_exit_2(tmp_path):
     assert main(["errors", "--lattice", "square", "--step", "0"]) == EXIT_CONFIG
 
 
+def test_config_defaults_are_run_config_defaults():
+    assert config_from_argv(["sum", "--n", "4"]) == RunConfig(subcommand="sum", n=4)
+    assert config_from_argv(["errors"]) == RunConfig(subcommand="errors", lattice="all")
+    assert config_from_argv(["verify"]) == RunConfig(subcommand="verify")
+    assert RunConfig(subcommand="verify") == RunConfig(
+        subcommand="verify", lattice="square", lattice_file=None, n=None,
+        start=25, stop=2500, step=25, n_list=(), out=None, plot=None,
+        csv=False, suite="all", max_n=200, n0=0)
+
+
+def test_lattice_file_is_a_sum_option_only():
+    assert main(["verify", "--lattice-file", "x"]) == EXIT_CONFIG
+    assert main(["verify", "--suite", "specfun", "--lattice-file", "x"]) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # sum
 # ---------------------------------------------------------------------------

@@ -269,6 +269,7 @@ def test_exact_sum_reciprocal_count(monkeypatch, n):
         formed.append(np.size(x))
         return reciprocal(x, *args, **kwargs)
 
+    exact_sum(TRIANGULAR, n)  # warm numpy's lazy setup
     monkeypatch.setattr(np, "reciprocal", counting)
     # the closed form forms no reciprocal array and allocates O(n) bytes,
     # far below the 8 n^2 of one n x n array once n is in the hundreds

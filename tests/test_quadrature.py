@@ -130,8 +130,8 @@ def test_f1_restricted_against_2d_oracle():
         return 4.0 / (x * x + y * y)
 
     # quadrant region [0, beta]^2 minus [0, a]^2, doubled up by symmetry
-    main = integrate_2d(f1, a, beta_n, 0.0, beta_n, tol=1e-8).value
-    corner = integrate_2d(f1, 0.0, a, a, beta_n, tol=1e-8).value
+    main = integrate_2d(f1, a, beta_n, 0.0, beta_n).value
+    corner = integrate_2d(f1, 0.0, a, a, beta_n).value
     ref = 4.0 * (main + corner) / (2.0 * math.pi / n) ** 2
     assert integral_f1_restricted(n) == pytest.approx(ref, rel=1e-6)
 
@@ -144,8 +144,8 @@ def test_f2_restricted_against_2d_oracle():
     def f2(x, y):
         return 4.0 / (x * x + y * y - (x ** 4 + y ** 4) / 12.0)
 
-    main = integrate_2d(f2, a, beta_n, 0.0, beta_n, tol=1e-8).value
-    corner = integrate_2d(f2, 0.0, a, a, beta_n, tol=1e-8).value
+    main = integrate_2d(f2, a, beta_n, 0.0, beta_n).value
+    corner = integrate_2d(f2, 0.0, a, a, beta_n).value
     ref = 4.0 * (main + corner) / (2.0 * math.pi / n) ** 2
     assert integral_f2_restricted(n).value == pytest.approx(ref, rel=1e-6)
 
