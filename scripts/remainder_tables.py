@@ -16,7 +16,8 @@ For a ladder of sizes in one residue class mod 4 this prints
 * n (n r_edge - beta3), the edge row sum against its decay coefficient,
   which tends to E(n0) (-5.03535 for the 0 class; ``edge_sum_gap_limit``),
 * the relative gap between the quadrant double sum by the digamma route
-  and by direct summation (rounding level, about 1e-16).
+  and by the Laplace quadrature of ``quadrant_sum`` (rounding level,
+  about 1e-16).
 """
 import argparse
 import pathlib
@@ -52,8 +53,8 @@ def main():
         tail = p.r_exp - tail_limit
         axis = n * n * (p.q_axis - axis_sum_expansion(n))
         edge = n * (n * p.r_edge - beta3)
-        direct = quadrant_sum(n)
-        route = abs(double_sum_via_digamma(n) - direct) / direct
+        laplace = quadrant_sum(n)
+        route = abs(double_sum_via_digamma(n) - laplace) / laplace
         print(f"{n:>6} {d:>12.6f} {delta:>12.6f} {tail:>12.3e} "
               f"{axis:>13.6f} {edge:>12.6f} {route:>10.2e}")
     return 0

@@ -31,8 +31,9 @@ The row functions are O(N) and share one n >= 4 guard,
 :meth:`lapasym.lattice_sum.GridGeometry.restricted`.  :func:`piece_sums`
 sums the six families directly over k = 1..N and takes the quadrant
 double sum through the exact chain above (:func:`double_sum_via_digamma`).
-The direct O(N^2) quadrant sum is :func:`lapasym.lattice_sum.quadrant_sum`,
-the oracle the chain is checked against.
+:func:`lapasym.lattice_sum.quadrant_sum` gets the same double sum by an
+independent route, the trapezoidal rule on its Laplace integral, and the
+tests check both against direct O(N^2) summation.
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ def piece_sums(n: int) -> PieceSums:
 
     The six families are summed directly over k = 1..N; r_double comes
     from :func:`double_sum_via_digamma`, whose identity chain is exact, so
-    no quadrant is formed here.  The direct O(N^2) quadrant sum,
-    :func:`lapasym.lattice_sum.quadrant_sum`, is the oracle for that
-    route.
+    no quadrant is formed here.  The Laplace quadrature of
+    :func:`lapasym.lattice_sum.quadrant_sum` is the independent check of
+    that route.
     """
     geom = GridGeometry.restricted(n)  # before any 1/N
     N = geom.N

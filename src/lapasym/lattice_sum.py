@@ -17,8 +17,8 @@ rows of consecutive sizes are evaluated together in one elementwise pass
 (:func:`exact_sums`).  A row costs two sines: s^2 = A^2 - R^2 is a sum of
 sin^2 terms built by angle addition, so it needs no difference, and
 rho^n is formed only on the few rows per size where it is representable
-beside 1.  Every other double sum runs on one serial blocked
-engine: rows are formed in fixed blocks of 64, with psi as
+beside 1.  Other stencils gather their rows from a sin^2 table
+(:func:`_gathered_rows`): rows are formed in fixed blocks of 64, with psi as
 (2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
 the zeros of psi, and each row is summed by numpy's pairwise reduction.
 Row sums are combined by math.fsum, which is correctly rounded, so a
@@ -27,10 +27,12 @@ result does not depend on the batch of sizes it was computed in.
 The restricted quartic sum lives on the window |j|, |k| <= N of
 :meth:`GridGeometry.restricted`, with the row formula
 u_k = k^2 - (pi^2 / 3 n^2) k^4 of :func:`quartic_rows`.  Its open
-quadrant sum_{j,k=1}^N 1/(u_j + u_k) is folded by the swap j <-> k
-(:func:`quadrant_sum`): about N^2/2 reciprocals in O(64 N) memory.  The
+quadrant sum_{j,k=1}^N 1/(u_j + u_k) (:func:`quadrant_sum`) is the
+trapezoidal rule on its Laplace integral, h sum_m t_m S(t_m)^2 with
+S(t) = sum_j e^(-t u_j): about 66 N exponentials in O(64 N) memory.  The
 decomposition module gets the same double sum in O(N) through digamma
-rows; this direct sum is the oracle that checks that route.
+rows; each route checks the other, and the tests check both against
+direct summation.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ __all__ = [
     "quadrant_sum",
 ]
 
-_BLOCK_ROWS = 64          # fixed row-block size; bounds memory per block
+_BLOCK_ROWS = 64          # rows (gather) or nodes (quadrant) per block; bounds memory
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
 _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
@@ -245,23 +247,8 @@ def kernel_fm(spec: LatticeSpec, m: int, x: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Blocked row-sum engine and the full-window sum
+# The full-window sum: closed-form rows or the blocked gather
 # ---------------------------------------------------------------------------
-
-def _row_sums(block_sums, nrows: int) -> np.ndarray:
-    """Row sums of a double sum, computed in fixed blocks of _BLOCK_ROWS rows.
-
-    ``block_sums(j0, j1)`` returns the sums of rows j0..j1-1.  The blocks
-    depend on nrows alone and each row is reduced on its own, so memory is
-    O(_BLOCK_ROWS) rows at a time.  Callers combine the rows in ascending
-    order.
-    """
-    out = np.empty(nrows)
-    for j0 in range(0, nrows, _BLOCK_ROWS):
-        j1 = min(j0 + _BLOCK_ROWS, nrows)
-        out[j0:j1] = block_sums(j0, j1)
-    return out
-
 
 # Unimodular grid bases (u, w) in which a stencil can have every s . w in
 # {-1, 0, 1}; (1,0) and (0,1) are in every stencil, so |w1|, |w2| <= 1
@@ -373,12 +360,19 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
 
 
 def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
-    """Sums of rows 0..n//2 of F_n gathered from the sin^2 table, any stencil."""
+    """Sums of rows 0..n//2 of F_n gathered from the sin^2 table, any stencil.
+
+    Rows are formed in fixed blocks of _BLOCK_ROWS and each row is reduced
+    on its own, so memory is O(_BLOCK_ROWS n) and the blocks depend on n
+    alone.
+    """
     k = np.arange(n, dtype=np.int64)
     table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
     scale = 2.0 / spec.L
-
-    def block_sums(j0, j1):
+    nrows = n // 2 + 1
+    out = np.empty(nrows)
+    for j0 in range(0, nrows, _BLOCK_ROWS):
+        j1 = min(j0 + _BLOCK_ROWS, nrows)
         j = np.arange(j0, j1, dtype=np.int64)[:, None]
         psi = np.zeros((j1 - j0, n))
         for p, q in spec.stencil:
@@ -389,9 +383,8 @@ def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
         v = np.reciprocal(psi, out=psi)
         if j0 == 0:
             v[0, 0] = 0.0
-        return v.sum(axis=1)
-
-    return _row_sums(block_sums, n // 2 + 1)
+        out[j0:j1] = v.sum(axis=1)
+    return out
 
 
 def _batches(sizes: list[int]):
@@ -479,7 +472,12 @@ def trace_pseudoinverse(spec: LatticeSpec, n: int) -> float:
 # Restricted-window quartic-kernel sum (square lattice)
 # ---------------------------------------------------------------------------
 
-_LOWER = np.tri(_BLOCK_ROWS, dtype=bool)  # a block's k <= j corner
+# Laplace-quadrature constants of quadrant_sum; each bound is relative
+_LAPLACE_STEP = 0.2           # trapezoid step h in log t: aliasing 1.04e-20
+_LAPLACE_TAIL = 2.0 ** -64    # each of the two truncated node tails
+_LAPLACE_COLUMN_CUT = 60.0    # drop e^(-t u_j) once t (u_j - u_1) > this
+_LAPLACE_SERIES_X = 0.05      # nodes with t u_N <= this use the moment series
+_LAPLACE_MOMENTS = 13         # moments P_0..P_12 of that series
 
 
 def quartic_rows(n: int) -> np.ndarray:
@@ -501,27 +499,68 @@ def quartic_rows(n: int) -> np.ndarray:
     return u
 
 
+def _laplace_quadrant(u: np.ndarray) -> float:
+    """sum_{j,k} 1/(u_j + u_k) for increasing u > 0, by quadrature in log t.
+
+    With 1/s = integral over tau of t e^(-s t), t = e^tau, the double sum
+    is the integral of t S(t)^2, S(t) = sum_j e^(-t u_j), and the
+    trapezoidal rule with step h = _LAPLACE_STEP gives
+        Q = h sum_m t_m S(t_m)^2,  t_m = e^(m h),
+    combined by math.fsum.  Every pair (j, k) enters with a positive
+    weight, so each bound below is relative to Q as it is to each term:
+    * trapezoid (aliasing): 2 sum_{k>=1} |Gamma(1 + 2 pi i k / h)|, from
+      |Gamma(1 + i y)|^2 = pi y / sinh(pi y); 1.04e-20 at h = 0.2
+      (Trefethen and Weideman, SIAM Review 56 (2014) 385);
+    * node tails: m runs from floor(log(T / (2 u_N)) / h) to
+      ceil(log(-log T / (2 u_1)) / h), T = _LAPLACE_TAIL = 2^-64, so the
+      nodes below lose at most t_lo (u_j + u_k) <= T and those above
+      at most e^(-t_hi (u_j + u_k)) <= T;
+    * column cut: a node forms e^(-t u_j) only while
+      t (u_j - u_1) <= _LAPLACE_COLUMN_CUT = 60, so S loses at most
+      N e^-60 and S^2 twice that;
+    * series: nodes with x = t u_N <= _LAPLACE_SERIES_X = 0.05 take
+      S = sum_{k<13} (-x)^k P_k / k!, P_k = sum_j (u_j / u_N)^k, whose
+      remainder is at most e^0.05 0.05^13 / 13! = 2.1e-27.
+    The other nodes form their exponentials _BLOCK_ROWS nodes at a time,
+    so memory is O(_BLOCK_ROWS N); about 66 N exponentials for N up to
+    4000.  Rounding is left to the tests (<= 4e-16 against the direct sum).
+    """
+    h = _LAPLACE_STEP
+    lo = math.floor(math.log(_LAPLACE_TAIL / (2.0 * u[-1])) / h)
+    hi = math.ceil(math.log(-math.log(_LAPLACE_TAIL) / (2.0 * u[0])) / h)
+    t = np.exp(h * np.arange(lo, hi + 1))
+    x = t * u[-1]
+    near = int(np.searchsorted(x, _LAPLACE_SERIES_X, side="right"))
+    ratio = u / u[-1]
+    power = np.ones(len(u))
+    coeffs = [float(len(u))]
+    for k in range(1, _LAPLACE_MOMENTS):
+        power *= ratio
+        coeffs.append(float(power.sum()) / math.factorial(k))
+    S = np.empty(len(t))
+    minus_x, series = -x[:near], 0.0
+    for c in reversed(coeffs):
+        series = series * minus_x + c
+    S[:near] = series
+    for i0 in range(near, len(t), _BLOCK_ROWS):
+        tb = t[i0:i0 + _BLOCK_ROWS]
+        cols = int(np.searchsorted(u, u[0] + _LAPLACE_COLUMN_CUT / tb[0], side="right"))
+        e = np.multiply.outer(-tb, u[:cols])
+        S[i0:i0 + len(tb)] = np.exp(e, out=e).sum(axis=1)
+    return math.fsum((h * t * S * S).tolist())
+
+
 def quadrant_sum(n: int) -> float:
     """The open-quadrant double sum sum_{j,k=1}^N 1/(u_j + u_k).
 
-    u is :func:`quartic_rows`.  The denominators are symmetric in j <-> k,
-    so row j contributes 1/(2 u_j) + 2 sum_{k>j} 1/(u_j + u_k).  Rows are
-    formed _BLOCK_ROWS at a time over the columns k >= j0 of their block,
-    with the block's leading corner k <= j masked, so about N^2/2
-    reciprocals are formed and memory is O(_BLOCK_ROWS N).  The folded
-    rows are combined by math.fsum.
+    u is :func:`quartic_rows`, increasing on the window.  The sum is the
+    trapezoidal rule on its Laplace integral (:func:`_laplace_quadrant`):
+    about 300 nodes and 66 N exponentials in O(64 N) memory, where the
+    pairs themselves would take N^2/2 reciprocals.  Independent of the
+    digamma route of :mod:`lapasym.decomposition`; the tests check both
+    against direct summation.
     """
-    u = quartic_rows(n)
-
-    def block_sums(i0, i1):
-        size = i1 - i0
-        v = np.add(u[i0:i1, None], u[i0:])  # rows j = i0+1..i1, columns k = i0+1..N
-        np.reciprocal(v, out=v)
-        diag = v.diagonal().copy()
-        v[:, :size][_LOWER[:size, :size]] = 0.0
-        return 2.0 * v.sum(axis=1) + diag
-
-    return math.fsum(_row_sums(block_sums, len(u)).tolist())
+    return _laplace_quadrant(quartic_rows(n))
 
 
 def restricted_sum_f2(n: int) -> SumResult:
@@ -533,7 +572,7 @@ def restricted_sum_f2(n: int) -> SumResult:
     are positive throughout the window.
     """
     u = quartic_rows(n)
-    axis, quadrant = float(np.sum(1.0 / u)), quadrant_sum(n)
+    axis, quadrant = float(np.sum(1.0 / u)), _laplace_quadrant(u)
     total = math.fsum((axis, quadrant))
     scale = 4.0 * n * n / math.pi ** 2
     return SumResult(

@@ -90,8 +90,8 @@ def test_criterion_03_decomposition_identity():
 def test_criterion_04_digamma_route():
     worst = 0.0
     for n in (8, 20, 100, 500):
-        direct = quadrant_sum(n)
-        worst = max(worst, abs(double_sum_via_digamma(n) - direct) / abs(direct))
+        laplace = quadrant_sum(n)
+        worst = max(worst, abs(double_sum_via_digamma(n) - laplace) / abs(laplace))
     ok = worst <= 1e-10
     assert report("criterion-04 digamma route equivalence", ok,
                   f"max relative gap {worst:.2e} <= 1e-10 at n in {{8, 20, 100, 500}}")

@@ -11,12 +11,29 @@ from lapasym.decomposition import (cascade_profile, double_sum_via_digamma,
                                    invsqrt_profile, piece_sums, profile_decomposition,
                                    taylor_cascade)
 from lapasym.exceptions import DomainError
-from lapasym.lattice_sum import quadrant_sum, restricted_sum_f2
+from lapasym.lattice_sum import quadrant_sum, quartic_rows, restricted_sum_f2
+
+_LOWER = np.tri(64, dtype=bool)  # a block's k <= j corner
 
 
 def direct_double_sum(n):
-    """The quadrant double sum by direct summation, independent of the route."""
-    return quadrant_sum(n)
+    """The quadrant double sum by direct summation, independent of the route.
+
+    The denominators are symmetric in j <-> k, so row j contributes
+    1/(2 u_j) + 2 sum_{k>j} 1/(u_j + u_k).  Rows are formed 64 at a time
+    over the columns k >= j0 of their block, with the block's leading
+    corner k <= j masked: about N^2/2 reciprocals in O(64 N) memory.  The
+    folded rows are combined by math.fsum.
+    """
+    u = quartic_rows(n)
+    rows = []
+    for i0 in range(0, len(u), 64):
+        size = min(64, len(u) - i0)
+        v = 1.0 / np.add(u[i0:i0 + size, None], u[i0:])
+        diag = v.diagonal().copy()
+        v[:, :size][_LOWER[:size, :size]] = 0.0
+        rows += (2.0 * v.sum(axis=1) + diag).tolist()
+    return math.fsum(rows)
 
 
 def invsqrt_profile_reduced(x):
@@ -110,9 +127,18 @@ def test_piece_sums_never_enters_the_blocked_engine(monkeypatch, n):
     def refuse(*args, **kwargs):
         raise AssertionError("piece_sums formed a quadrant")
 
-    monkeypatch.setattr(lattice_sum, "_row_sums", refuse)
+    monkeypatch.setattr(lattice_sum, "_laplace_quadrant", refuse)
+    monkeypatch.setattr(lattice_sum, "_gathered_rows", refuse)
     p = piece_sums(n)
     assert p.r_double > 0.0 and p.q_axis > 0.0
+
+
+# N = 1..10, N = 321 in every residue class, and N up to 4000
+@pytest.mark.parametrize("n", list(range(4, 41)) + [1284, 1285, 1286, 1287,
+                                                     4001, 15939, 16003])
+def test_quadrant_sum_matches_direct(n):
+    direct = direct_double_sum(n)
+    assert abs(quadrant_sum(n) - direct) <= 4e-16 * direct
 
 
 @pytest.mark.parametrize("n", list(range(4, 65)) + list(range(16000, 16004)))
@@ -195,7 +221,7 @@ def test_double_sum_against_30_digit_partial_fractions(n):
     mp = mpmath.mp.clone()
     mp.dps = 30
     want = partial_fraction_reference(mp, n)
-    for got in (double_sum_via_digamma(n), direct_double_sum(n)):
+    for got in (double_sum_via_digamma(n), direct_double_sum(n), quadrant_sum(n)):
         assert abs(mp.mpf(got) / want - 1) <= 1e-15
 
 

@@ -494,6 +494,7 @@ def test_quadrant_sums_against_fsum(n):
 
 @pytest.mark.parametrize("n", [4, 7, 8, 21, 200, 257, 1287])
 def test_quadrant_sums_reciprocal_count(monkeypatch, n):
+    # the Laplace quadrature forms no reciprocal of a pair u_j + u_k
     formed = []
     reciprocal = np.reciprocal
 
@@ -502,9 +503,32 @@ def test_quadrant_sums_reciprocal_count(monkeypatch, n):
         return reciprocal(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "reciprocal", counting)
-    quadrant_sum(n)
+    assert quadrant_sum(n) > 0.0
+    assert formed == []
+
+
+@pytest.mark.parametrize("n", [200, 1287, 4001, 16000])
+def test_quadrant_sum_cost(monkeypatch, n):
+    # about 66 N exponentials, where the pairs took N^2/2 reciprocals, and
+    # a peak of about 70 arrays of N floats: one block of 64 nodes plus u
     N = GridGeometry.from_n(n).N
-    assert 0 < sum(formed) <= N * (N + 1) // 2 + 64 * N
+    formed = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        formed.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    quadrant_sum(n)  # warm numpy's lazy setup
+    monkeypatch.setattr(np, "exp", counting)
+    tracemalloc.start()
+    try:
+        quadrant_sum(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert N < sum(formed) <= 80 * N
+    assert peak <= 8 * 80 * N + 2 ** 17
 
 
 def test_quadrant_sums_singularity_guard(monkeypatch):

@@ -232,6 +232,14 @@ def test_digamma_array_matches_scalar_complex():
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
+def test_digamma_array_of_a_scalar_is_a_scalar():
+    # one argument in the disc about 2 after a shift, one past the shift
+    for x, scalar in ((1.0, digamma_real), (30.0, digamma_real),
+                      (1.0 + 0.1j, digamma_complex)):
+        got = digamma_array(x)
+        assert np.ndim(got) == 0 and got == scalar(x)
+
+
 def test_digamma_array_rejects_poles_and_non_finite():
     for bad in ([1.5, 0.0], [-3.0], np.array([2.0 + 0j, -1.0 + 0j])):
         with pytest.raises(PoleError):
@@ -243,9 +251,7 @@ def test_digamma_array_rejects_poles_and_non_finite():
 
 
 def test_digamma_against_40_digit_reference():
-    # relative error, absolute where |psi| < 1; below x = 2 the recurrence's
-    # reciprocals (about -2.8 in all near x = 1) cancel against the log, so
-    # the rounding there reaches a few ulps of 2.8
+    # relative error, absolute where |psi| < 1
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
@@ -257,7 +263,32 @@ def test_digamma_against_40_digit_reference():
         arg = complex(arg)
         want = mp.digamma(mp.mpc(arg.real, arg.imag))
         err = abs(mp.mpc(complex(got).real, complex(got).imag) - want) / max(abs(want), 1)
-        assert err <= (1e-15 if arg.real >= 2.0 else 2e-15), arg
+        assert err <= 1e-15, arg
+
+
+def test_digamma_near_one_against_40_digit_reference():
+    # the recurrence from x near 1 summed nine reciprocals (about -2.8)
+    # that cancelled against log(x + 9): 1.4e-15 here before the series
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    x = np.random.default_rng(20261018).uniform(1.0, 1.1, 20000)
+    arr = digamma_array(x)
+    worst = 0.0
+    for t, got_array in zip(x.tolist(), arr.tolist()):
+        want = mp.digamma(mp.mpf(t))
+        for got in (digamma_real(t), got_array):
+            worst = max(worst, float(abs(mp.mpf(got) - want)))
+    assert worst <= 8e-16
+
+
+def test_digamma_series_coefficients_are_zeta_minus_one():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for k, c in enumerate(specfun._ZETA_MINUS_ONE, start=2):
+        assert c == float(mp.zeta(k) - 1), k
+    assert specfun._DIGAMMA_AT_TWO == float(1 - mp.euler)
 
 
 # ---------------------------------------------------------------------------
