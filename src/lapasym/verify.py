@@ -273,8 +273,8 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
 
 SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "specfun": suite_specfun,
-    "identities": suite_identities,
     "quadrature": suite_quadrature,
+    "identities": suite_identities,
     "asymptotics": suite_asymptotics,
 }
 
@@ -283,17 +283,14 @@ def available_suites() -> list[str]:
     return sorted(SUITES) + ["all"]
 
 
-_SUITE_ORDER = ("specfun", "quadrature", "identities", "asymptotics")
-
-
 def run_suite(name: str, max_n: int = 200, n0: int = 0,
               workers=None) -> list[CheckResult]:
     """One suite by name, or all of them.  ``workers`` is ignored; kept for existing callers."""
     del workers
     if name == "all":
         results = []
-        for key in _SUITE_ORDER:
-            results.extend(SUITES[key](max_n=max_n, n0=n0))
+        for suite in SUITES.values():
+            results.extend(suite(max_n=max_n, n0=n0))
         return results
     if name not in SUITES:
         raise KeyError(name)

