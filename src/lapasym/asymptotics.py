@@ -4,18 +4,19 @@ Every expansion is of the shape c0 n^2 log n + c1 n^2 + c2 n + c3 with an
 O(1) (or better) remainder; the coefficients are exact combinations of
 Catalan's constant, Euler's constant, Gamma values, and Clausen-function
 terms.  All constants are drawn from :data:`lapasym.specfun.CONSTANTS` so
-the whole module shares one source of truth.
+the whole module shares one source of truth; the restricted-window limit
+constants are partial-fraction closed forms, with no quadrature.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .exceptions import DomainError
 from .lattice_sum import GridGeometry
-from .quadrature import eta_sq, integrate_1d
 from .specfun import CONSTANTS, clausen_cl2
 
 __all__ = [
@@ -174,10 +175,8 @@ def restricted_integral_expansion(n: int) -> float:
 
     (2/pi) n^2 log n
     + (2/pi)((2G + lambda)/pi + log(2 sqrt 6 / pi)) n^2
-    + (96/(pi^2 mu)) (2 sqrt((nu+1)/(nu-1)) atan sqrt((nu+1)/(nu-1))
-                      + (1/sqrt nu) log((sqrt nu + 1)/(sqrt nu - 1)))
-      (2 - n0) n,
-    with lambda, mu, nu from :func:`restricted_integral_constants`.
+    + c2 (2 - n0) n,
+    with lambda from :func:`restricted_integral_constants` and c2 = 2/pi + 2 h1.
     """
     n0 = GridGeometry.restricted(n).n0
     k = restricted_integral_constants()
@@ -185,34 +184,13 @@ def restricted_integral_expansion(n: int) -> float:
     c1 = (2.0 / math.pi) * (
         (2.0 * g + k.clausen_term) / math.pi + math.log(2.0 * math.sqrt(6.0) / math.pi)
     )
-    r = math.sqrt((k.nu + 1.0) / (k.nu - 1.0))
-    sq = math.sqrt(k.nu)
-    c2 = (96.0 / (math.pi ** 2 * k.mu)) * (
-        2.0 * r * math.atan(r) + math.log((sq + 1.0) / (sq - 1.0)) / sq
-    )
+    c2, _, _ = _window_constants()
     return ((2.0 / math.pi) * math.log(n) + c1) * n * n + c2 * (2.0 - n0) * n
 
 
 def _check_residue(n0: int) -> None:
     if n0 not in (0, 1, 2, 3):
         raise DomainError(f"residue class n0 must be 0, 1, 2 or 3, got {n0!r}")
-
-
-@lru_cache(maxsize=None)
-def _remainder_integrals() -> tuple[float, float]:
-    """h1 = int_0^{pi/4} g/(12 - (pi^2/4) g) and h2 = int_0^{pi/4} of its square,
-
-    with g = eta^2(t)/cos^2 t (:func:`lapasym.quadrature.eta_sq`); both
-    integrands are smooth.
-    """
-    def ratio(t):
-        c = math.cos(t)
-        g = eta_sq(t) / (c * c)
-        return g / (12.0 - 0.25 * math.pi ** 2 * g)
-
-    h1 = integrate_1d(ratio, 0.0, 0.25 * math.pi, tol=1e-14).value
-    h2 = integrate_1d(lambda t: ratio(t) ** 2, 0.0, 0.25 * math.pi, tol=1e-14).value
-    return h1, h2
 
 
 def restricted_integral_remainder_limit(n0: int) -> float:
@@ -224,12 +202,62 @@ def restricted_integral_remainder_limit(n0: int) -> float:
     Expanding in eps = (2 - n0)/n, with beta_n = (pi/2)(1 + eps) and
     int_0^{pi/4} g = 3/2 - pi/4, gives the linear coefficient 2/pi + 2 h1
     (the expansion's c2) and the limit
-    pi/12 - 1/2 + (2 - n0)^2 (h1 + (pi^2/2) h2 - 1/pi), approached like 1/n.
+    pi/12 - 1/2 + (2 - n0)^2 (h1 + (pi^2/2) h2 - 1/pi), approached like 1/n
+    (h1, h2 from :func:`_window_constants`).
     """
     _check_residue(n0)
-    h1, h2 = _remainder_integrals()
+    _, h1, h2 = _window_constants()
     return (math.pi / 12.0 - 0.5
             + (2 - n0) ** 2 * (h1 + 0.5 * math.pi ** 2 * h2 - 1.0 / math.pi))
+
+
+# ---------------------------------------------------------------------------
+# Partial-fraction closed forms of the remainder integrals
+# ---------------------------------------------------------------------------
+
+def _pole_integral(r: complex) -> complex:
+    """int_0^1 du/(u^2 - r) = -atanh(1/sqrt r)/sqrt r for r off [0, 1]; even in
+    sqrt r, so r < 0 (an atan) needs no branch."""
+    s = cmath.sqrt(r)
+    return -cmath.atanh(1.0 / s) / s
+
+
+def _slope(f, x: float) -> float:
+    """f'(x) = Im f(x + i h)/h, h = 1e-100: a complex step, so nothing cancels
+    (Squire & Trapp, SIAM Review 40 (1998) 110); f must be analytic."""
+    return f(complex(x, 1e-100)).imag * 1e100
+
+
+def _edge_integral(a: complex) -> complex:
+    """I(a) = int_0^1 dx/(1 + x^2 - a (1 + x^4)) = (P(v-) - P(v+))/calA.
+
+    P is :func:`_pole_integral` at the poles v+ = (1 + calA)/(2a) and
+    v- = -2(1 - a)/(1 + calA) in v = x^2, calA = sqrt(1 + 4a(1 - a)).
+    """
+    cal_a = cmath.sqrt(1.0 + 4.0 * a * (1.0 - a))
+    return (_pole_integral(-2.0 * (1.0 - a) / (1.0 + cal_a)) / cal_a
+            - _pole_integral((1.0 + cal_a) / (2.0 * a)) / cal_a)
+
+
+def _window_integral(lam: complex) -> complex:
+    """h1(lam) = int_0^{pi/4} g/(12 - lam g), g = (cos^4 t + sin^4 t)/cos^2 t.
+
+    u = tan t makes it rational in v = u^2, with poles -1 (residue -1/lam,
+    P(-1) = pi/4), (6 + d)/lam and (lam - 12)/(6 + d) (residues -+6/(lam d),
+    as 1 + v^2 = 12 (1 + v)/lam there), d = sqrt(36 + lam (12 - lam)).
+    """
+    d = cmath.sqrt(36.0 + lam * (12.0 - lam))
+    return (6.0 / d * (_pole_integral((lam - 12.0) / (6.0 + d))
+                       - _pole_integral((6.0 + d) / lam)) - 0.25 * math.pi) / lam
+
+
+@lru_cache(maxsize=None)
+def _window_constants() -> tuple[float, float, float]:
+    """(c2, h1, h2): h1 = h1(pi^2/4), h2 = dh1/dlam = int (g/(12 - lam g))^2
+    and the expansion's linear coefficient c2 = 2/pi + 2 h1."""
+    lam = 0.25 * math.pi ** 2
+    h1 = _window_integral(lam).real
+    return 2.0 / math.pi + 2.0 * h1, h1, _slope(_window_integral, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -286,38 +314,12 @@ def log_cos_closed_forms(a: float, regime: str) -> tuple[float, float]:
 
 @lru_cache(maxsize=None)
 def edge_sum_decay_coefficient() -> float:
-    """Limit of n times the edge row sum of the restricted decomposition.
+    """Limit beta3 = 4 I(pi^2/48) of n times the edge row sum.
 
-    With calA = sqrt(1 + (pi^2/12)(1 - pi^2/48)) and s = sqrt(1 + calA):
-
-      a8  = (pi/(2 sqrt 6)) (1/(calA s)) log((2 sqrt6 s + pi)/(2 sqrt6 s - pi))
-      a9  = (2 sqrt6/sqrt(48-pi^2)) (s/calA) atan(sqrt(48-pi^2)/(2 sqrt6 s))
-      a11 = (2 sqrt6/sqrt(48-pi^2)) (s/calA)
-
-    and the coefficient is 2 (a8 - 2 a9 + pi a11).
+    In the cascade at the edge row (``cascade_profile(1.0)``) it reads
+    2 (alpha8 - 2 alpha9 + pi alpha11).
     """
-    cal_a = math.sqrt(1.0 + (math.pi ** 2 / 12.0) * (1.0 - math.pi ** 2 / 48.0))
-    s = math.sqrt(1.0 + cal_a)
-    s6 = 2.0 * math.sqrt(6.0)
-    root = math.sqrt(48.0 - math.pi ** 2)
-    a8 = (math.pi / s6) * (1.0 / (cal_a * s)) * math.log((s6 * s + math.pi) / (s6 * s - math.pi))
-    a9 = (s6 / root) * (s / cal_a) * math.atan(root / (s6 * s))
-    a11 = (s6 / root) * (s / cal_a)
-    return 2.0 * (a8 - 2.0 * a9 + math.pi * a11)
-
-
-@lru_cache(maxsize=None)
-def _edge_integral_slope() -> float:
-    """I' = int_0^1 (1 + x^4) g^2, g = 1/(1 + x^2 - a0 (1 + x^4)), a0 = pi^2/48.
-
-    I' = dI/da at a0 for I(a) = int_0^1 g; the integrand is smooth.
-    """
-    a0 = math.pi ** 2 / 48.0
-
-    def g(x):
-        return 1.0 / (1.0 + x * x - a0 * (1.0 + x ** 4))
-
-    return integrate_1d(lambda x: (1.0 + x ** 4) * g(x) ** 2, 0.0, 1.0, tol=1e-14).value
+    return 4.0 * _edge_integral(math.pi ** 2 / 48.0).real
 
 
 def edge_sum_gap_limit(n0: int) -> float:
@@ -327,12 +329,12 @@ def edge_sum_gap_limit(n0: int) -> float:
     and a = a0 (1 - n0/n)^2, a0 = pi^2/48.  Euler-Maclaurin gives
     N r_edge = I(a) + (g(1) - g(0))/(2N) + O(N^-2); with n/N = 4/(1 - n0/n)
     and dI/da = I' this is n0 (4 I - 8 a0 I') - 4/(1 - a0), approached
-    like 1/n.  4 I is :func:`edge_sum_decay_coefficient`, taken in closed
-    form; only I' comes from quadrature.
+    like 1/n.  4 I is :func:`edge_sum_decay_coefficient` and I' the
+    complex-step slope of the same closed form.
     """
     _check_residue(n0)
     a0 = math.pi ** 2 / 48.0
-    return (n0 * (edge_sum_decay_coefficient() - 8.0 * a0 * _edge_integral_slope())
+    return (n0 * (edge_sum_decay_coefficient() - 8.0 * a0 * _slope(_edge_integral, a0))
             - 4.0 / (1.0 - a0))
 
 

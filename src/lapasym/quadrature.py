@@ -5,7 +5,8 @@ bisection.  On top of it sit the two restricted-region integrals of the
 lattice kernels f1 and f2 (reduced to one dimension by polar coordinates)
 and the pair of log-cosine integrals their asymptotics factor through.
 A small tensor-product 2-D rule is included purely as a cross-check oracle
-for moderate grid sizes.
+for moderate grid sizes.  :mod:`lapasym.asymptotics` imports nothing from
+here: its limit constants are closed forms that these integrals check.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Tests for the closed-form expansion module."""
+import ast
 import math
 
 import pytest
 
-from lapasym import decomposition, verify
+from lapasym import asymptotics, decomposition, verify
 from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
                                  axis_sum_expansion,
                                  edge_sum_decay_coefficient,
@@ -110,6 +111,8 @@ def test_clausen_term_matches_log_integral_route():
 
 
 def test_linear_coefficient_matches_log_integral_route():
+    # the expansion's c2 = 2/pi + 2 h1 against its mu/nu form and the
+    # log-cosine route to that form
     k = restricted_integral_constants()
     _, j12 = log_cos_closed_forms(k.nu, "gt1")
     _, j22 = log_cos_closed_forms((k.nu - 1.0) / (k.nu + 1.0), "in01")
@@ -120,6 +123,8 @@ def test_linear_coefficient_matches_log_integral_route():
         2.0 * r * math.atan(r)
         + math.log((math.sqrt(k.nu) + 1.0) / (math.sqrt(k.nu) - 1.0)) / math.sqrt(k.nu))
     assert direct == pytest.approx(via_route, abs=1e-12)
+    c2, _, _ = asymptotics._window_constants()
+    assert c2 == pytest.approx(direct, rel=4e-16)
 
 
 def test_linear_term_vanishes_mod_two():
@@ -178,6 +183,9 @@ def test_edge_decay_components():
     root = math.sqrt(48.0 - math.pi ** 2)
     a11 = (s6 / root) * (math.sqrt(1.0 + cal) / cal)
     assert row.alpha[11] == pytest.approx(a11, rel=1e-14)
+    # beta3 = 4 I(a0) is the cascade's log, arctan and 1/(A sqrt C) summands
+    cascade = 2.0 * (row.alpha[8] - 2.0 * row.alpha[9] + math.pi * row.alpha[11])
+    assert edge_sum_decay_coefficient() == pytest.approx(cascade, rel=1e-15)
 
 
 def test_edge_sum_decay_against_direct_sums():
@@ -247,11 +255,12 @@ def test_edge_sum_gap_limit_per_residue_class():
 
     i0 = mp.quad(g, [0, 1])
     i1 = mp.quad(lambda x: (1 + x ** 4) * g(x) ** 2, [0, 1])
-    assert edge_sum_decay_coefficient() == pytest.approx(float(4 * i0), rel=1e-14)
+    beta3 = edge_sum_decay_coefficient()
+    assert abs(mp.mpf(beta3) - 4 * i0) <= math.ulp(beta3)  # 0.38 ulp measured
     limits = [edge_sum_gap_limit(n0) for n0 in range(4)]
     for n0, got in enumerate(limits):
         want = n0 * (4 * i0 - 8 * a0 * i1) - 4 / (1 - a0)
-        assert abs(got - want) <= 1e-12, n0
+        assert abs(mp.mpf(got) - want) <= 5e-16, n0  # 3.2e-16 measured
     assert limits == pytest.approx([-5.035353, -2.953456, -0.871560, 1.210337], abs=1e-6)
     with pytest.raises(DomainError):
         edge_sum_gap_limit(4)
@@ -271,3 +280,48 @@ def test_edge_sum_gap_converges_to_limit(n0):
     assert dist[-1] <= 2e-3
     check = {r.name: r for r in verify.suite_asymptotics(max_n=100, n0=n0)}["edge_sum_decay"]
     assert check.passed and "limit" in check.detail, check.detail
+
+
+def test_window_constants_against_30_digit_reference():
+    # c2, Delta_inf(n0), I' and h2 from the partial-fraction closed forms
+    # and their complex-step slopes, against mpmath quadrature at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    lam = mp.pi ** 2 / 4
+
+    def ratio(t):
+        g = (mp.cos(t) ** 4 + mp.sin(t) ** 4) / mp.cos(t) ** 2
+        return g / (12 - lam * g)
+
+    h1 = mp.quad(ratio, [0, mp.pi / 4])
+    h2 = mp.quad(lambda t: ratio(t) ** 2, [0, mp.pi / 4])
+    a0 = mp.pi ** 2 / 48
+    i1 = mp.quad(lambda x: (1 + x ** 4) / (1 + x * x - a0 * (1 + x ** 4)) ** 2, [0, 1])
+
+    def ulps(got, want):
+        return float(abs(mp.mpf(got) - want)) / math.ulp(got)
+
+    c2, _, got_h2 = asymptotics._window_constants()
+    assert ulps(c2, 2 / mp.pi + 2 * h1) <= 2.0
+    for n0 in range(4):
+        want = mp.pi / 12 - mp.mpf(1) / 2 + (2 - n0) ** 2 * (h1 + mp.pi ** 2 / 2 * h2 - 1 / mp.pi)
+        assert ulps(restricted_integral_remainder_limit(n0), want) <= 2.0, n0
+    i_slope = asymptotics._slope(asymptotics._edge_integral, math.pi ** 2 / 48.0)
+    assert ulps(i_slope, i1) <= 1.0
+    assert abs(mp.mpf(got_h2) - h2) <= 1e-16
+
+
+def test_asymptotics_takes_no_quadrature():
+    # every limit constant comes from a closed form: the module imports
+    # nothing from lapasym.quadrature and names no integrate_1d
+    tree = ast.parse(open(asymptotics.__file__, encoding="utf-8").read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "quadrature" not in (node.module or ""), ast.dump(node)
+            assert all("quadrature" not in a.name for a in node.names), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all("quadrature" not in a.name for a in node.names), ast.dump(node)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            assert name != "integrate_1d", ast.dump(node)
