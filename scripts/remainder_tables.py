@@ -33,12 +33,23 @@ from lapasym.lattice_sum import quadrant_sum, restricted_sum_f2      # noqa: E40
 from lapasym.quadrature import integral_f2_restricted                 # noqa: E402
 
 
+def size_ladder(text):
+    """Comma-separated sizes, each an integer n >= 4 (the restricted window)."""
+    try:
+        sizes = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sizes must be integers, got {text!r}") from None
+    small = [n for n in sizes if n < 4]
+    if small:
+        raise argparse.ArgumentTypeError(f"sizes must be at least 4, got {small}")
+    return sizes
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="100,200,400,800,1600",
-                        help="comma-separated ladder (one residue class mod 4)")
-    args = parser.parse_args()
-    sizes = [int(tok) for tok in args.sizes.split(",")]
+    parser.add_argument("--sizes", type=size_ladder, default="100,200,400,800,1600",
+                        help="comma-separated ladder of n >= 4 (one residue class mod 4)")
+    sizes = parser.parse_args().sizes
 
     beta3 = edge_sum_decay_coefficient()
     tail_limit = exp_tail_limit()

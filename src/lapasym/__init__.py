@@ -10,8 +10,8 @@ identities, quadrature oracles and least-squares coefficient recovery.
 from .asymptotics import (ExpansionForm, axis_sum_expansion,
                           edge_sum_decay_coefficient, exp_tail_limit,
                           log_cos_closed_forms, model_for_lattice,
-                          restricted_integral_constants,
-                          restricted_integral_expansion, square_sum_form)
+                          restricted_integral_expansion,
+                          restricted_integral_lambda, square_sum_form)
 from .decomposition import (double_sum_via_digamma, euler_maclaurin,
                             factor_rows, piece_sums, profile_decomposition,
                             taylor_cascade)

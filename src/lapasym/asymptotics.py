@@ -21,12 +21,11 @@ from .specfun import CONSTANTS, clausen_cl2
 
 __all__ = [
     "ExpansionForm",
-    "RestrictedIntegralConstants",
     "square_sum_form",
     "triangular_sum_form",
     "union_jack_sum_form",
     "square_integral_form",
-    "restricted_integral_constants",
+    "restricted_integral_lambda",
     "restricted_integral_expansion",
     "restricted_integral_remainder_limit",
     "quartic_factor_params",
@@ -125,35 +124,20 @@ def model_for_lattice(name: str) -> ExpansionForm:
 # Restricted integral of the quartic kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RestrictedIntegralConstants:
-    """Constants of the restricted quartic-kernel integral expansion.
-
-    mu = sqrt(24^2 + 48 pi^2 - pi^4), nu = (mu + 24)/pi^2,
-    rho = nu - sqrt(nu^2 - 1), and ``clausen_term`` is the constant lambda
-    of the n^2 coefficient,
+@lru_cache(maxsize=None)
+def restricted_integral_lambda() -> float:
+    """The constant lambda of the restricted integral's n^2 coefficient,
 
         lambda = -J11(nu) - J21((nu-1)/(nu+1)) - pi log 2,
 
-    with J11 and J21 the Clausen closed forms of
-    :func:`log_cos_closed_forms`.
+    nu = (mu + 24)/pi^2, mu = sqrt(24^2 + 48 pi^2 - pi^4), with J11 and J21
+    the Clausen closed forms of :func:`log_cos_closed_forms`.
     """
-
-    mu: float
-    nu: float
-    rho: float
-    clausen_term: float
-
-
-@lru_cache(maxsize=None)
-def restricted_integral_constants() -> RestrictedIntegralConstants:
     mu = math.sqrt(24.0 ** 2 + 48.0 * math.pi ** 2 - math.pi ** 4)
     nu = (mu + 24.0) / math.pi ** 2
-    rho = nu - math.sqrt(nu * nu - 1.0)
     j11, _ = log_cos_closed_forms(nu, "gt1")
     j21, _ = log_cos_closed_forms((nu - 1.0) / (nu + 1.0), "in01")
-    lam = -j11 - j21 - math.pi * math.log(2.0)
-    return RestrictedIntegralConstants(mu=mu, nu=nu, rho=rho, clausen_term=lam)
+    return -j11 - j21 - math.pi * math.log(2.0)
 
 
 def quartic_factor_params(n: int) -> tuple[float, float]:
@@ -176,13 +160,13 @@ def restricted_integral_expansion(n: int) -> float:
     (2/pi) n^2 log n
     + (2/pi)((2G + lambda)/pi + log(2 sqrt 6 / pi)) n^2
     + c2 (2 - n0) n,
-    with lambda from :func:`restricted_integral_constants` and c2 = 2/pi + 2 h1.
+    with lambda from :func:`restricted_integral_lambda` and c2 = 2/pi + 2 h1.
     """
     n0 = GridGeometry.restricted(n).n0
-    k = restricted_integral_constants()
     g = CONSTANTS.catalan_G
+    lam = restricted_integral_lambda()
     c1 = (2.0 / math.pi) * (
-        (2.0 * g + k.clausen_term) / math.pi + math.log(2.0 * math.sqrt(6.0) / math.pi)
+        (2.0 * g + lam) / math.pi + math.log(2.0 * math.sqrt(6.0) / math.pi)
     )
     c2, _, _ = _window_constants()
     return ((2.0 / math.pi) * math.log(n) + c1) * n * n + c2 * (2.0 - n0) * n

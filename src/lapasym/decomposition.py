@@ -28,7 +28,9 @@ down, and whose summands this module also expands to second order in the
 residue shift 1/N0 (the coefficient cascade).
 
 The row functions are O(N) and share one n >= 4 guard,
-:meth:`lapasym.lattice_sum.GridGeometry.restricted`.  :func:`piece_sums`
+:meth:`lapasym.lattice_sum.GridGeometry.restricted`.  :func:`factor_rows`
+is the one place that forms u, A, B and C, and it asserts their
+bracketing bounds on every call.  :func:`piece_sums` reads those rows,
 sums the six families directly over k = 1..N and takes the quadrant
 double sum through the exact chain above (:func:`double_sum_via_digamma`).
 :func:`lapasym.lattice_sum.quadrant_sum` gets the same double sum by an
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .quadrature import integrate_1d
 from .specfun import BERNOULLI, digamma_array, periodic_bernoulli
 
 __all__ = [
-    "PartialFractionRow",
+    "FactorRows",
     "CascadeRow",
     "PieceSums",
     "ProfileDecomposition",
@@ -59,7 +61,6 @@ __all__ = [
     "double_sum_via_digamma",
     "taylor_cascade",
     "cascade_profile",
-    "invsqrt_profile",
     "euler_maclaurin",
     "profile_decomposition",
 ]
@@ -69,27 +70,29 @@ __all__ = [
 # Per-row factorization quantities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialFractionRow:
-    """Quartic factorization data for one quadrant row k (1 <= k <= N)."""
+class FactorRows(NamedTuple):
+    """Quartic factorization data for the quadrant rows k = 1..N, as arrays."""
 
-    k: int
-    A: float         # sqrt(1 + 4 a b_k)
-    B: float         # (1 + A) / (2a): square of the real root pair
-    C: float         # (A - 1) / (2a): square of the imaginary root pair
+    u: np.ndarray    # u_k = k^2 - a k^4, the row formula of quartic_rows
+    A: np.ndarray    # sqrt(1 + 4 a u_k)
+    B: np.ndarray    # (1 + A) / (2a): square of the real root pair
+    C: np.ndarray    # (A - 1) / (2a): square of the imaginary root pair
 
 
-def _abc(n: int):
-    """b, A, B and C for the rows k = 1..N, with b_k the row formula u_k."""
-    b = quartic_rows(n)
+def factor_rows(n: int) -> FactorRows:
+    """All rows k = 1..N, with their bracketing bounds asserted.
+
+    A violated bound means an implementation bug and raises
+    ConsistencyError; every route that reads A, B or C takes them from here.
+    """
+    u = quartic_rows(n)
+    N = len(u)
     c = math.pi ** 2 / (3.0 * n * n)
-    A = np.sqrt(1.0 + 4.0 * c * b)
-    # C = (A - 1)/(2c) cancels for small k (A - 1 ~ 2 c k^2); 2b/(1 + A) does not
-    return b, A, (1.0 + A) / (2.0 * c), 2.0 * b / (1.0 + A)
-
-
-def _check_bounds(n: int, N: int, k: np.ndarray, A, B, C):
-    """Factor-row bracketing bounds; a violation means an implementation bug."""
+    A = np.sqrt(1.0 + 4.0 * c * u)
+    B = (1.0 + A) / (2.0 * c)
+    # C = (A - 1)/(2c) cancels for small k (A - 1 ~ 2 c k^2); 2u/(1 + A) does not
+    C = 2.0 * u / (1.0 + A)
+    k = np.arange(1, N + 1, dtype=np.float64)
     sB = np.sqrt(B)
     ok = (
         np.all((1.0 < A) & (A < 1.3))
@@ -99,20 +102,7 @@ def _check_bounds(n: int, N: int, k: np.ndarray, A, B, C):
     )
     if not ok:
         raise ConsistencyError(f"factor-row bounds violated at n = {n}")
-
-
-def factor_rows(n: int) -> list[PartialFractionRow]:
-    """All rows k = 1..N with their bracketing bounds asserted."""
-    geom = GridGeometry.restricted(n)
-    k = np.arange(1, geom.N + 1, dtype=np.float64)
-    _, A, B, C = _abc(n)
-    _check_bounds(n, geom.N, k, A, B, C)
-    rows = []
-    for i in range(geom.N):
-        rows.append(PartialFractionRow(
-            k=i + 1, A=float(A[i]), B=float(B[i]), C=float(C[i]),
-        ))
-    return rows
+    return FactorRows(u, A, B, C)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +161,16 @@ def piece_sums(n: int) -> PieceSums:
     """
     geom = GridGeometry.restricted(n)  # before any 1/N
     N = geom.N
-    b, A, B, C = _abc(n)
+    rows = factor_rows(n)
+    u, A, B, C = rows
     sB = np.sqrt(B)
     sC = np.sqrt(C)
     ratio = N / sB
     r_log = float(np.sum((1.0 / N) * (1.0 / A) * ratio * np.log((1.0 + ratio) / (1.0 - ratio))))
     rc = sC / N
     r_atan = float(np.sum((1.0 / N) * (1.0 / A) * np.arctan(rc) / rc))
-    q_axis = float(np.sum(1.0 / b))
-    r_edge = float(np.sum(1.0 / (b + b[-1])))
+    q_axis = float(np.sum(1.0 / u))
+    r_edge = float(np.sum(1.0 / (u + u[-1])))
     r_sqrt = float(np.sum(1.0 / (A * sC)))
     # e^(-2 pi sqrt C) decays like e^(-pi k); cut once terms are below 1e-18
     cut = int(np.searchsorted(2.0 * math.pi * sC, 42.0)) + 1
@@ -187,7 +178,7 @@ def piece_sums(n: int) -> PieceSums:
     r_exp = float(np.sum((1.0 / (A[:cut] * sC[:cut])) * e / (1.0 - e)))
     return PieceSums(
         r_log=r_log, r_atan=r_atan, r_edge=r_edge, r_sqrt=r_sqrt, r_exp=r_exp,
-        q_axis=q_axis, r_double=_route_sum(n, A, B, C), n=n, N=N, n0=geom.n0,
+        q_axis=q_axis, r_double=_route_sum(n, rows), n=n, N=N, n0=geom.n0,
     )
 
 
@@ -204,12 +195,12 @@ def double_sum_via_digamma(n: int) -> float:
     real number, and the stray real part is asserted below 1e-12.  All
     rows k = 1..N are evaluated as arrays and combined by math.fsum.
     """
-    _, A, B, C = _abc(n)
-    return _route_sum(n, A, B, C)
+    return _route_sum(n, factor_rows(n))
 
 
-def _route_sum(n: int, A, B, C) -> float:
-    """:func:`double_sum_via_digamma` from the factor rows of :func:`_abc`."""
+def _route_sum(n: int, rows: FactorRows) -> float:
+    """:func:`double_sum_via_digamma` from the rows of :func:`factor_rows`."""
+    _, A, B, C = rows
     N = len(A)
     sB = np.sqrt(B)
     sC = np.sqrt(C)
@@ -357,12 +348,6 @@ def taylor_cascade(n: int, k: int) -> CascadeRow:
     if not 1 <= k <= geom.N:
         raise DomainError(f"row index must satisfy 1 <= k <= {geom.N}, got {k}")
     return cascade_profile(k / geom.N)
-
-
-def invsqrt_profile(x: float) -> float:
-    """alpha_11 as a smooth function of x = k/N (even, analytic near 0)."""
-    row = cascade_profile(x)
-    return row.alpha[11]
 
 
 # ---------------------------------------------------------------------------

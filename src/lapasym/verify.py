@@ -228,10 +228,10 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
                           f"E_{top} = {e:.4f}, window [{lo}, {hi}]"))
 
     sizes = [n - (n - n0) % 4 for n in (200, 400, 800)]  # keep the requested residue class
-    dvals = []
-    for n in sizes:
-        dvals.append(decomposition.piece_sums(n).assembled()
-                     - restricted_sum_f2(n).value)
+    axis_sizes = [n - (n - n0) % 4 for n in (100, 200, 400)]
+    pieces = {n: decomposition.piece_sums(n)
+              for n in sorted({*sizes, *axis_sizes, 100, 200})}
+    dvals = [pieces[n].assembled() - restricted_sum_f2(n).value for n in sizes]
     spread = max(dvals) - min(dvals)
     out.append(_check("assembly_remainder",
                       max(abs(d) for d in dvals) <= 5.0 and spread <= 0.05,
@@ -248,14 +248,12 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
                       f"Delta = {['%.4f' % d for d in deltas]} at n = {sizes}, {detail}"))
 
     lim = asymptotics.exp_tail_limit()
-    e100 = abs(decomposition.piece_sums(100).r_exp - lim)
-    e200 = abs(decomposition.piece_sums(200).r_exp - lim)
+    e100 = abs(pieces[100].r_exp - lim)
+    e200 = abs(pieces[200].r_exp - lim)
     out.append(_check("exp_tail_limit", e100 <= 1e-3 and e200 <= 0.35 * e100,
                       f"errors {e100:.3e} (n=100), {e200:.3e} (n=200)"))
 
-    axis_sizes = [n - (n - n0) % 4 for n in (100, 200, 400)]
-    qgaps = [n * n * (decomposition.piece_sums(n).q_axis
-                      - asymptotics.axis_sum_expansion(n))
+    qgaps = [n * n * (pieces[n].q_axis - asymptotics.axis_sum_expansion(n))
              for n in axis_sizes]
     dist, detail = _distances(qgaps, asymptotics.axis_gap_limit(n0))
     out.append(_check("axis_sum_remainder", _non_increasing(dist) and dist[-1] <= 0.05,
@@ -263,7 +261,7 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
                       f"{detail}"))
 
     beta3 = asymptotics.edge_sum_decay_coefficient()
-    egaps = [n * (n * decomposition.piece_sums(n).r_edge - beta3) for n in sizes]
+    egaps = [n * (n * pieces[n].r_edge - beta3) for n in sizes]
     dist, detail = _distances(egaps, asymptotics.edge_sum_gap_limit(n0))
     out.append(_check("edge_sum_decay", _non_increasing(dist) and dist[-1] <= 0.02,
                       f"n (n r_edge - coeff) = {['%.4f' % g for g in egaps]} "

@@ -11,8 +11,8 @@ from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
                                  edge_sum_gap_limit, exp_tail_limit,
                                  log_cos_closed_forms,
                                  model_for_lattice, quartic_factor_params,
-                                 restricted_integral_constants,
                                  restricted_integral_expansion,
+                                 restricted_integral_lambda,
                                  restricted_integral_remainder_limit,
                                  square_integral_form, square_sum_form,
                                  triangular_sum_form,
@@ -77,51 +77,55 @@ def test_models_monotone_from_three(form):
 # Restricted-integral expansion
 # ---------------------------------------------------------------------------
 
+# the factorization constants of the angular quartic, by their definitions
+MU = math.sqrt(24.0 ** 2 + 48.0 * math.pi ** 2 - math.pi ** 4)
+NU = (MU + 24.0) / math.pi ** 2
+RHO = NU - math.sqrt(NU * NU - 1.0)
+
+
 def test_factorization_constant_windows():
-    k = restricted_integral_constants()
-    assert 30.85 < k.mu < 30.87
-    assert 5.55 < k.nu < 5.57
-    assert 0.08 < k.rho < 0.10
-    assert k.mu == pytest.approx(
-        math.sqrt(24.0 ** 2 + 48.0 * math.pi ** 2 - math.pi ** 4), rel=1e-15)
+    assert 30.85 < MU < 30.87
+    assert 5.55 < NU < 5.57
+    assert 0.08 < RHO < 0.10
+    j11, _ = log_cos_closed_forms(NU, "gt1")
+    j21, _ = log_cos_closed_forms((NU - 1.0) / (NU + 1.0), "in01")
+    assert restricted_integral_lambda() == -j11 - j21 - math.pi * math.log(2.0)
+    assert -5.09 < restricted_integral_lambda() < -5.07
 
 
 def test_quartic_factor_params_limits():
     # 2u - 1 -> nu and 1 - 1/u -> (nu-1)/(nu+1) as n grows
-    k = restricted_integral_constants()
     _, u = quartic_factor_params(10 ** 6)
-    assert abs(2.0 * u - 1.0 - k.nu) <= 1e-4
-    assert abs(1.0 - 1.0 / u - (k.nu - 1.0) / (k.nu + 1.0)) <= 1e-4
+    assert abs(2.0 * u - 1.0 - NU) <= 1e-4
+    assert abs(1.0 - 1.0 / u - (NU - 1.0) / (NU + 1.0)) <= 1e-4
 
 
 def test_clausen_term_matches_log_integral_route():
     # lambda = -J11(nu) - J21((nu-1)/(nu+1)) - pi log 2 against the
     # five-term Clausen/log combination written out
-    k = restricted_integral_constants()
-    t = math.atan(k.rho)
-    phi = math.acos((k.nu - 1.0) / (k.nu + 1.0))
+    t = math.atan(RHO)
+    phi = math.acos((NU - 1.0) / (NU + 1.0))
     five_terms = (
         clausen_cl2(2.0 * t)
         - clausen_cl2(math.pi + 2.0 * t)
-        + (0.5 * math.pi + 2.0 * t) * math.log(k.rho)
+        + (0.5 * math.pi + 2.0 * t) * math.log(RHO)
         - clausen_cl2(0.5 * math.pi + phi)
         - clausen_cl2(0.5 * math.pi - phi)
     )
-    assert k.clausen_term == pytest.approx(five_terms, abs=1e-12)
+    assert restricted_integral_lambda() == pytest.approx(five_terms, abs=1e-12)
 
 
 def test_linear_coefficient_matches_log_integral_route():
     # the expansion's c2 = 2/pi + 2 h1 against its mu/nu form and the
     # log-cosine route to that form
-    k = restricted_integral_constants()
-    _, j12 = log_cos_closed_forms(k.nu, "gt1")
-    _, j22 = log_cos_closed_forms((k.nu - 1.0) / (k.nu + 1.0), "in01")
-    via_route = (96.0 / (math.pi ** 2 * k.mu)) * (
-        (k.nu + 1.0) * j12 + 2.0 / (k.nu + 1.0) * j22)
-    r = math.sqrt((k.nu + 1.0) / (k.nu - 1.0))
-    direct = (96.0 / (math.pi ** 2 * k.mu)) * (
+    _, j12 = log_cos_closed_forms(NU, "gt1")
+    _, j22 = log_cos_closed_forms((NU - 1.0) / (NU + 1.0), "in01")
+    via_route = (96.0 / (math.pi ** 2 * MU)) * (
+        (NU + 1.0) * j12 + 2.0 / (NU + 1.0) * j22)
+    r = math.sqrt((NU + 1.0) / (NU - 1.0))
+    direct = (96.0 / (math.pi ** 2 * MU)) * (
         2.0 * r * math.atan(r)
-        + math.log((math.sqrt(k.nu) + 1.0) / (math.sqrt(k.nu) - 1.0)) / math.sqrt(k.nu))
+        + math.log((math.sqrt(NU) + 1.0) / (math.sqrt(NU) - 1.0)) / math.sqrt(NU))
     assert direct == pytest.approx(via_route, abs=1e-12)
     c2, _, _ = asymptotics._window_constants()
     assert c2 == pytest.approx(direct, rel=4e-16)
@@ -163,8 +167,7 @@ def test_regime_validation():
 
 
 def test_inside_closed_form_at_factorization_point():
-    k = restricted_integral_constants()
-    a = (k.nu - 1.0) / (k.nu + 1.0)
+    a = (NU - 1.0) / (NU + 1.0)
     j21, _ = log_cos_closed_forms(a, "in01")
     quad = integrate_1d(lambda t: math.log(math.cos(t) + a), 0.0, math.pi / 2).value
     assert j21 == pytest.approx(quad, abs=1e-9)

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from lapasym import lattice_sum
+from lapasym import decomposition, lattice_sum
 from lapasym.asymptotics import exp_tail_limit
 from lapasym.decomposition import (cascade_profile, double_sum_via_digamma,
-                                   euler_maclaurin, factor_rows,
-                                   invsqrt_profile, piece_sums, profile_decomposition,
-                                   taylor_cascade)
-from lapasym.exceptions import DomainError
+                                   euler_maclaurin, factor_rows, piece_sums,
+                                   profile_decomposition, taylor_cascade)
+from lapasym.exceptions import ConsistencyError, DomainError
 from lapasym.lattice_sum import quadrant_sum, quartic_rows, restricted_sum_f2
 
 _LOWER = np.tri(64, dtype=bool)  # a block's k <= j corner
@@ -37,10 +36,10 @@ def direct_double_sum(n):
 
 
 def invsqrt_profile_reduced(x):
-    """(invsqrt_profile(x) - 1)/x, extended by continuity to 0 at x = 0."""
+    """(alpha_11(x) - 1)/x, extended by continuity to 0 at x = 0."""
     if x == 0.0:
         return 0.0
-    return (invsqrt_profile(x) - 1.0) / x
+    return (cascade_profile(x).alpha[11] - 1.0) / x
 
 
 # ---------------------------------------------------------------------------
@@ -49,25 +48,26 @@ def invsqrt_profile_reduced(x):
 
 def test_factor_row_smallest_grid():
     rows = factor_rows(4)
-    assert len(rows) == 1
+    assert all(len(field) == 1 for field in rows)
+    assert rows.u[0] == 1.0 - math.pi ** 2 / 48.0
     expected = math.sqrt(1.0 + (math.pi ** 2 / 12.0) * (1.0 - math.pi ** 2 / 48.0))
-    assert rows[0].A == pytest.approx(expected, abs=1e-5)
+    assert rows.A[0] == pytest.approx(expected, abs=1e-5)
     # n = 4 has n0 = 0, so A equals its n0 = 0 value calA
-    assert rows[0].A == pytest.approx(taylor_cascade(4, 1).cal_A, rel=1e-15)
+    assert rows.A[0] == pytest.approx(taylor_cascade(4, 1).cal_A, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [5, 12, 37, 100])
 def test_factor_row_discriminant_identity(n):
     # A^2 - 1 == (4 pi^2 k^2 / 3 n^2)(1 - pi^2 k^2 / 3 n^2)
-    for row in factor_rows(n):
-        c = math.pi ** 2 / (3.0 * n * n)
-        rhs = 4.0 * c * row.k ** 2 * (1.0 - c * row.k ** 2)
-        assert row.A ** 2 - 1.0 == pytest.approx(rhs, abs=1e-13)
+    c = math.pi ** 2 / (3.0 * n * n)
+    for k, A in enumerate(factor_rows(n).A.tolist(), start=1):
+        rhs = 4.0 * c * k ** 2 * (1.0 - c * k ** 2)
+        assert A ** 2 - 1.0 == pytest.approx(rhs, abs=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64, 256])
 def test_scaled_row_fraction_below_half(n):
-    a = [taylor_cascade(n, r.k).a for r in factor_rows(n)]
+    a = [taylor_cascade(n, k).a for k in range(1, len(factor_rows(n).A) + 1)]
     assert all(0.0 < a_k <= math.pi / (4.0 * math.sqrt(3.0)) for a_k in a)
     assert a[-1] < 0.5
 
@@ -81,14 +81,26 @@ def test_factor_row_bounds_hold(n):
 def test_imag_root_identity(n):
     # C == (2/(1+A)) k^2 (1 - pi^2 k^2 / 3 n^2)
     c = math.pi ** 2 / (3.0 * n * n)
-    for row in factor_rows(n):
-        rhs = (2.0 / (1.0 + row.A)) * row.k ** 2 * (1.0 - c * row.k ** 2)
-        assert row.C == pytest.approx(rhs, rel=1e-12)
+    rows = factor_rows(n)
+    for k, (A, C) in enumerate(zip(rows.A.tolist(), rows.C.tolist()), start=1):
+        rhs = (2.0 / (1.0 + A)) * k ** 2 * (1.0 - c * k ** 2)
+        assert C == pytest.approx(rhs, rel=1e-12)
 
 
 def test_factor_rows_reject_tiny_n():
     with pytest.raises(DomainError):
         factor_rows(3)
+
+
+@pytest.mark.parametrize("route", [piece_sums, double_sum_via_digamma])
+def test_routes_check_the_factor_row_bounds(monkeypatch, route):
+    # rows formed from 10 u break C <= k^2; every route that reads them must say so
+    def scaled(n):
+        return 10.0 * lattice_sum.quartic_rows(n)
+
+    monkeypatch.setattr(decomposition, "quartic_rows", scaled)
+    with pytest.raises(ConsistencyError, match="factor-row bounds violated at n = 100"):
+        route(100)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +160,7 @@ def test_piece_sums_double_sum_matches_direct(n):
 
 
 def test_piece_sums_families_unchanged():
-    # the five direct row families, written out without _abc: bit for bit
+    # the five direct row families, written out without factor_rows: bit for bit
     n = 517
     N = n // 4
     c = math.pi ** 2 / (3.0 * n * n)
@@ -232,10 +244,10 @@ def test_imag_root_square_against_40_digit_reference():
     mp.dps = 40
     for n in (100, 15938, 31872):
         a = mp.pi ** 2 / (3 * mp.mpf(n) ** 2)
-        for row in factor_rows(n)[:5]:
-            b = row.k ** 2 - a * row.k ** 4
+        for k, C in enumerate(factor_rows(n).C[:5].tolist(), start=1):
+            b = k ** 2 - a * k ** 4
             want = 2 * b / (1 + mp.sqrt(1 + 4 * a * b))
-            assert abs(mp.mpf(row.C) / want - 1) <= 1e-15, (n, row.k)
+            assert abs(mp.mpf(C) / want - 1) <= 1e-15, (n, k)
 
 
 def test_assembly_remainder_steady_across_residue_classes():
@@ -294,14 +306,13 @@ def test_cascade_summand_reconstruction_residue_zero():
     # for n = 0 mod 4 the shift vanishes and the stage 8 profile equals the
     # log summand exactly (up to rounding)
     n, k = 40, 3
-    rows = factor_rows(n)
-    r = rows[k - 1]
-    sB = math.sqrt(r.B)
+    _, A, B, C = (float(field[k - 1]) for field in factor_rows(n))
+    sB = math.sqrt(B)
     N = 10
-    direct = (1.0 / r.A) * (N / sB) * math.log((1.0 + N / sB) / (1.0 - N / sB))
+    direct = (1.0 / A) * (N / sB) * math.log((1.0 + N / sB) / (1.0 - N / sB))
     assert abs(direct - taylor_cascade(n, k).alpha[8]) <= 1e-12
-    arc = math.atan(math.sqrt(r.C) / N) / (math.sqrt(r.C) / N)
-    assert abs((1.0 / r.A) * arc - taylor_cascade(n, k).alpha[9]) <= 1e-12
+    arc = math.atan(math.sqrt(C) / N) / (math.sqrt(C) / N)
+    assert abs((1.0 / A) * arc - taylor_cascade(n, k).alpha[9]) <= 1e-12
 
 
 def test_cascade_beta6_display():
@@ -320,7 +331,7 @@ def test_invsqrt_profile_taylor_head():
     x = 0.1
     head = 1.0 - math.pi ** 2 / 48.0 * x * x \
         + 11.0 * math.pi ** 4 / 4608.0 * x ** 4
-    assert invsqrt_profile(x) == pytest.approx(head, abs=1e-5)
+    assert cascade_profile(x).alpha[11] == pytest.approx(head, abs=1e-5)
     assert invsqrt_profile_reduced(0.0) == 0.0
     assert invsqrt_profile_reduced(1e-8) == pytest.approx(0.0, abs=1e-8)
 

@@ -23,6 +23,16 @@ def test_remainder_tables_script():
     assert all(float(row.split()[-1]) <= 1e-14 for row in rows)  # route gap
 
 
+@pytest.mark.parametrize("sizes", ["3", "1x0"])
+def test_remainder_tables_rejects_bad_sizes(sizes):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "remainder_tables.py"), "--sizes", sizes],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage:") and "argument --sizes" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_figure1_errors_script(tmp_path, monkeypatch):
     # in-process: the script itself puts the checkout's src first on sys.path
     monkeypatch.setattr(sys, "path", list(sys.path))

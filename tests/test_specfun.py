@@ -112,13 +112,18 @@ def test_clausen_odd_and_periodic(theta):
 
 
 def test_clausen_against_20_digit_reference():
-    # both series, the 2 pi/3 split between them and the end points; a
-    # 20-digit reference is off by about 1e-20, far inside the bound
+    # both series over [0, pi], densely near 0, on both sides of the 2 pi/3
+    # split and just below pi, plus the end points; a 20-digit reference is
+    # off by about 1e-20, far inside the bound
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 20
-    x = np.random.default_rng(20261019).uniform(0.0, math.pi, 20000).tolist()
-    x += [0.0, 2.0 * math.pi / 3.0, math.pi - 1e-12, math.pi]
+    split = 2.0 * math.pi / 3.0
+    x = np.random.default_rng(20261019).uniform(0.0, math.pi, 2000).tolist()
+    x += np.geomspace(1e-12, 1e-3, 100).tolist()
+    x += (split + np.linspace(-1e-3, 1e-3, 101)).tolist()
+    x += (math.pi - np.geomspace(1e-12, 1e-3, 100)).tolist()
+    x += [0.0, split, math.pi]
     worst = max(float(abs(mp.mpf(clausen_cl2(t)) - mp.clsin(2, t))) for t in x)
     assert worst <= 4e-16
 
