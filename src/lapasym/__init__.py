@@ -11,7 +11,7 @@ from .asymptotics import (ExpansionForm, axis_sum_expansion,
                           edge_sum_decay_coefficient, exp_tail_limit,
                           log_cos_closed_forms, model_for_lattice,
                           restricted_integral_expansion,
-                          restricted_integral_lambda, square_sum_form)
+                          restricted_integral_lambda)
 from .decomposition import (double_sum_via_digamma, euler_maclaurin,
                             factor_rows, piece_sums, profile_decomposition,
                             taylor_cascade)

@@ -1,11 +1,12 @@
 """Closed-form asymptotic expansions of the lattice sums and integrals.
 
-Every expansion is of the shape c0 n^2 log n + c1 n^2 + c2 n + c3 with an
-O(1) (or better) remainder; the coefficients are exact combinations of
-Catalan's constant, Euler's constant, Gamma values, and Clausen-function
-terms.  All constants are drawn from :data:`lapasym.specfun.CONSTANTS` so
-the whole module shares one source of truth; the restricted-window limit
-constants are partial-fraction closed forms, with no quadrature.
+The full-window models are two-term, c0 n^2 log n + c1 n^2 with an O(1)
+remainder; only :func:`restricted_integral_expansion` adds a c2 n term.
+The coefficients are exact combinations of Catalan's constant, Euler's
+constant, Gamma values, and Clausen-function terms.  All constants are
+drawn from :data:`lapasym.specfun.CONSTANTS` so the whole module shares
+one source of truth; the restricted-window limit constants are
+partial-fraction closed forms, with no quadrature.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .specfun import CONSTANTS, clausen_cl2
 
 __all__ = [
     "ExpansionForm",
-    "square_sum_form",
-    "triangular_sum_form",
-    "union_jack_sum_form",
     "square_integral_form",
     "restricted_integral_lambda",
     "restricted_integral_expansion",
@@ -42,52 +40,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExpansionForm:
-    """Coefficients of c0 n^2 log n + c1 n^2 + c2 n + c3."""
+    """Coefficients of the two-term model c0 n^2 log n + c1 n^2."""
 
     c0: float
     c1: float
-    c2: float = 0.0
-    c3: float = 0.0
-    label: str = ""
 
     def evaluate(self, n: int | float) -> float:
-        return ((self.c0 * math.log(n) + self.c1) * n + self.c2) * n + self.c3
+        return (self.c0 * math.log(n) + self.c1) * n * n
 
 
 # ---------------------------------------------------------------------------
 # Full-window sums, one form per built-in lattice
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def square_sum_form() -> ExpansionForm:
-    """(2/pi) n^2 log n + (2/pi)(gamma + log(4 sqrt(2 pi) / Gamma(1/4)^2)) n^2."""
-    c = CONSTANTS
-    c1 = (2.0 / math.pi) * (
-        c.euler_gamma + math.log(4.0 * math.sqrt(2.0 * math.pi) / c.gamma_quarter ** 2)
-    )
-    return ExpansionForm(2.0 / math.pi, c1, label="square")
+def _sum_form(c0: float, k: float) -> ExpansionForm:
+    """c0 n^2 log n + c0 (gamma + log k) n^2."""
+    return ExpansionForm(c0, c0 * (CONSTANTS.euler_gamma + math.log(k)))
 
 
-@lru_cache(maxsize=None)
-def triangular_sum_form() -> ExpansionForm:
-    """(sqrt 3/pi) n^2 log n + (sqrt 3/pi)(gamma + log(4 pi 3^(1/4) / Gamma(1/3)^3)) n^2."""
-    c = CONSTANTS
-    lead = math.sqrt(3.0) / math.pi
-    c1 = lead * (
-        c.euler_gamma + math.log(4.0 * math.pi * 3.0 ** 0.25 / c.gamma_third ** 3)
-    )
-    return ExpansionForm(lead, c1, label="triangular")
+MODEL_FORMS = {
+    # (2/pi) n^2 log n + (2/pi)(gamma + log(4 sqrt(2 pi) / Gamma(1/4)^2)) n^2
+    "square": _sum_form(
+        2.0 / math.pi,
+        4.0 * math.sqrt(2.0 * math.pi) / CONSTANTS.gamma_quarter ** 2),
+    # (sqrt 3/pi) n^2 log n + (sqrt 3/pi)(gamma + log(4 pi 3^(1/4) / Gamma(1/3)^3)) n^2
+    "triangular": _sum_form(
+        math.sqrt(3.0) / math.pi,
+        4.0 * math.pi * 3.0 ** 0.25 / CONSTANTS.gamma_third ** 3),
+    # (4/3pi) n^2 log n + (4/3pi)(gamma + log(4 sqrt(6 pi) / Gamma(1/4)^2)) n^2
+    "modified_union_jack": _sum_form(
+        4.0 / (3.0 * math.pi),
+        4.0 * math.sqrt(6.0 * math.pi) / CONSTANTS.gamma_quarter ** 2),
+}
 
 
-@lru_cache(maxsize=None)
-def union_jack_sum_form() -> ExpansionForm:
-    """(4/3pi) n^2 log n + (4/3pi)(gamma + log(4 sqrt(6 pi) / Gamma(1/4)^2)) n^2."""
-    c = CONSTANTS
-    lead = 4.0 / (3.0 * math.pi)
-    c1 = lead * (
-        c.euler_gamma + math.log(4.0 * math.sqrt(6.0 * math.pi) / c.gamma_quarter ** 2)
-    )
-    return ExpansionForm(lead, c1, label="modified_union_jack")
+def model_for_lattice(name: str) -> ExpansionForm:
+    try:
+        return MODEL_FORMS[name]
+    except KeyError:
+        raise DomainError(
+            f"no expansion model for lattice {name!r}; "
+            f"known: {sorted(MODEL_FORMS)}"
+        ) from None
 
 
 @lru_cache(maxsize=None)
@@ -100,24 +94,7 @@ def square_integral_form() -> ExpansionForm:
     c1 = (1.0 / math.pi) * (
         math.log(8.0 / (math.pi * math.pi)) + 4.0 * c.catalan_G / math.pi
     )
-    return ExpansionForm(2.0 / math.pi, c1, label="square_integral")
-
-
-MODEL_FORMS = {
-    "square": square_sum_form,
-    "triangular": triangular_sum_form,
-    "modified_union_jack": union_jack_sum_form,
-}
-
-
-def model_for_lattice(name: str) -> ExpansionForm:
-    try:
-        return MODEL_FORMS[name]()
-    except KeyError:
-        raise DomainError(
-            f"no expansion model for lattice {name!r}; "
-            f"known: {sorted(MODEL_FORMS)}"
-        ) from None
+    return ExpansionForm(2.0 / math.pi, c1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +307,8 @@ def exp_tail_limit() -> float:
     series of 1/(q;q)_inf at q = exp(-2 pi) through the Dedekind eta value
     eta(i) = Gamma(1/4)/(2 pi^(3/4)).
     """
-    c = CONSTANTS
-    return math.log(2.0 * c.pi_three_quarters) - math.pi / 12.0 - math.log(c.gamma_quarter)
+    return (math.log(2.0 * math.pi ** 0.75) - math.pi / 12.0
+            - math.log(CONSTANTS.gamma_quarter))
 
 
 def axis_sum_expansion(n: int) -> float:

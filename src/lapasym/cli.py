@@ -15,6 +15,7 @@ significant digits so CSV output round-trips binary64.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -110,6 +111,8 @@ def config_from_argv(argv) -> RunConfig:
         except ValueError:
             raise DomainError(f"--n-list must be comma-separated integers, "
                               f"got {fields['n_list']!r}") from None
+        if not fields["n_list"]:  # () would read as "not given"
+            raise DomainError("--n-list names no size")
     return RunConfig(**fields)
 
 
@@ -207,15 +210,10 @@ def cmd_errors(cfg: RunConfig, out=None) -> int:
         top = sorted(requested, key=lambda r: r.n)[-decile:]
         summaries.append((name, sum(r.error for r in top) / len(top)))
 
-    header = ["lattice", "n", "F_n", "model", "E_n"]
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(out)
-        writer.writerow(header)
+    sink = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(out)
+    with sink as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lattice", "n", "F_n", "model", "E_n"])
         writer.writerows(rows)
 
     if cfg.plot:
@@ -239,16 +237,13 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
+_COMMANDS = {"sum": cmd_sum, "errors": cmd_errors, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
     try:
         cfg = config_from_argv(argv if argv is not None else sys.argv[1:])
-        if cfg.subcommand == "sum":
-            return cmd_sum(cfg)
-        if cfg.subcommand == "errors":
-            return cmd_errors(cfg)
-        if cfg.subcommand == "verify":
-            return cmd_verify(cfg)
-        raise DomainError(f"unknown subcommand {cfg.subcommand!r}")
+        return _COMMANDS[cfg.subcommand](cfg)
     except SystemExit as exc:  # argparse reports config errors with code 2
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (SingularityError, ConvergenceError, ConsistencyError, FitError,

@@ -139,8 +139,6 @@ class PieceSums:
     q_axis: float
     r_double: float
     n: int
-    N: int
-    n0: int
 
     def assembled(self) -> float:
         """Six-piece assembly of the restricted f2 sum, up to its O(1) remainder."""
@@ -159,8 +157,7 @@ def piece_sums(n: int) -> PieceSums:
     :func:`lapasym.lattice_sum.quadrant_sum` is the independent check of
     that route.
     """
-    geom = GridGeometry.restricted(n)  # before any 1/N
-    N = geom.N
+    N = GridGeometry.restricted(n).N  # before any 1/N
     rows = factor_rows(n)
     u, A, B, C = rows
     sB = np.sqrt(B)
@@ -178,7 +175,7 @@ def piece_sums(n: int) -> PieceSums:
     r_exp = float(np.sum((1.0 / (A[:cut] * sC[:cut])) * e / (1.0 - e)))
     return PieceSums(
         r_log=r_log, r_atan=r_atan, r_edge=r_edge, r_sqrt=r_sqrt, r_exp=r_exp,
-        q_axis=q_axis, r_double=_route_sum(n, rows), n=n, N=N, n0=geom.n0,
+        q_axis=q_axis, r_double=_route_sum(rows), n=n,
     )
 
 
@@ -191,14 +188,16 @@ def double_sum_via_digamma(n: int) -> float:
 
     No asymptotic truncation anywhere: the identity chain is exact, so
     this must agree with the direct double sum to rounding.  The complex
-    bracket is analytically purely imaginary; multiplying by i must give a
-    real number, and the stray real part is asserted below 1e-12.  All
-    rows k = 1..N are evaluated as arrays and combined by math.fsum.
+    bracket is purely imaginary, and exactly so in IEEE arithmetic:
+    psi - conj(psi) and the other three terms each have a real part of
+    exactly 0, so its product with i is real and no stray imaginary part
+    is left to check.  All rows k = 1..N are evaluated as arrays and
+    combined by math.fsum.
     """
-    return _route_sum(n, factor_rows(n))
+    return _route_sum(factor_rows(n))
 
 
-def _route_sum(n: int, rows: FactorRows) -> float:
+def _route_sum(rows: FactorRows) -> float:
     """:func:`double_sum_via_digamma` from the rows of :func:`factor_rows`."""
     _, A, B, C = rows
     N = len(A)
@@ -215,12 +214,8 @@ def _route_sum(n: int, rows: FactorRows) -> float:
         - 1.0 / (1j * sC)
         + math.pi * (-1j / np.tanh(math.pi * sC))  # pi cot(pi i sqrt C)
     )
-    imag_part = 1j * bracket / (2.0 * A * sC)
-    stray = float(np.max(np.abs(imag_part.imag)))
-    if stray > 1e-12:
-        raise ConsistencyError(
-            f"complex digamma bracket is not real at n = {n}: stray {stray:.3e}")
-    return math.fsum((real_part + imag_part.real).tolist())
+    imag_part = (1j * bracket / (2.0 * A * sC)).real
+    return math.fsum((real_part + imag_part).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +231,14 @@ class CascadeRow:
     Stages 1..6 and 10 expand the building blocks 1/A, sqrt(1+A),
     1/sqrt(1+A), N/sqrt B, the log ratio, sqrt C / N and its reciprocal;
     stages 8, 9 and 11 assemble the log summand, the arctan summand and
-    1/(A sqrt C).  ``beta7_off``/``gamma7_off`` are the additive (not
-    multiplicative) first and second order terms of stage 7, the
-    arctan(x)/x block.
+    1/(A sqrt C).
     """
 
-    x: float
     a: float
     cal_A: float
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     gamma: tuple[float, ...]
-    beta7_off: float
-    gamma7_off: float
 
 
 def cascade_profile(x: float) -> CascadeRow:
@@ -308,6 +298,8 @@ def cascade_profile(x: float) -> CascadeRow:
         alpha[7] = math.atan(t) / t
     beta[7] = -beta[6]
     gamma[7] = beta[6] ** 2 - gamma[6]
+    # the additive (not multiplicative) first and second order terms of
+    # stage 7, the arctan(x)/x block; they feed stage 9
     one_pt = 1.0 + t * t
     beta7_off = beta[6] / one_pt
     gamma7_off = gamma[6] / one_pt - beta[6] ** 2 * (1.0 + 2.0 * t * t) / one_pt ** 2
@@ -336,9 +328,8 @@ def cascade_profile(x: float) -> CascadeRow:
     gamma[11] = beta[1] * beta[10] + gamma[1] + gamma[10]
 
     return CascadeRow(
-        x=x, a=a, cal_A=calA,
+        a=a, cal_A=calA,
         alpha=tuple(alpha), beta=tuple(beta), gamma=tuple(gamma),
-        beta7_off=beta7_off, gamma7_off=gamma7_off,
     )
 
 

@@ -196,7 +196,6 @@ class SumResult:
     compensation: float
     term_count: int
     n: int
-    lattice: LatticeSpec
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +391,7 @@ def _batches(sizes: list[int]):
         yield batch
 
 
-def _combined(spec: LatticeSpec, n: int, rows: np.ndarray) -> SumResult:
+def _combined(n: int, rows: np.ndarray) -> SumResult:
     """F_n from its rows 0..n//2, weighted in place by the inversion symmetry."""
     rows[1:(n + 1) // 2] *= 2.0  # rows j and n - j coincide for 0 < j < n/2
     value = math.fsum(rows.tolist())
@@ -401,7 +400,6 @@ def _combined(spec: LatticeSpec, n: int, rows: np.ndarray) -> SumResult:
         compensation=value - float(rows.sum()),
         term_count=n * n - 1,
         n=n,
-        lattice=spec,
     )
 
 
@@ -433,14 +431,14 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
             raise DomainError(f"grid size must be positive, got {n}")
     basis = _row_basis(spec.stencil)
     if basis is None:
-        return [_combined(spec, n, _gathered_rows(spec, n)) for n in sizes]
+        return [_combined(n, _gathered_rows(spec, n)) for n in sizes]
     (u0, u1), (w0, w1) = basis
     stencil = [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
     results = []
     for batch in _batches(sizes):
         rows = _closed_form_rows(stencil, batch)
         stops = accumulate(n // 2 + 1 for n in batch)
-        results += [_combined(spec, n, rows[stop - n // 2 - 1:stop])
+        results += [_combined(n, rows[stop - n // 2 - 1:stop])
                     for n, stop in zip(batch, stops)]
     return results
 
@@ -572,5 +570,4 @@ def restricted_sum_f2(n: int) -> SumResult:
         compensation=scale * (total - (axis + quadrant)),
         term_count=(2 * len(u) + 1) ** 2 - 1,
         n=n,
-        lattice=SQUARE,
     )

@@ -108,33 +108,20 @@ def periodic_bernoulli(p: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class FundamentalConstants:
-    """Shared source of truth for the constants entering the expansions.
-
-    ``eta_at_i`` is the Dedekind eta function at the imaginary unit,
-    eta(i) = Gamma(1/4) / (2 pi^(3/4)).
-    """
+    """Shared source of truth for the constants entering the expansions."""
 
     catalan_G: float
     euler_gamma: float
     gamma_quarter: float
     gamma_third: float
-    eta_at_i: float
-    pi_three_quarters: float
 
 
-def _make_constants() -> FundamentalConstants:
-    gamma_quarter = 3.6256099082219083119306851558676720029951676828800654674333
-    return FundamentalConstants(
-        catalan_G=0.9159655941772190150546035149323841107741493742816721342665,
-        euler_gamma=0.5772156649015328606065120900824024310421593359399235988058,
-        gamma_quarter=gamma_quarter,
-        gamma_third=2.6789385347077476336556929409746776441286893779573011009505,
-        eta_at_i=gamma_quarter / (2.0 * math.pi ** 0.75),
-        pi_three_quarters=math.pi ** 0.75,
-    )
-
-
-CONSTANTS = _make_constants()
+CONSTANTS = FundamentalConstants(
+    catalan_G=0.9159655941772190150546035149323841107741493742816721342665,
+    euler_gamma=0.5772156649015328606065120900824024310421593359399235988058,
+    gamma_quarter=3.6256099082219083119306851558676720029951676828800654674333,
+    gamma_third=2.6789385347077476336556929409746776441286893779573011009505,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,10 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
           and all(b[i] == 0 for i in range(3, specfun.BERNOULLI.max_index, 2)))
     out.append(_check("bernoulli_exact", ok, "B1=-1/2, B2=1/6, B3=0, B4=-1/30"))
 
-    relation = c.eta_at_i * 2.0 * c.pi_three_quarters / c.gamma_quarter - 1.0
+    # eta(i) = q^(1/24) prod_k (1 - q^k) at q = e^(-2 pi), against Gamma(1/4)/(2 pi^(3/4))
+    eta = math.exp(-math.pi / 12.0) * math.prod(
+        1.0 - math.exp(-2.0 * math.pi * k) for k in range(1, 9))
+    relation = eta * 2.0 * math.pi ** 0.75 / c.gamma_quarter - 1.0
     out.append(_check("eta_gamma_relation", abs(relation) <= 1e-13,
                       f"eta(i) 2 pi^(3/4) / Gamma(1/4) - 1 = {relation:.3e}"))
 

@@ -18,9 +18,8 @@ import numpy as np
 
 from lapasym.asymptotics import (axis_sum_expansion,
                                  exp_tail_limit, log_cos_closed_forms,
-                                 restricted_integral_expansion,
-                                 square_sum_form, triangular_sum_form,
-                                 union_jack_sum_form)
+                                 model_for_lattice,
+                                 restricted_integral_expansion)
 from lapasym.decomposition import (double_sum_via_digamma, euler_maclaurin,
                                    piece_sums)
 from lapasym.extrapolation import fit_expansion
@@ -39,7 +38,7 @@ def report(name, ok, detail):
 
 
 def errors_square(ns):
-    form = square_sum_form()
+    form = model_for_lattice("square")
     return {n: exact_sum(SQUARE, n).value - form.evaluate(n)
             for n in ns}
 
@@ -60,8 +59,9 @@ def test_criterion_01_square_plateau_and_runtime():
 
 
 def test_criterion_02_triangular_and_union_jack_plateaus():
-    e_tr = exact_sum(TRIANGULAR, 2500).value - triangular_sum_form().evaluate(2500)
-    e_mu = exact_sum(MODIFIED_UNION_JACK, 2500).value - union_jack_sum_form().evaluate(2500)
+    e_tr = exact_sum(TRIANGULAR, 2500).value - model_for_lattice("triangular").evaluate(2500)
+    e_mu = (exact_sum(MODIFIED_UNION_JACK, 2500).value
+            - model_for_lattice("modified_union_jack").evaluate(2500))
     ok = -0.28 <= e_tr <= -0.22 and -0.40 <= e_mu <= -0.34
     assert report(
         "criterion-02 triangular/union-jack plateaus",
@@ -227,7 +227,10 @@ def test_criterion_09_specfun_contracts():
     direct = math.fsum((k / 10.0) ** 2 / 10.0 for k in range(1, 11))
     checks.append(abs(em - direct) <= 1e-14 and abs(em - 0.385) <= 1e-14)
 
-    eta_rel = CONSTANTS.eta_at_i * 2.0 * CONSTANTS.pi_three_quarters / CONSTANTS.gamma_quarter
+    # eta(i) = q^(1/24) prod_k (1 - q^k) at q = e^(-2 pi), against Gamma(1/4)/(2 pi^(3/4))
+    eta = math.exp(-math.pi / 12.0) * math.prod(
+        1.0 - math.exp(-2.0 * math.pi * k) for k in range(1, 9))
+    eta_rel = eta * 2.0 * math.pi ** 0.75 / CONSTANTS.gamma_quarter
     checks.append(abs(eta_rel - 1.0) <= 1e-13)
 
     ok = all(checks)
@@ -242,7 +245,7 @@ def test_criterion_09_specfun_contracts():
 def test_criterion_10_coefficient_recovery():
     ladder = [(n, exact_sum(SQUARE, n).value) for n in range(100, 2001, 100)]
     fit = fit_expansion(ladder, fixed={"n2logn": 2.0 / math.pi})
-    gap_c1 = abs(fit.coefficients["n2"] - square_sum_form().c1)
+    gap_c1 = abs(fit.coefficients["n2"] - model_for_lattice("square").c1)
 
     beta_ladder = [(n, restricted_sum_f2(n).value) for n in range(100, 2001, 100)]
     beta_fit = fit_expansion(beta_ladder)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from lapasym import asymptotics, decomposition, verify
-from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
+from lapasym.asymptotics import (MODEL_FORMS, ExpansionForm, axis_gap_limit,
                                  axis_sum_expansion,
                                  edge_sum_decay_coefficient,
                                  edge_sum_gap_limit, exp_tail_limit,
@@ -14,32 +14,33 @@ from lapasym.asymptotics import (ExpansionForm, axis_gap_limit,
                                  restricted_integral_expansion,
                                  restricted_integral_lambda,
                                  restricted_integral_remainder_limit,
-                                 square_integral_form, square_sum_form,
-                                 triangular_sum_form,
-                                 union_jack_sum_form)
+                                 square_integral_form)
 from lapasym.exceptions import DomainError
+from lapasym.lattice_sum import BUILTIN_LATTICES
 from lapasym.quadrature import integrate_1d
 from lapasym.specfun import CONSTANTS, clausen_cl2, log_q_pochhammer_inv
 
 
 def test_expansion_form_evaluation_is_literal():
-    form = ExpansionForm(c0=0.25, c1=-1.5, c2=2.0, c3=-3.0)
+    form = ExpansionForm(c0=0.25, c1=-1.5)
     n = 37
-    expected = 0.25 * n * n * math.log(n) - 1.5 * n * n + 2.0 * n - 3.0
+    expected = 0.25 * n * n * math.log(n) - 1.5 * n * n
     assert form.evaluate(n) == pytest.approx(expected, rel=1e-15)
 
 
 def test_leading_coefficients():
-    assert square_sum_form().c0 == pytest.approx(2.0 / math.pi, rel=1e-15)
-    assert triangular_sum_form().c0 == pytest.approx(math.sqrt(3.0) / math.pi, rel=1e-15)
-    assert union_jack_sum_form().c0 == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-15)
+    assert model_for_lattice("square").c0 == pytest.approx(2.0 / math.pi, rel=1e-15)
+    assert model_for_lattice("triangular").c0 == pytest.approx(
+        math.sqrt(3.0) / math.pi, rel=1e-15)
+    assert model_for_lattice("modified_union_jack").c0 == pytest.approx(
+        4.0 / (3.0 * math.pi), rel=1e-15)
 
 
 def test_square_second_coefficient():
     expected = (2.0 / math.pi) * (
         CONSTANTS.euler_gamma
         + math.log(4.0 * math.sqrt(2.0 * math.pi) / CONSTANTS.gamma_quarter ** 2))
-    assert square_sum_form().c1 == pytest.approx(expected, rel=1e-15)
+    assert model_for_lattice("square").c1 == pytest.approx(expected, rel=1e-15)
 
 
 def test_square_integral_coefficients():
@@ -53,22 +54,23 @@ def test_square_integral_coefficients():
 
 
 def test_integral_minus_sum_model_is_pure_n2():
-    c = square_integral_form().c1 - square_sum_form().c1
+    square = model_for_lattice("square")
+    c = square_integral_form().c1 - square.c1
     for n in (10, 100, 1000):
-        diff = square_integral_form().evaluate(n) - square_sum_form().evaluate(n)
+        diff = square_integral_form().evaluate(n) - square.evaluate(n)
         assert diff == pytest.approx(c * n * n, rel=1e-12)
 
 
 def test_model_registry():
-    assert model_for_lattice("square").label == "square"
+    assert model_for_lattice("square") is MODEL_FORMS["square"]
+    assert set(MODEL_FORMS) == set(BUILTIN_LATTICES) == set(verify._PLATEAU_WINDOWS)
     with pytest.raises(DomainError):
         model_for_lattice("kagome")
 
 
-@pytest.mark.parametrize("form", [square_sum_form(), triangular_sum_form(),
-                                  union_jack_sum_form()],
-                         ids=lambda f: f.label)
-def test_models_monotone_from_three(form):
+@pytest.mark.parametrize("name", sorted(MODEL_FORMS))
+def test_models_monotone_from_three(name):
+    form = model_for_lattice(name)
     values = [form.evaluate(n) for n in range(3, 51)]
     assert all(b > a for a, b in zip(values, values[1:]))
 

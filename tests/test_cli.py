@@ -34,6 +34,8 @@ def test_main_maps_config_error_to_exit_2(tmp_path):
     assert main(["sum", "--lattice", "nope", "--n", "4"]) == EXIT_CONFIG
     assert main(["bogus-subcommand"]) == EXIT_CONFIG
     assert main(["errors", "--lattice", "square", "--n-list", "10,abc"]) == EXIT_CONFIG
+    assert main(["errors", "--lattice", "square", "--n-list", ""]) == EXIT_CONFIG
+    assert main(["errors", "--lattice", "square", "--n-list", ","]) == EXIT_CONFIG
     path = tmp_path / "bad.lattice"
     path.write_text("s = 1 0\ns = 0 1\ns = x 1\ndivisor = 4\n")
     assert main(["sum", "--lattice-file", str(path), "--n", "4"]) == EXIT_CONFIG

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapasym.asymptotics import ExpansionForm, square_sum_form
+from lapasym.asymptotics import ExpansionForm, model_for_lattice
 from lapasym.exceptions import DomainError, FitError
 from lapasym.extrapolation import (BASIS_FUNCTIONS, error_series,
                                    fit_expansion)
@@ -24,14 +24,14 @@ def test_basis_functions():
 # ---------------------------------------------------------------------------
 
 def test_error_series_records_are_literal_differences():
-    model = square_sum_form()
+    model = model_for_lattice("square")
     for rec in error_series(SQUARE, model, [8, 12, 16]):
         assert rec.error == rec.exact - rec.model
         assert rec.exact == exact_sum(SQUARE, rec.n).value
 
 
 def test_error_series_zero_model_returns_plain_sums():
-    zero = ExpansionForm(c0=0.0, c1=0.0, label="zero")
+    zero = ExpansionForm(c0=0.0, c1=0.0)
     records = error_series(SQUARE, zero, [2, 4])
     assert records[0].error == pytest.approx(2.5, abs=1e-15)
     assert records[0].model == 0.0
@@ -39,7 +39,7 @@ def test_error_series_zero_model_returns_plain_sums():
 
 def test_error_series_requires_values():
     with pytest.raises(DomainError):
-        error_series(SQUARE, square_sum_form(), [])
+        error_series(SQUARE, model_for_lattice("square"), [])
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_fixed_coefficient_subtraction():
 def test_square_second_coefficient_recovery():
     ladder = [(n, exact_sum(SQUARE, n).value) for n in range(100, 1001, 100)]
     fit = fit_expansion(ladder, fixed={"n2logn": 2.0 / math.pi})
-    assert fit.coefficients["n2"] == pytest.approx(square_sum_form().c1, abs=1e-3)
+    assert fit.coefficients["n2"] == pytest.approx(model_for_lattice("square").c1, abs=1e-3)
 
 
 def test_restricted_sum_leading_coefficient_recovery():
@@ -114,7 +114,7 @@ def test_rank_deficiency():
 def test_fitted_model_residual_tracks_plateau_spread():
     ns = list(range(100, 1001, 100))
     ladder = [(n, exact_sum(SQUARE, n).value) for n in ns]
-    errors = [r.error for r in error_series(SQUARE, square_sum_form(), ns)]
+    errors = [r.error for r in error_series(SQUARE, model_for_lattice("square"), ns)]
     spread = max(errors) - min(errors)
     fit = fit_expansion(ladder)
     assert fit.residual_max <= 2.0 * max(spread, 1e-9)

@@ -406,7 +406,7 @@ def test_row_combine_is_correctly_rounded(n):
     for spec, rows in cases:
         if spec is not NO_ROW_BASIS:
             assert _row_basis(spec.stencil) == ((1, 0), (0, 1))
-        result = _combined(spec, n, rows)  # weights the rows in place
+        result = _combined(n, rows)  # weights the rows in place
         assert result == exact_sum(spec, n)
         assert result.value == float(sum(Fraction(r) for r in rows.tolist()))
         assert result.compensation == result.value - float(np.sum(rows))

@@ -343,7 +343,7 @@ def test_q_pochhammer_small_q_limit():
 
 def test_q_pochhammer_at_exp_minus_two_pi():
     q = math.exp(-2.0 * math.pi)
-    closed = math.log(2.0 * CONSTANTS.pi_three_quarters) - math.pi / 12.0 \
+    closed = math.log(2.0 * math.pi ** 0.75) - math.pi / 12.0 \
         - math.log(CONSTANTS.gamma_quarter)
     assert log_q_pochhammer_inv(q) == pytest.approx(closed, abs=1e-15)
 
@@ -391,7 +391,10 @@ def test_constant_windows():
 
 
 def test_eta_gamma_relation():
-    rel = CONSTANTS.eta_at_i * 2.0 * CONSTANTS.pi_three_quarters / CONSTANTS.gamma_quarter
+    # eta(i) = q^(1/24) prod_k (1 - q^k) at q = e^(-2 pi); eight factors reach 1e-24
+    eta = math.exp(-math.pi / 12.0) * math.prod(
+        1.0 - math.exp(-2.0 * math.pi * k) for k in range(1, 9))
+    rel = eta * 2.0 * math.pi ** 0.75 / CONSTANTS.gamma_quarter
     assert abs(rel - 1.0) <= 1e-14
 
 
@@ -404,4 +407,6 @@ def test_eta_against_q_series():
     # eta(i) = q^(1/24) (q;q)_inf at q = exp(-2 pi)
     q = math.exp(-2.0 * math.pi)
     eta = q ** (1.0 / 24.0) * math.exp(-specfun.log_q_pochhammer_inv(q))
-    assert eta == pytest.approx(CONSTANTS.eta_at_i, rel=1e-14)
+    # abs=0: approx's default abs of 1e-12 would swamp rel=1e-14 here
+    assert eta == pytest.approx(CONSTANTS.gamma_quarter / (2.0 * math.pi ** 0.75),
+                                rel=1e-14, abs=0.0)
