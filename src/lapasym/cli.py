@@ -7,8 +7,9 @@ Subcommands:
                optionally a gnuplot script
 * ``verify`` : the cross-module verification suites
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical error, 4 I/O error.  All floats are written with 17
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(including a size too large for the available memory), 3 numerical
+error, 4 I/O error.  All floats are written with 17
 significant digits so CSV output round-trips binary64.
 """
 
@@ -240,10 +241,23 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
 _COMMANDS = {"sum": cmd_sum, "errors": cmd_errors, "verify": cmd_verify}
 
 
+def _largest_n(cfg: RunConfig) -> int:
+    """The largest grid size a command asks for."""
+    if cfg.subcommand == "sum":
+        return cfg.n
+    if cfg.subcommand == "verify":
+        return cfg.max_n
+    return max(_ladder(cfg))
+
+
 def main(argv=None) -> int:
     try:
         cfg = config_from_argv(argv if argv is not None else sys.argv[1:])
-        return _COMMANDS[cfg.subcommand](cfg)
+        try:
+            return _COMMANDS[cfg.subcommand](cfg)
+        except MemoryError:
+            raise DomainError(f"n = {_largest_n(cfg)} needs more memory "
+                              "than is available") from None
     except SystemExit as exc:  # argparse reports config errors with code 2
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (SingularityError, ConvergenceError, ConsistencyError, FitError,

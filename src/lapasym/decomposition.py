@@ -203,8 +203,9 @@ def _route_sum(rows: FactorRows) -> float:
     N = len(A)
     sB = np.sqrt(B)
     sC = np.sqrt(C)
+    psi_plus, psi_minus = np.split(digamma_array(np.concatenate((sB + N, sB - N))), 2)
     real_part = (
-        digamma_array(sB + N) - digamma_array(sB - N)
+        psi_plus - psi_minus
         + 1.0 / (sB + N) - 1.0 / sB
     ) / (2.0 * A * sB)
     psi = digamma_array(N + 1j * sC)

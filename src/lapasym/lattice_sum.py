@@ -17,12 +17,15 @@ rows of consecutive sizes are evaluated together in one elementwise pass
 (:func:`exact_sums`).  A row costs two sines: s^2 = A^2 - R^2 is a sum of
 sin^2 terms built by angle addition, so it needs no difference, and
 rho^n is formed only on the few rows per size where it is representable
-beside 1.  Other stencils gather their rows from a sin^2 table
-(:func:`_gathered_rows`): rows are formed in fixed blocks of 64, with psi as
-(2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
-the zeros of psi, and each row is summed by numpy's pairwise reduction.
-Row sums are combined by math.fsum, which is correctly rounded, so a
-result does not depend on the batch of sizes it was computed in.
+beside 1.  Since 1 - rho >= s/4, n log rho <= -n s/4, so n log rho itself
+is formed only on the rows with n s < 200.  Other stencils gather their
+rows from a sin^2 table (:func:`_gathered_rows`): rows are formed in
+fixed blocks of 64, with psi as (2/L) sum_l sin^2(s_l . x / 2), which
+loses no relative precision near the zeros of psi, and each row is summed
+by numpy's pairwise reduction.  The weighted rows of each size are
+summed exactly by error-free extraction over the whole batch
+(:func:`_segment_sums`) and rounded once: the float math.fsum returns, so
+a result does not depend on the batch of sizes it was computed in.
 
 The restricted quartic sum lives on the window |j|, |k| <= N of
 :meth:`GridGeometry.restricted`, with the row formula
@@ -71,6 +74,9 @@ _BLOCK_ROWS = 64          # rows (gather) or nodes (quadrant) per block; bounds 
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
 _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
+_TAIL_NS = 200.0          # n s >= this gives n log rho <= -n s / 4 <= -50
+_EXTRACT_LEVELS = 4       # exact extraction passes of _segment_sums
+_EXTRACT_MAX = 2.0 ** 960  # segments reaching this go to math.fsum whole
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +193,10 @@ class GridGeometry:
 class SumResult:
     """A lattice sum and how it was combined.
 
-    ``value`` is the correctly rounded sum (math.fsum) of the weighted
-    row sums; ``compensation`` is ``value`` minus their plain numpy sum,
-    i.e. what the exact combine changed.
+    ``value`` is the correctly rounded sum of the weighted row sums, the
+    float math.fsum returns (:func:`_segment_sums`); ``compensation`` is
+    ``value`` minus their plain numpy sum, i.e. what the exact combine
+    changed.
     """
 
     value: float
@@ -261,7 +268,7 @@ def _row_basis(stencil) -> tuple[tuple[int, int], tuple[int, int]] | None:
 
 
 def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
-    """s = sqrt(A^2 - R^2) and e = n log rho for rows j >= 1 of sizes n.
+    """s = sqrt(A^2 - R^2) and the sin^2 sums X, Y for rows j >= 1 of sizes n.
 
     With x = pi j / n, K = #{q != 0} and t_l = q_l p_l over the vectors
     with q != 0, A = K/L + X and R^2 = K^2/L^2 - Y, where
@@ -269,8 +276,7 @@ def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
     so s^2 = 2 (K/L) X + X^2 + Y is a sum of nonnegative terms.  Each
     sin(m x) comes by angle addition from S = sin x and C = cos x, the
     latter as sin(pi (n - 2j) / 2n) with the angle reduced in integers:
-    two sines per row.  1 - rho = s (s + A + R) / ((A + R) (A + s)) needs
-    R only through A + R; R^2 is clamped at 0 where R = 0.
+    two sines per row.
     """
     L = len(stencil)
     t = [q * p for p, q in stencil if q]
@@ -292,13 +298,24 @@ def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
             Y += ys.count(m) * sq
     X *= 2.0 / L
     Y *= 4.0 / (L * L)
-    s = np.sqrt(X * (2.0 * K / L + X) + Y)
+    return np.sqrt(X * (2.0 * K / L + X) + Y), X, Y
+
+
+def _log_rho_n(stencil, n, s, X, Y) -> np.ndarray:
+    """e = n log rho from the terms of :func:`_row_kernel` on the same rows.
+
+    1 - rho = s (s + A + R) / ((A + R) (A + s)) needs R only through
+    A + R; R^2 is clamped at 0 where R = 0, where rho = 0 and the log1p
+    argument is clamped at -1, whose log is -inf.  Since A <= 2 - K/L and
+    s <= A, 1 - rho >= s / (A + s) >= s / 4, so e <= -n s / 4.
+    """
+    L = len(stencil)
+    K = sum(q != 0 for _, q in stencil)
     big_a = K / L + X
     a_plus_r = big_a + np.sqrt(np.maximum(K * K / (L * L) - Y, 0.0))
     one_minus_rho = s * (s + a_plus_r) / (a_plus_r * (big_a + s))
     with np.errstate(divide="ignore"):
-        e = n * np.log1p(np.maximum(-one_minus_rho, -1.0))
-    return s, e
+        return n * np.log1p(np.maximum(-one_minus_rho, -1.0))
 
 
 def _tail_rows(stencil, n, j, s, e) -> np.ndarray:
@@ -311,8 +328,20 @@ def _tail_rows(stencil, n, j, s, e) -> np.ndarray:
         np.expm1(e) ** 2 + 4.0 * np.exp(e) * np.sin(0.5 * n * phi) ** 2)
 
 
+def _tail(stencil, n, s, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows with e = n log rho > _TAIL_LOG_RHO_N, and their e.
+
+    e is formed only where n s < _TAIL_NS: elsewhere e <= -n s / 4 <= -50
+    (:func:`_log_rho_n`).
+    """
+    near = np.flatnonzero(n * s < _TAIL_NS)
+    e = _log_rho_n(stencil, n[near], s[near], X[near], Y[near])
+    keep = e > _TAIL_LOG_RHO_N
+    return near[keep], e[keep]
+
+
 def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
-    """Sums of rows 0..n//2 of F_n for each n in sizes, concatenated in order.
+    """Weighted rows 0..n//2 of F_n for each n in sizes, concatenated in order.
 
     For a stencil with every q in {-1, 0, 1}.  With a = 2 pi j / n, row j
     of psi is A - R cos(b + phi), where A = 1 - (1/L) sum_{q=0} cos(p a)
@@ -321,41 +350,46 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     aliased to multiples of n survive the sum over k, so
         sum_k 1/psi = (n/s) (1 - rho^2n) / ((1 - rho^n)^2 + 2 rho^n (1 - cos n phi)).
     Row 0 without the origin is (n^2 - 1) / (6 R0), R0 = #{q != 0} / L.
-    s^2 = A^2 - R^2 is written as a sum of sin^2 terms and 1 - rho
-    without a difference (:func:`_row_kernel`), and e = n log rho comes
-    from log1p.  Where e <= -40, rho^n < 4.3e-18: 1 - rho^2n and
+    s^2 = A^2 - R^2 is written as a sum of sin^2 terms (:func:`_row_kernel`)
+    and e = n log rho comes from log1p without a difference
+    (:func:`_log_rho_n`).  Where e <= -40, rho^n < 4.3e-18: 1 - rho^2n and
     (1 - rho^n)^2 round to 1 and 4 rho^n sin^2(n phi / 2) vanishes beside
     1, so the row rounds to exactly n/s.  Only the first few rows of each
     size have e > -40; they alone need phi and the full formula
-    (:func:`_tail_rows`).  Rows with R = 0 have rho = 0: the log1p
-    argument is clamped at -1, whose log is -inf.
+    (:func:`_tail_rows`), and since e <= -n s / 4, e is formed only on
+    rows with n s < 200 (:func:`_tail`).
 
-    Every element carries its own n and j, so all sizes share one
-    elementwise pass and a row's value does not depend on the other sizes.
+    Rows 0 < j < n/2 stand for rows j and n - j, so they are doubled: all
+    rows j >= 1 are multiplied by 2 and the row j = n/2 of an even n by
+    1/2, both exact.  Every element carries its own n and j, so all sizes
+    share one elementwise pass and a row's value does not depend on the
+    other sizes.
     """
     L = len(stencil)
     sizes = np.asarray(sizes, dtype=np.int64)
-    count = sizes // 2 + 1
-    n = np.repeat(sizes, count)
-    j = np.arange(len(n)) - np.repeat(np.cumsum(count) - count, count)
-    rows = np.empty(len(n))
-    rows[j == 0] = (sizes * sizes - 1) / (6.0 * sum(q != 0 for _, q in stencil) / L)
-    rest = j > 0
-    n, j = n[rest], j[rest]
-    s, e = _row_kernel(stencil, n, j)
-    tail = e > _TAIL_LOG_RHO_N
+    half = sizes // 2                            # rows j = 1..n//2 of each size
+    first = np.cumsum(half + 1) - half - 1       # where each size's row 0 goes
+    n = np.repeat(sizes.astype(np.float64), half)
+    at = np.arange(len(n)) + np.repeat(np.arange(1, len(sizes) + 1), half)
+    j = at - np.repeat(first, half)
+    s, X, Y = _row_kernel(stencil, n, j)
+    tail, e = _tail(stencil, n, s, X, Y)
     out = n / s
-    out[tail] = _tail_rows(stencil, n[tail], j[tail], s[tail], e[tail])
-    rows[rest] = out
+    out[tail] = _tail_rows(stencil, n[tail], j[tail], s[tail], e)
+    out *= 2.0
+    out[(np.cumsum(half) - 1)[sizes % 2 == 0]] *= 0.5
+    rows = np.empty(len(n) + len(sizes))
+    rows[first] = (sizes * sizes - 1) / (6.0 * sum(q != 0 for _, q in stencil) / L)
+    rows[at] = out
     return rows
 
 
 def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
-    """Sums of rows 0..n//2 of F_n gathered from the sin^2 table, any stencil.
+    """Weighted rows 0..n//2 of F_n gathered from the sin^2 table, any stencil.
 
     Rows are formed in fixed blocks of _BLOCK_ROWS and each row is reduced
     on its own, so memory is O(_BLOCK_ROWS n) and the blocks depend on n
-    alone.
+    alone.  Rows 0 < j < n/2 are doubled, as in :func:`_closed_form_rows`.
     """
     k = np.arange(n, dtype=np.int64)
     table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
@@ -375,6 +409,7 @@ def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
         if j0 == 0:
             v[0, 0] = 0.0
         out[j0:j1] = v.sum(axis=1)
+    out[1:(n + 1) // 2] *= 2.0
     return out
 
 
@@ -391,16 +426,55 @@ def _batches(sizes: list[int]):
         yield batch
 
 
-def _combined(n: int, rows: np.ndarray) -> SumResult:
-    """F_n from its rows 0..n//2, weighted in place by the inversion symmetry."""
-    rows[1:(n + 1) // 2] *= 2.0  # rows j and n - j coincide for 0 < j < n/2
-    value = math.fsum(rows.tolist())
-    return SumResult(
-        value=value,
-        compensation=value - float(rows.sum()),
-        term_count=n * n - 1,
-        n=n,
-    )
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> list[float]:
+    """math.fsum of each contiguous segment of values, bit for bit.
+
+    Segments are consecutive, of the given lengths >= 1.  Error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation
+    part I", SIAM J. Sci. Comput. 31 (2008), ExtractVector): per segment,
+    with max |r| < 2^e and len + 2 < 2^l, sigma = 2^(e + l) splits every r
+    exactly into q = (sigma + r) - sigma and r - q.  Each q is a multiple
+    of 2^-53 sigma and every partial sum of a segment's q is below sigma,
+    so np.add.reduceat adds them exactly in any order.  After at most
+    _EXTRACT_LEVELS such passes, math.fsum of a segment's exact parts, with
+    its remainders if any is still nonzero, is the correctly rounded sum
+    of the segment: what math.fsum of the segment returns.  A segment that
+    is not finite or reaches _EXTRACT_MAX = 2^960, where sigma could
+    overflow, goes to math.fsum whole.
+    """
+    starts = np.cumsum(lengths) - lengths
+    ell = np.frexp(lengths + 2.0)[1]
+    top = np.maximum.reduceat(np.abs(values), starts)
+    direct = ~(top < _EXTRACT_MAX)  # also nan
+    r = values.copy()
+    if direct.any():
+        r[np.repeat(direct, lengths)] = 0.0
+        top[direct] = 0.0
+    parts = []
+    for _ in range(_EXTRACT_LEVELS):
+        sigma = np.repeat(np.ldexp(1.0, np.frexp(top)[1] + ell), lengths)
+        q = (sigma + r) - sigma
+        r -= q
+        parts.append(np.add.reduceat(q, starts))
+        top = np.maximum.reduceat(np.abs(r), starts)
+        if not top.any():
+            break
+    terms = np.column_stack(parts).tolist()
+    for i in np.flatnonzero(top):
+        terms[i] += r[starts[i]:starts[i] + lengths[i]].tolist()
+    for i in np.flatnonzero(direct):
+        terms[i] = values[starts[i]:starts[i] + lengths[i]].tolist()
+    return [math.fsum(t) for t in terms]
+
+
+def _results(sizes: Sequence[int], rows: np.ndarray) -> list[SumResult]:
+    """F_n for each n in sizes from its weighted rows 0..n//2, concatenated."""
+    lengths = [n // 2 + 1 for n in sizes]
+    values = _segment_sums(rows, np.array(lengths))
+    return [SumResult(value=value,
+                      compensation=value - float(rows[stop - m:stop].sum()),
+                      term_count=n * n - 1, n=n)
+            for n, value, m, stop in zip(sizes, values, lengths, accumulate(lengths))]
 
 
 def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
@@ -420,10 +494,11 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
     about n^2/2 reciprocals each.
     ``term_count`` counts the n^2 - 1 terms represented.
 
-    Deterministic: the weighted row sums are combined by math.fsum, which
-    is correctly rounded, so each value is bit-identical across runs and
-    does not depend on the other sizes in ns.  Results come in the order
-    of ns; sizes may repeat and need not be sorted.
+    Deterministic: each size's weighted rows are summed exactly by the
+    segmented extraction of :func:`_segment_sums` and rounded once, the
+    same float as math.fsum of those rows, so each value is bit-identical
+    across runs and does not depend on the other sizes in ns.  Results
+    come in the order of ns; sizes may repeat and need not be sorted.
     """
     sizes = list(ns)
     for n in sizes:
@@ -431,15 +506,12 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
             raise DomainError(f"grid size must be positive, got {n}")
     basis = _row_basis(spec.stencil)
     if basis is None:
-        return [_combined(n, _gathered_rows(spec, n)) for n in sizes]
+        return [_results([n], _gathered_rows(spec, n))[0] for n in sizes]
     (u0, u1), (w0, w1) = basis
     stencil = [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
     results = []
     for batch in _batches(sizes):
-        rows = _closed_form_rows(stencil, batch)
-        stops = accumulate(n // 2 + 1 for n in batch)
-        results += [_combined(n, rows[stop - n // 2 - 1:stop])
-                    for n, stop in zip(batch, stops)]
+        results += _results(batch, _closed_form_rows(stencil, batch))
     return results
 
 

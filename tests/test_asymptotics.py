@@ -25,11 +25,11 @@ def test_expansion_form_evaluation_is_literal():
     form = ExpansionForm(c0=0.25, c1=-1.5)
     n = 37
     expected = 0.25 * n * n * math.log(n) - 1.5 * n * n
-    assert form.evaluate(n) == pytest.approx(expected, rel=1e-15)
+    assert form.evaluate(n) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_leading_coefficients():
-    assert model_for_lattice("square").c0 == pytest.approx(2.0 / math.pi, rel=1e-15)
+    assert model_for_lattice("square").c0 == pytest.approx(2.0 / math.pi, rel=1e-15, abs=0.0)
     assert model_for_lattice("triangular").c0 == pytest.approx(
         math.sqrt(3.0) / math.pi, rel=1e-15)
     assert model_for_lattice("modified_union_jack").c0 == pytest.approx(
@@ -40,17 +40,17 @@ def test_square_second_coefficient():
     expected = (2.0 / math.pi) * (
         CONSTANTS.euler_gamma
         + math.log(4.0 * math.sqrt(2.0 * math.pi) / CONSTANTS.gamma_quarter ** 2))
-    assert model_for_lattice("square").c1 == pytest.approx(expected, rel=1e-15)
+    assert model_for_lattice("square").c1 == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_square_integral_coefficients():
     f = square_integral_form()
-    assert f.c0 == pytest.approx(2.0 / math.pi, rel=1e-15)
+    assert f.c0 == pytest.approx(2.0 / math.pi, rel=1e-15, abs=0.0)
     expected = (1.0 / math.pi) * (
         math.log(8.0 / math.pi ** 2) + 4.0 * CONSTANTS.catalan_G / math.pi)
-    assert f.c1 == pytest.approx(expected, rel=1e-15)
+    assert f.c1 == pytest.approx(expected, rel=1e-15, abs=0.0)
     # at n = 1 the log term drops out
-    assert f.evaluate(1) == pytest.approx(f.c1, rel=1e-15)
+    assert f.evaluate(1) == pytest.approx(f.c1, rel=1e-15, abs=0.0)
 
 
 def test_integral_minus_sum_model_is_pure_n2():
@@ -151,7 +151,7 @@ def test_linear_term_vanishes_mod_two():
 def test_outside_value_at_two():
     # J12(2) = 2/sqrt(3) atan(sqrt 3) = 2 pi / (3 sqrt 3)
     _, j12 = log_cos_closed_forms(2.0, "gt1")
-    assert j12 == pytest.approx(2.0 * math.pi / (3.0 * math.sqrt(3.0)), rel=1e-14)
+    assert j12 == pytest.approx(2.0 * math.pi / (3.0 * math.sqrt(3.0)), rel=1e-14, abs=0.0)
 
 
 def test_inside_derivative_near_one():
@@ -187,10 +187,10 @@ def test_edge_decay_components():
     s6 = 2.0 * math.sqrt(6.0)
     root = math.sqrt(48.0 - math.pi ** 2)
     a11 = (s6 / root) * (math.sqrt(1.0 + cal) / cal)
-    assert row.alpha[11] == pytest.approx(a11, rel=1e-14)
+    assert row.alpha[11] == pytest.approx(a11, rel=1e-14, abs=0.0)
     # beta3 = 4 I(a0) is the cascade's log, arctan and 1/(A sqrt C) summands
     cascade = 2.0 * (row.alpha[8] - 2.0 * row.alpha[9] + math.pi * row.alpha[11])
-    assert edge_sum_decay_coefficient() == pytest.approx(cascade, rel=1e-15)
+    assert edge_sum_decay_coefficient() == pytest.approx(cascade, rel=1e-15, abs=0.0)
 
 
 def test_edge_sum_decay_against_direct_sums():
@@ -215,7 +215,7 @@ def test_axis_sum_expansion_values():
     n = 1000
     s3 = math.sqrt(3.0)
     c1 = (math.pi / (2.0 * s3)) * math.log((4.0 * s3 + math.pi) / (4.0 * s3 - math.pi)) - 4.0
-    assert axis_sum_expansion(n) == pytest.approx(math.pi ** 2 / 6.0 + c1 / n, rel=1e-15)
+    assert axis_sum_expansion(n) == pytest.approx(math.pi ** 2 / 6.0 + c1 / n, rel=1e-15, abs=0.0)
     assert axis_sum_expansion(10 ** 9) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-8)
 
 

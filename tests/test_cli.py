@@ -186,6 +186,19 @@ def test_numerical_error_exit_code(monkeypatch):
     assert main(["sum", "--lattice", "square", "--n", "8"]) == 3
 
 
+def test_out_of_memory_is_a_config_error(monkeypatch, capsys):
+    # a stand-in for numpy's allocation failure, so nothing is allocated
+    import lapasym.cli as cli_mod
+
+    def exhaust(spec, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "exact_sum", exhaust)
+    assert main(["sum", "--lattice", "square", "--n", "100000000000"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "100000000000" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_factor_row_smallest_grid():
     expected = math.sqrt(1.0 + (math.pi ** 2 / 12.0) * (1.0 - math.pi ** 2 / 48.0))
     assert rows.A[0] == pytest.approx(expected, abs=1e-5)
     # n = 4 has n0 = 0, so A equals its n0 = 0 value calA
-    assert rows.A[0] == pytest.approx(taylor_cascade(4, 1).cal_A, rel=1e-15)
+    assert rows.A[0] == pytest.approx(taylor_cascade(4, 1).cal_A, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [5, 12, 37, 100])
@@ -119,7 +119,7 @@ def test_double_sum_hand_enumeration():
     expected = math.fsum(
         1.0 / (j * j + k * k - c * (j ** 4 + k ** 4))
         for j in (1, 2) for k in (1, 2))
-    assert piece_sums(8).r_double == pytest.approx(expected, rel=1e-14)
+    assert piece_sums(8).r_double == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_exp_tail_against_limit():
@@ -271,7 +271,7 @@ def test_partial_fraction_spot_check():
         + (1j / (2.0 * A * sC)) * (1.0 / (x + 1j * sC) - 1.0 / (x - 1j * sC))
     target = 1.0 / (x * x - a * x ** 4 + b)
     assert abs(rebuilt - target) <= 1e-14
-    assert C == pytest.approx(2.0 * b / (1.0 + A), rel=1e-15)
+    assert C == pytest.approx(2.0 * b / (1.0 + A), rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from lapasym.exceptions import DomainError, SingularityError
 from lapasym import asymptotics, decomposition, lattice_sum, quadrature
 from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
-                                 LatticeSpec, _closed_form_rows, _combined,
-                                 _gathered_rows, _row_basis, _row_kernel,
+                                 LatticeSpec, _closed_form_rows,
+                                 _gathered_rows, _log_rho_n, _row_basis,
+                                 _row_kernel, _segment_sums, _tail,
                                  _tail_rows,
                                  builtin_lattice, exact_sum, exact_sums,
                                  kernel_fm, kernel_psi,
@@ -144,7 +145,7 @@ def test_kernel_psi_range(a, b):
 def test_kernel_fm_values():
     assert kernel_fm(SQUARE, 1, (1.0, 1.0)) == pytest.approx(2.0, abs=1e-14)
     expected = 4.0 / (math.pi ** 2 / 4.0 - math.pi ** 4 / 192.0)
-    assert kernel_fm(SQUARE, 2, (math.pi / 2, 0.0)) == pytest.approx(expected, rel=1e-14)
+    assert kernel_fm(SQUARE, 2, (math.pi / 2, 0.0)) == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert expected == pytest.approx(2.0407517, abs=1e-6)
 
 
@@ -187,7 +188,7 @@ def test_trace_values():
 @pytest.mark.parametrize("n", [3, 5, 8, 300])
 def test_exact_sum_against_brute_force(spec, n):
     got = exact_sum(spec, n)
-    assert got.value == pytest.approx(brute_force_sum(spec, n), rel=1e-13)
+    assert got.value == pytest.approx(brute_force_sum(spec, n), rel=1e-13, abs=0.0)
     assert got.term_count == n * n - 1
 
 
@@ -267,13 +268,15 @@ def test_exact_sum_reciprocal_count(monkeypatch, n):
         formed.append(np.size(x))
         return reciprocal(x, *args, **kwargs)
 
-    exact_sum(TRIANGULAR, n)  # warm numpy's lazy setup
+    closed_form = ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE))]
+    for spec in closed_form:  # warm numpy's lazy setup and small-array cache
+        exact_sum(spec, n)
     monkeypatch.setattr(np, "reciprocal", counting)
     # the closed form forms no reciprocal array and allocates O(n) bytes,
     # far below the 8 n^2 of one n x n array once n is in the hundreds
     tracemalloc.start()
     try:
-        for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE))]:
+        for spec in closed_form:
             tracemalloc.reset_peak()
             exact_sum(spec, n)
             assert formed == []
@@ -331,21 +334,110 @@ def test_exact_sum_against_30_digit_row_formula():
             assert abs(mp.mpf(got) / want - 1) <= 1e-15, (spec.name, n)
 
 
+def row_stencils():
+    """Each closed-form test stencil in its row basis."""
+    for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE)), R_ZERO_ROWS]:
+        (u0, u1), (w0, w1) = _row_basis(spec.stencil)
+        yield spec.name, [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
+
+
 @pytest.mark.parametrize("n", [2, 7, 39, 517, 2500, 10007])
 def test_rows_past_the_tail_cutoff_are_n_over_s(n):
     # e = n log rho <= -40 means rho^n < 4.3e-18, so every factor of the
     # full row formula beside n/s rounds to 1; only a handful of rows stay
     j = np.arange(1, n // 2 + 1)
-    sizes = np.full(len(j), n)
-    for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE)), R_ZERO_ROWS]:
-        (u0, u1), (w0, w1) = _row_basis(spec.stencil)
-        stencil = [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
-        s, e = _row_kernel(stencil, sizes, j)
+    sizes = np.full(len(j), float(n))
+    weight = np.where(2 * j == n, 1.0, 2.0)
+    for name, stencil in row_stencils():
+        s, X, Y = _row_kernel(stencil, sizes, j)
+        e = _log_rho_n(stencil, sizes, s, X, Y)
         far = e <= lattice_sum._TAIL_LOG_RHO_N
         full = _tail_rows(stencil, sizes, j, s, e)
-        assert np.array_equal(full[far], (n / s)[far]), spec.name
-        assert np.count_nonzero(~far) <= 8, spec.name
-        assert np.array_equal(_closed_form_rows(stencil, [n])[1:], np.where(far, n / s, full))
+        assert np.array_equal(full[far], (n / s)[far]), name
+        assert np.count_nonzero(~far) <= 8, name
+        assert np.array_equal(_closed_form_rows(stencil, [n])[1:],
+                              weight * np.where(far, n / s, full)), name
+
+
+def test_tail_prefilter_keeps_every_tail_row():
+    # 1 - rho >= s / 4, so e = n log rho <= -n s / 4, and rows with
+    # n s >= 200 lie far past the cutoff; the prefilter drops only those
+    for n in [*range(2, 300), 517, 2500, 9999, 10007, 20000]:
+        j = np.arange(1, n // 2 + 1)
+        sizes = np.full(len(j), float(n))
+        for name, stencil in row_stencils():
+            s, X, Y = _row_kernel(stencil, sizes, j)
+            e = _log_rho_n(stencil, sizes, s, X, Y)
+            assert np.all(e <= -sizes * s / 4), (name, n)
+            tail, e_tail = _tail(stencil, sizes, s, X, Y)
+            assert np.array_equal(
+                tail, np.flatnonzero(e > lattice_sum._TAIL_LOG_RHO_N)), (name, n)
+            assert np.array_equal(e_tail, e[tail]), (name, n)
+
+
+def fsum_each(segments):
+    """math.fsum of each segment as hex, or the type of the first error."""
+    try:
+        return [math.fsum(seg).hex() for seg in segments]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def segment_sums_each(segments):
+    """:func:`_segment_sums` over the segments laid end to end, as fsum_each."""
+    values = np.array([x for seg in segments for x in seg])
+    try:
+        return [x.hex() for x in _segment_sums(values, np.array([len(seg) for seg in segments]))]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def random_segment(rng):
+    """A hard case for exact summation: wide exponents, ties, cancellation."""
+    kind = rng.integers(7)
+    size = int(rng.integers(1, 40))
+    if kind == 0:  # exponents from -1075 to 1000, subnormals included
+        return (rng.choice([-1.0, 1.0], size)
+                * np.ldexp(rng.random(size) + 0.5, rng.integers(-1075, 1000, size))).tolist()
+    if kind == 1:  # x, -x with a tiny remainder
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-5, 300)
+        return [*x, *-x, float(rng.standard_normal()) * 1e-300]
+    if kind == 2:  # halfway cases: 1 + 2^-52 with powers of two
+        return [1.0 + 2.0 ** -52, *np.ldexp(1.0, rng.integers(-110, -50, size)).tolist(),
+                -(2.0 ** -53)]
+    if kind == 3:  # at and above 2^960, the math.fsum fallback
+        return (rng.choice([-1.0, 1.0], size)
+                * np.ldexp(rng.random(size) + 0.5, rng.integers(955, 1024, size))).tolist()
+    if kind == 4:  # values near a segment's rounding boundary
+        base = float(rng.standard_normal()) * 2.0 ** int(rng.integers(-30, 30))
+        return [base, *(base * 2.0 ** -53 * rng.choice([-1.0, 0.5, 1.0], size)).tolist()]
+    if kind == 6:  # one sign, one binade: partial sums near the extraction bound
+        sign = float(rng.choice([-1.0, 1.0]))
+        return np.ldexp(sign * rng.uniform(0.5, 1.0, size), int(rng.integers(-20, 20))).tolist()
+    return rng.standard_normal(size).tolist()  # ordinary rows
+
+
+def test_segment_sums_match_fsum_bit_for_bit():
+    rng = np.random.default_rng(2008)
+    for _ in range(3000):
+        segments = [random_segment(rng) for _ in range(int(rng.integers(1, 12)))]
+        assert segment_sums_each(segments) == fsum_each(segments), segments
+
+
+@pytest.mark.parametrize("segment", [
+    [5.0], [0.0], [-0.0], [2.0 ** -1074], [-(2.0 ** -1074), 2.0 ** -1074],
+    [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106], [1e308, 1e308],
+    # a tie that only the remainder left after the last extraction breaks
+    [1.0, 2.0 ** -53, 2.0 ** -200, -(2.0 ** -200), 2.0 ** -400, -(2.0 ** -400),
+     2.0 ** -600, -(2.0 ** -800)],
+    [1e308, 1e308, -1e308], [2.0 ** 960, -(2.0 ** 960), 1.0],
+    [math.inf, 1.0], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+    [math.inf, math.nan],
+])
+def test_segment_sums_special_segments(segment):
+    # alone, and between ordinary segments it must not disturb
+    for segments in ([segment], [[1.5, 0.25], segment, [3.0]]):
+        assert segment_sums_each(segments) == fsum_each(segments)
 
 
 # the Figure-1 ladder as `lapasym errors --plot` builds it: 196 sizes
@@ -401,13 +493,13 @@ def test_exact_sums_memory_is_per_batch():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 517, 2500])
 def test_row_combine_is_correctly_rounded(n):
+    # both paths return rows already weighted by the inversion symmetry
     cases = [(spec, _closed_form_rows(spec.stencil, [n])) for spec in ALL_BUILTINS]
     cases.append((NO_ROW_BASIS, _gathered_rows(NO_ROW_BASIS, n)))
     for spec, rows in cases:
         if spec is not NO_ROW_BASIS:
             assert _row_basis(spec.stencil) == ((1, 0), (0, 1))
-        result = _combined(n, rows)  # weights the rows in place
-        assert result == exact_sum(spec, n)
+        result = exact_sum(spec, n)
         assert result.value == float(sum(Fraction(r) for r in rows.tolist()))
         assert result.compensation == result.value - float(np.sum(rows))
 
@@ -450,7 +542,7 @@ def test_restricted_n5_enumeration():
     expected = (25.0 / math.pi ** 2) * (
         4.0 / (1.0 - c) + 4.0 / (2.0 - 2.0 * c))
     r = restricted_sum_f2(5)
-    assert r.value == pytest.approx(expected, rel=1e-14)
+    assert r.value == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert r.term_count == 8
 
 

@@ -105,7 +105,7 @@ def test_f1_restricted_closed_arithmetic():
     beta_n = (math.pi / 2.0) * (1.0 - 2.0 / 8.0 + 1.0)  # n0 = 0: (pi/2)(1 + 2/8)
     beta_n = (math.pi / 2.0) * (1.0 + (2.0 - 0.0) / 8.0)
     expected = (2.0 * n * n / math.pi) * math.log(n * beta_n / math.pi)
-    assert integral_f1_restricted(n) == pytest.approx(expected, rel=1e-15)
+    assert integral_f1_restricted(n) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [100, 1000])

@@ -399,8 +399,8 @@ def test_eta_gamma_relation():
 
 
 def test_gamma_literals_against_libm():
-    assert CONSTANTS.gamma_quarter == pytest.approx(math.gamma(0.25), rel=1e-15)
-    assert CONSTANTS.gamma_third == pytest.approx(math.gamma(1.0 / 3.0), rel=1e-15)
+    assert CONSTANTS.gamma_quarter == pytest.approx(math.gamma(0.25), rel=1e-15, abs=0.0)
+    assert CONSTANTS.gamma_third == pytest.approx(math.gamma(1.0 / 3.0), rel=1e-15, abs=0.0)
 
 
 def test_eta_against_q_series():
