@@ -77,6 +77,9 @@ _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
 _TAIL_NS = 200.0          # n s >= this gives n log rho <= -n s / 4 <= -50
 _EXTRACT_LEVELS = 4       # exact extraction passes of _segment_sums
 _EXTRACT_MAX = 2.0 ** 960  # segments reaching this go to math.fsum whole
+# |stencil entry| bound: a row forms sin(m x) for every m up to twice the
+# largest entry, and the gather path forms p j + q k in int64
+_MAX_ENTRY = 2 ** 10
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +101,8 @@ class LatticeSpec:
             raise DomainError("stencil must start with (1,0), (0,1)")
         if any(v == (0, 0) for v in self.stencil):
             raise DomainError("stencil vectors must be nonzero")
+        if any(abs(c) > _MAX_ENTRY for v in self.stencil for c in v):
+            raise DomainError(f"stencil entries must lie in [-{_MAX_ENTRY}, {_MAX_ENTRY}]")
         if self.trace_divisor <= 0:
             raise DomainError("trace divisor must be positive")
 

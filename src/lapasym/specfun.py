@@ -5,8 +5,9 @@ dependency.  Provided here:
 
 * exact rational Bernoulli numbers and periodic Bernoulli polynomials,
 * the Clausen function Cl2(theta) = sum_{k>=1} sin(k theta)/k^2,
-* the digamma function on the real line and on the complex plane, for
-  scalars and elementwise over numpy arrays,
+* the digamma function, once: :func:`digamma_array` works elementwise on
+  real or complex arrays, and :func:`digamma_real` and
+  :func:`digamma_complex` are its scalar faces, returning Python numbers,
 * log of the inverse q-Pochhammer symbol, -log((q;q)_inf),
 * a table of fundamental constants shared by every closed-form expansion.
 
@@ -16,7 +17,9 @@ q-Pochhammer series is truncated once terms drop below 1e-17.  Digamma,
 against 40-digit mpmath (relative error, absolute where |psi| < 1):
 at most 6.9e-16 on [2, 10] and 3.9e-16 on [0.05, 2], where the Taylor
 series about 2 replaces the recurrence's reciprocals that cancelled
-against log x and lost 1.7e-15 (20000 random points per interval).  The
+against log x and lost 1.7e-15 (20000 random points per interval), and
+5.3e-16 over 760 reals from -9.95 to 1e8 and 3.3e-16 over 690 complex
+points up to |Im z| = 50, for the array and its scalar faces alike.  The
 complex arguments N + i sqrt C of the digamma route never reach that disc,
 and the route's gap to the direct quadrant sum stays 8.3e-16 at n = 7 and
 3.8e-16 at n = 8.
@@ -27,7 +30,6 @@ never mutated, so concurrent use needs no locking.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,13 +186,13 @@ _DIGAMMA_SHIFT = 10.0
 _DIGAMMA_COEFF = tuple(float(BERNOULLI.exact[2 * j] / (2 * j)) for j in range(1, 8))
 
 
-def _digamma_finish(acc, z, log):
+def _digamma_finish(acc, z):
     """acc + psi(z) for Re z >= 10: log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j})."""
     u = 1.0 / (z * z)
     tail = 0.0
     for c in reversed(_DIGAMMA_COEFF):
         tail = (tail + c) * u
-    return acc + log(z) - 0.5 / z - tail
+    return acc + np.log(z) - 0.5 / z - tail
 
 
 _DIGAMMA_DISC = 0.5  # radius of the disc about 2 where the Taylor series is used
@@ -222,62 +224,45 @@ def _digamma_near_two(e):
     return _DIGAMMA_AT_TWO + acc * e
 
 
-def _digamma_scalar(z, log):
-    """Digamma of a real or complex scalar; ``log`` is math.log or cmath.log."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"digamma pole at {z!r}")
-    acc = 0.0
-    while z.real < _DIGAMMA_SHIFT:
-        if abs(z - 2.0) <= _DIGAMMA_DISC:
-            return acc + _digamma_near_two(z - 2.0)
-        acc -= 1.0 / z
-        z += 1.0
-    return _digamma_finish(acc, z, log)
-
-
 def digamma_real(x: float) -> float:
     """Digamma (logarithmic derivative of Gamma) for real non-pole arguments.
 
-    Uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument to
-    x >= 10, then psi(x) = log x - 1/(2x) - sum_j B_{2j}/(2j x^{2j}).  An
-    argument that the shift brings within 1/2 of 2 (every x < 2.5) stops
-    there and takes the Taylor series of psi about 2, whose coefficients
-    are zeta(k) - 1, so no run of reciprocals cancels against the log.
+    The real face of :func:`digamma_array`, returned as a Python float.
     """
-    return _digamma_scalar(x, math.log)
+    return float(digamma_array(x))
 
 
 def digamma_complex(z: complex) -> complex:
     """Digamma on the complex plane minus the poles at 0, -1, -2, ...
 
-    Same recurrence-shift plus asymptotic-series scheme as
-    :func:`digamma_real`; the shift continues until Re z >= 10, which keeps
-    the expansion safely inside its sector of validity, or until z lies
-    in the disc |z - 2| <= 1/2 of the Taylor series.  Conjugate symmetry
-    psi(conj z) = conj(psi(z)) holds to within rounding.
+    The complex face of :func:`digamma_array`, returned as a Python
+    complex.  Conjugate symmetry psi(conj z) = conj(psi(z)) holds to
+    within rounding.
     """
-    return _digamma_scalar(complex(z), cmath.log)
+    return complex(digamma_array(complex(z)))
 
 
 def digamma_array(z) -> np.ndarray:
-    """Digamma elementwise over a real or complex array.
+    """Digamma elementwise over a real or complex array, off the poles 0, -1, ...
 
-    The scheme of :func:`digamma_real` and :func:`digamma_complex`: every
-    entry with real part below 10 is shifted up by the recurrence, the
-    others are masked out, then the same asymptotic series is applied;
-    entries the shift brings into the disc |z - 2| <= 1/2 stop there and
-    take the Taylor series about 2.
-    Real input gives a float array, complex input a complex array.
+    The recurrence psi(z) = psi(z + 1) - 1/z shifts every entry with real
+    part below 10 upward, the others masked out, and then
+    psi(z) = log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j}) applies, safely
+    inside its sector of validity.  An entry that the shift brings within
+    1/2 of 2 (every real x < 2.5) stops there and takes the Taylor series
+    of psi about 2, whose coefficients are zeta(k) - 1, so no run of
+    reciprocals cancels against the log.
+    Real input gives a float array, complex input a complex array; a
+    scalar gives a 0-d result.
     """
     z = np.asarray(z)
     z = z.astype(np.result_type(z.dtype, np.float64))  # a copy
-    if not np.all(np.isfinite(z)):
-        raise DomainError("arguments must be finite")
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise DomainError(f"arguments must be finite, got {z[bad][0].item()!r}")
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
     if pole.any():
-        raise PoleError(f"digamma pole at {z[pole][0]!r}")
+        raise PoleError(f"digamma pole at {z[pole][0].item()!r}")
     acc = np.zeros_like(z)
     near = np.zeros(z.shape, dtype=bool)
     low = z.real < _DIGAMMA_SHIFT
@@ -287,7 +272,7 @@ def digamma_array(z) -> np.ndarray:
         acc[low] -= 1.0 / z[low]
         z[low] += 1.0
         low &= z.real < _DIGAMMA_SHIFT
-    out = np.asarray(_digamma_finish(acc, z, np.log))  # 0-d for a scalar
+    out = np.asarray(_digamma_finish(acc, z))  # 0-d for a scalar
     if near.any():
         out[near] = acc[near] + _digamma_near_two(z[near] - 2.0)
     return out[()]

@@ -50,25 +50,18 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
     out.append(_check("clausen_catalan", abs(v) <= 1e-12, f"Cl2(pi/2) - G = {v:.3e}"))
 
     rng = np.random.default_rng(20260808)
-    worst = 0.0
-    for x in rng.uniform(0.1, 100.0, size=1000):
-        r = specfun.digamma_real(1.0 + x) - specfun.digamma_real(x) - 1.0 / x
-        worst = max(worst, abs(r))
-    for _ in range(1000):
-        mag = rng.uniform(1.0, 100.0)
-        ang = rng.uniform(-0.49 * math.pi, 0.49 * math.pi)
-        z = mag * complex(math.cos(ang), math.sin(ang))
-        r = specfun.digamma_complex(1.0 + z) - specfun.digamma_complex(z) - 1.0 / z
-        worst = max(worst, abs(r))
+    psi = specfun.digamma_array
+    x = rng.uniform(0.1, 100.0, size=1000)
+    worst = np.max(np.abs(psi(1.0 + x) - psi(x) - 1.0 / x))
+    mag, ang = rng.uniform([1.0, -0.49 * math.pi], [100.0, 0.49 * math.pi], size=(1000, 2)).T
+    z = mag * np.exp(1j * ang)
+    worst = max(worst, np.max(np.abs(psi(1.0 + z) - psi(z) - 1.0 / z)))
     out.append(_check("digamma_recurrence", worst <= 1e-12, f"max residual {worst:.3e}"))
 
-    worst = 0.0
-    for _ in range(100):
-        N = int(rng.integers(1, 51))
-        a = rng.uniform(0.1, 5.0)
-        direct = math.fsum(1.0 / (j + a) for j in range(1, N + 1))
-        via = specfun.digamma_real(N + 1 + a) - specfun.digamma_real(1 + a)
-        worst = max(worst, abs(direct - via))
+    draws = [(int(rng.integers(1, 51)), rng.uniform(0.1, 5.0)) for _ in range(100)]
+    N, a = (np.array(col) for col in zip(*draws))
+    direct = [math.fsum(1.0 / (j + t) for j in range(1, n + 1)) for n, t in draws]
+    worst = np.max(np.abs(direct - (psi(N + 1 + a) - psi(1 + a))))
     out.append(_check("digamma_finite_sum", worst <= 1e-11, f"max residual {worst:.3e}"))
 
     b = specfun.BERNOULLI.exact

@@ -58,7 +58,7 @@ def test_integral_minus_sum_model_is_pure_n2():
     c = square_integral_form().c1 - square.c1
     for n in (10, 100, 1000):
         diff = square_integral_form().evaluate(n) - square.evaluate(n)
-        assert diff == pytest.approx(c * n * n, rel=1e-12)
+        assert diff == pytest.approx(c * n * n, rel=1e-12, abs=0.0)
 
 
 def test_model_registry():
@@ -130,7 +130,7 @@ def test_linear_coefficient_matches_log_integral_route():
         + math.log((math.sqrt(NU) + 1.0) / (math.sqrt(NU) - 1.0)) / math.sqrt(NU))
     assert direct == pytest.approx(via_route, abs=1e-12)
     c2, _, _ = asymptotics._window_constants()
-    assert c2 == pytest.approx(direct, rel=4e-16)
+    assert c2 == pytest.approx(direct, rel=4e-16, abs=0.0)
 
 
 def test_linear_term_vanishes_mod_two():

@@ -108,6 +108,18 @@ def test_sum_rejects_non_utf8_lattice_file(tmp_path):
     assert main(["sum", "--n", "8", "--lattice-file", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("vectors", [
+    "s = 1180591620717411303424 1180591620717411303424\n",        # closed-form rows
+    "s = 1180591620717411303424 -2\ns = 2 2\n",                   # gathered rows
+], ids=["closed_form", "gather"])
+def test_sum_rejects_huge_stencil_entries(tmp_path, capsys, vectors):
+    # 2^70: the row cost grows with the entries, and int64 indexing overflows
+    path = tmp_path / "huge.lattice"
+    path.write_text("s = 1 0\ns = 0 1\n" + vectors + "divisor = 4\n")
+    assert main(["sum", "--lattice-file", str(path), "--n", "10"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: stencil entries")
+
+
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------

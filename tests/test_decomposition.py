@@ -84,7 +84,7 @@ def test_imag_root_identity(n):
     rows = factor_rows(n)
     for k, (A, C) in enumerate(zip(rows.A.tolist(), rows.C.tolist()), start=1):
         rhs = (2.0 / (1.0 + A)) * k ** 2 * (1.0 - c * k ** 2)
-        assert C == pytest.approx(rhs, rel=1e-12)
+        assert C == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_factor_rows_reject_tiny_n():
@@ -192,7 +192,7 @@ def test_piece_sums_families_unchanged():
 @pytest.mark.parametrize("n,rel", [(8, 1e-11), (100, 1e-10), (500, 1e-10)])
 def test_digamma_route_equals_direct(n, rel):
     direct = direct_double_sum(n)
-    assert double_sum_via_digamma(n) == pytest.approx(direct, rel=rel)
+    assert double_sum_via_digamma(n) == pytest.approx(direct, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [16000, 16003])
@@ -283,7 +283,7 @@ def test_restricted_equals_axis_plus_quadrant(n):
     p = piece_sums(n)
     lhs = restricted_sum_f2(n).value
     rhs = (4.0 * n * n / math.pi ** 2) * (p.q_axis + p.r_double)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_cascade_beta6_display():
         a2 = row.a ** 2
         display = 2.0 * (1.0 - 2.0 * a2) / (row.cal_A * (1.0 + row.cal_A)) \
             + 1.0 / (1.0 - a2)
-        assert row.beta[6] / a2 == pytest.approx(display, rel=1e-12)
+        assert row.beta[6] / a2 == pytest.approx(display, rel=1e-12, abs=0.0)
         assert abs(row.beta[6] / a2) < 5.0
 
 

@@ -78,6 +78,10 @@ def test_spec_validation():
         LatticeSpec("bad", ((1, 0), (0, 1), (0, 0)), 4)
     with pytest.raises(DomainError):
         LatticeSpec("bad", ((1, 0), (0, 1)), 0)
+    LatticeSpec("edge", ((1, 0), (0, 1), (1024, -1024)), 4)
+    for big in ((1025, 0), (0, -1025)):
+        with pytest.raises(DomainError, match="stencil entries"):
+            LatticeSpec("bad", ((1, 0), (0, 1), big), 4)
     with pytest.raises(DomainError):
         builtin_lattice("hexagonal")
 
@@ -201,7 +205,7 @@ def test_exact_sum_against_brute_force(spec, n):
 )
 def test_exact_sum_random_stencils(extra, n):
     spec = LatticeSpec("random", ((1, 0), (0, 1)) + tuple(extra), 4)
-    assert exact_sum(spec, n).value == pytest.approx(brute_force_sum(spec, n), rel=1e-12)
+    assert exact_sum(spec, n).value == pytest.approx(brute_force_sum(spec, n), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_BUILTINS + [NO_ROW_BASIS, R_ZERO_ROWS],
@@ -530,7 +534,7 @@ def test_periodicity_window_shift(spec, n):
             if (j, k) != (0, 0):
                 total += 1.0 / kernel_psi(
                     spec, (2 * math.pi * j / n, 2 * math.pi * k / n))
-    assert exact_sum(spec, n).value == pytest.approx(total, rel=1e-11)
+    assert exact_sum(spec, n).value == pytest.approx(total, rel=1e-11, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +564,7 @@ def brute_restricted(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 25, 40])
 def test_restricted_against_brute_force(n):
     r = restricted_sum_f2(n)
-    assert r.value == pytest.approx(brute_restricted(n), rel=1e-12)
+    assert r.value == pytest.approx(brute_restricted(n), rel=1e-12, abs=0.0)
     assert r.term_count == (2 * GridGeometry.from_n(n).N + 1) ** 2 - 1
 
 
@@ -638,7 +642,7 @@ def test_restricted_matches_pointwise_kernel():
         for k in range(-g.N, g.N + 1):
             if (j, k) != (0, 0):
                 total += kernel_fm(SQUARE, 2, (2 * math.pi * j / n, 2 * math.pi * k / n))
-    assert restricted_sum_f2(n).value == pytest.approx(total, rel=1e-12)
+    assert restricted_sum_f2(n).value == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 def test_restricted_rejects_non_square_and_tiny_n():

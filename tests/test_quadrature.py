@@ -133,7 +133,7 @@ def test_f1_restricted_against_2d_oracle():
     main = integrate_2d(f1, a, beta_n, 0.0, beta_n).value
     corner = integrate_2d(f1, 0.0, a, a, beta_n).value
     ref = 4.0 * (main + corner) / (2.0 * math.pi / n) ** 2
-    assert integral_f1_restricted(n) == pytest.approx(ref, rel=1e-6)
+    assert integral_f1_restricted(n) == pytest.approx(ref, rel=1e-6, abs=0.0)
 
 
 def test_f2_restricted_against_2d_oracle():
@@ -147,7 +147,7 @@ def test_f2_restricted_against_2d_oracle():
     main = integrate_2d(f2, a, beta_n, 0.0, beta_n).value
     corner = integrate_2d(f2, 0.0, a, a, beta_n).value
     ref = 4.0 * (main + corner) / (2.0 * math.pi / n) ** 2
-    assert integral_f2_restricted(n).value == pytest.approx(ref, rel=1e-6)
+    assert integral_f2_restricted(n).value == pytest.approx(ref, rel=1e-6, abs=0.0)
 
 
 def test_f2_integrand_at_zero_angle():

@@ -175,14 +175,11 @@ def test_digamma_poles():
 
 def test_digamma_recurrence_random_points():
     rng = np.random.default_rng(99)
-    worst = 0.0
-    for x in rng.uniform(0.1, 100.0, size=1000):
-        worst = max(worst, abs(digamma_real(1.0 + x) - digamma_real(x) - 1.0 / x))
-    for _ in range(1000):
-        mag = rng.uniform(1.0, 100.0)
-        ang = rng.uniform(-0.49 * math.pi, 0.49 * math.pi)
-        z = mag * cmath.exp(1j * ang)
-        worst = max(worst, abs(digamma_complex(1.0 + z) - digamma_complex(z) - 1.0 / z))
+    x = rng.uniform(0.1, 100.0, size=1000)
+    worst = np.max(np.abs(digamma_array(1.0 + x) - digamma_array(x) - 1.0 / x))
+    mag, ang = rng.uniform([1.0, -0.49 * math.pi], [100.0, 0.49 * math.pi], size=(1000, 2)).T
+    z = mag * np.exp(1j * ang)
+    worst = max(worst, np.max(np.abs(digamma_array(1.0 + z) - digamma_array(z) - 1.0 / z)))
     assert worst <= 1e-12
 
 
@@ -226,29 +223,6 @@ def test_digamma_schwarz_property(re, im):
                - digamma_complex(z).conjugate()) <= 1e-13
 
 
-def test_digamma_array_matches_scalar_real():
-    # the grid starts far below the shift threshold 10 and reaches 1e8;
-    # relative where |psi| >= 1, absolute near the real root 1.4616
-    x = np.concatenate([np.linspace(0.01, 40.0, 4001),
-                        np.linspace(-9.95, -0.05, 100) + 1e-3, [1e3, 1e6, 1e8]])
-    got = digamma_array(x)
-    assert got.dtype == np.float64
-    want = np.array([digamma_real(float(t)) for t in x])
-    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
-
-
-def test_digamma_array_matches_scalar_complex():
-    rng = np.random.default_rng(20261018)
-    z = np.concatenate([
-        rng.uniform(-15.0, 40.0, 2000) + 1j * rng.uniform(-30.0, 30.0, 2000),
-        3.0 + 1j * np.linspace(0.1, 50.0, 500),   # N + i sqrt(C) of small grids
-    ])
-    got = digamma_array(z)
-    assert got.dtype == np.complex128
-    want = np.array([digamma_complex(complex(t)) for t in z])
-    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-
-
 def test_digamma_array_of_a_scalar_is_a_scalar():
     # one argument in the disc about 2 after a shift, one past the shift
     for x, scalar in ((1.0, digamma_real), (30.0, digamma_real),
@@ -267,34 +241,51 @@ def test_digamma_array_rejects_poles_and_non_finite():
 
 
 
+def test_digamma_faces_return_python_numbers():
+    assert type(digamma_real(3.0)) is float and type(digamma_real(3)) is float
+    assert type(digamma_complex(3.0 + 1j)) is complex and type(digamma_complex(3.0)) is complex
+    with pytest.raises(PoleError, match=r"^digamma pole at -2\.0$"):
+        digamma_real(-2.0)
+    with pytest.raises(PoleError, match=r"^digamma pole at \(-2\+0j\)$"):
+        digamma_complex(-2.0)
+    with pytest.raises(PoleError, match=r"^digamma pole at 0\.0$"):
+        digamma_array([1.5, 0.0])
+    with pytest.raises(DomainError, match=r"got inf$"):
+        digamma_real(math.inf)
+
+
 def test_digamma_against_40_digit_reference():
-    # relative error, absolute where |psi| < 1
+    # relative error, absolute where |psi| < 1; the real grid starts far
+    # below the shift threshold 10, crosses the poles and reaches 1e8
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
-    x = np.concatenate([np.linspace(0.05, 30.0, 600), np.geomspace(30.0, 1e8, 60)])
-    z = x[::4] + 1j * np.linspace(-30.0, 30.0, len(x[::4]))
-    cases = [(digamma_real(float(t)), t) for t in x] + list(zip(digamma_array(x), x))
-    cases += [(digamma_complex(complex(t)), t) for t in z] + list(zip(digamma_array(z), z))
-    for got, arg in cases:
-        arg = complex(arg)
-        want = mp.digamma(mp.mpc(arg.real, arg.imag))
-        err = abs(mp.mpc(complex(got).real, complex(got).imag) - want) / max(abs(want), 1)
-        assert err <= 1e-15, arg
+    x = np.concatenate([np.linspace(0.05, 30.0, 600), np.geomspace(30.0, 1e8, 60),
+                        np.linspace(-9.95, -0.05, 100) + 1e-3])
+    z = np.concatenate([x[::4] + 1j * np.linspace(-30.0, 30.0, len(x[::4])),
+                        3.0 + 1j * np.linspace(0.1, 50.0, 500)])  # N + i sqrt(C)
+    cases = [(digamma_array(x), digamma_real, x), (digamma_array(z), digamma_complex, z)]
+    for arr, face, args in cases:
+        assert arr.dtype == args.dtype
+        for got_array, arg in zip(arr.tolist(), args.tolist()):
+            want = mp.digamma(arg)
+            for got in (got_array, face(arg)):
+                err = abs(mp.mpmathify(got) - want) / max(abs(want), 1)
+                assert err <= 1e-15, arg
 
 
 def test_digamma_near_one_against_40_digit_reference():
     # the recurrence from x near 1 summed nine reciprocals (about -2.8)
-    # that cancelled against log(x + 9): 1.4e-15 here before the series
+    # that cancelled against log(x + 9): 1.4e-15 here before the series;
+    # the real face is checked on every twentieth point
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
     x = np.random.default_rng(20261018).uniform(1.0, 1.1, 20000)
-    arr = digamma_array(x)
     worst = 0.0
-    for t, got_array in zip(x.tolist(), arr.tolist()):
+    for i, (t, got_array) in enumerate(zip(x.tolist(), digamma_array(x).tolist())):
         want = mp.digamma(mp.mpf(t))
-        for got in (digamma_real(t), got_array):
+        for got in (got_array, digamma_real(t)) if i % 20 == 0 else (got_array,):
             worst = max(worst, float(abs(mp.mpf(got) - want)))
     assert worst <= 8e-16
 
