@@ -20,22 +20,23 @@ rho^n is formed only on the few rows per size where it is representable
 beside 1.  Since 1 - rho >= s/4, n log rho <= -n s/4, so n log rho itself
 is formed only on the rows with n s < 200.  Other stencils gather their
 rows from a sin^2 table (:func:`_gathered_rows`): rows are formed in
-fixed blocks of 64, with psi as (2/L) sum_l sin^2(s_l . x / 2), which
-loses no relative precision near the zeros of psi, and each row is summed
-by numpy's pairwise reduction.  The weighted rows of each size are
-summed exactly by error-free extraction over the whole batch
-(:func:`_segment_sums`) and rounded once: the float math.fsum returns, so
-a result does not depend on the batch of sizes it was computed in.
+blocks of about _BLOCK_ELEMENTS floats, with psi as
+(2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
+the zeros of psi, and each row is summed by numpy's pairwise reduction.
+The weighted rows of each size are summed exactly by error-free
+extraction over the whole batch (:func:`_segment_sums`) and rounded
+once: the float math.fsum returns, so a result does not depend on the
+batch of sizes it was computed in.
 
 The restricted quartic sum lives on the window |j|, |k| <= N of
 :meth:`GridGeometry.restricted`, with the row formula
 u_k = k^2 - (pi^2 / 3 n^2) k^4 of :func:`quartic_rows`.  Its open
 quadrant sum_{j,k=1}^N 1/(u_j + u_k) (:func:`quadrant_sum`) is the
 trapezoidal rule on its Laplace integral, h sum_m t_m S(t_m)^2 with
-S(t) = sum_j e^(-t u_j): about 66 N exponentials in O(64 N) memory.  The
-decomposition module gets the same double sum in O(N) through digamma
-rows; each route checks the other, and the tests check both against
-direct summation.
+S(t) = sum_j e^(-t u_j): fewer than 60 N exponentials, in blocks of at
+most max(_BLOCK_ELEMENTS, N) floats.  The decomposition module gets the
+same double sum in O(N) through digamma rows; each route checks the
+other, and the tests check both against direct summation.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ __all__ = [
     "quadrant_sum",
 ]
 
-_BLOCK_ROWS = 64          # rows (gather) or nodes (quadrant) per block; bounds memory
+_BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per block temporary; bounds memory
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
 _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
@@ -392,17 +393,20 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
 def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
     """Weighted rows 0..n//2 of F_n gathered from the sin^2 table, any stencil.
 
-    Rows are formed in fixed blocks of _BLOCK_ROWS and each row is reduced
-    on its own, so memory is O(_BLOCK_ROWS n) and the blocks depend on n
-    alone.  Rows 0 < j < n/2 are doubled, as in :func:`_closed_form_rows`.
+    Rows are formed max(1, _BLOCK_ELEMENTS // n) at a time, so each block
+    temporary holds at most max(_BLOCK_ELEMENTS, n) floats whatever n is.
+    Each row is reduced on its own, so a row's sum does not depend on the
+    block it was formed in.  Rows 0 < j < n/2 are doubled, as in
+    :func:`_closed_form_rows`.
     """
     k = np.arange(n, dtype=np.int64)
     table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
     scale = 2.0 / spec.L
     nrows = n // 2 + 1
+    block = max(1, _BLOCK_ELEMENTS // n)
     out = np.empty(nrows)
-    for j0 in range(0, nrows, _BLOCK_ROWS):
-        j1 = min(j0 + _BLOCK_ROWS, nrows)
+    for j0 in range(0, nrows, block):
+        j1 = min(j0 + block, nrows)
         j = np.arange(j0, j1, dtype=np.int64)[:, None]
         psi = np.zeros((j1 - j0, n))
         for p, q in spec.stencil:
@@ -410,10 +414,11 @@ def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
         psi *= scale
         if j0 == 0:
             psi[0, 0] = 1.0  # the origin; its reciprocal is dropped below
-        v = np.reciprocal(psi, out=psi)
+        np.reciprocal(psi, out=psi)
         if j0 == 0:
-            v[0, 0] = 0.0
-        out[j0:j1] = v.sum(axis=1)
+            psi[0, 0] = 0.0
+        out[j0:j1] = psi.sum(axis=1)
+        del psi  # one block alive at a time: free it before the next forms
     out[1:(n + 1) // 2] *= 2.0
     return out
 
@@ -495,8 +500,8 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
     share one elementwise pass until it holds at least _BATCH_ROWS rows,
     so a ladder of sizes pays numpy's per-call cost once per batch and
     memory stays O(_BATCH_ROWS + max n).  Otherwise the rows are gathered
-    from the sin^2 table in fixed 64-row blocks, one size at a time,
-    about n^2/2 reciprocals each.
+    from the sin^2 table in blocks of about _BLOCK_ELEMENTS floats, one
+    size at a time, about n^2/2 reciprocals each.
     ``term_count`` counts the n^2 - 1 terms represented.
 
     Deterministic: each size's weighted rows are summed exactly by the
@@ -588,9 +593,11 @@ def _laplace_quadrant(u: np.ndarray) -> float:
     * series: nodes with x = t u_N <= _LAPLACE_SERIES_X = 0.05 take
       S = sum_{k<13} (-x)^k P_k / k!, P_k = sum_j (u_j / u_N)^k, whose
       remainder is at most e^0.05 0.05^13 / 13! = 2.1e-27.
-    The other nodes form their exponentials _BLOCK_ROWS nodes at a time,
-    so memory is O(_BLOCK_ROWS N); about 66 N exponentials for N up to
-    4000.  Rounding is left to the tests (<= 4e-16 against the direct sum).
+    The other nodes form their exponentials min(16, _BLOCK_ELEMENTS // N)
+    nodes at a time (at least one), so a block holds at most
+    max(_BLOCK_ELEMENTS, N) floats; about 48-57 N exponentials for N from
+    50 to 4000.  Rounding is left to the tests (<= 4e-16 against the direct
+    sum).
     """
     h = _LAPLACE_STEP
     lo = math.floor(math.log(_LAPLACE_TAIL / (2.0 * u[-1])) / h)
@@ -609,11 +616,18 @@ def _laplace_quadrant(u: np.ndarray) -> float:
     for c in reversed(coeffs):
         series = series * minus_x + c
     S[:near] = series
-    for i0 in range(near, len(t), _BLOCK_ROWS):
-        tb = t[i0:i0 + _BLOCK_ROWS]
+    # A block forms the columns its first (smallest) node keeps for all of
+    # its nodes.  That count, about sqrt(60 / t) as u_j grows like j^2,
+    # falls by e^(-h/2) = e^-0.1 per node, so 16 nodes form at most about
+    # twice the exponentials their own cuts need.  A later node keeps more
+    # columns than its cut asks, so its loss stays within N e^-60.
+    block = min(16, max(1, _BLOCK_ELEMENTS // len(u)))
+    for i0 in range(near, len(t), block):
+        tb = t[i0:i0 + block]
         cols = int(np.searchsorted(u, u[0] + _LAPLACE_COLUMN_CUT / tb[0], side="right"))
         e = np.multiply.outer(-tb, u[:cols])
         S[i0:i0 + len(tb)] = np.exp(e, out=e).sum(axis=1)
+        del e  # one block alive at a time: free it before the next forms
     return math.fsum((h * t * S * S).tolist())
 
 
@@ -622,10 +636,11 @@ def quadrant_sum(n: int) -> float:
 
     u is :func:`quartic_rows`, increasing on the window.  The sum is the
     trapezoidal rule on its Laplace integral (:func:`_laplace_quadrant`):
-    about 300 nodes and 66 N exponentials in O(64 N) memory, where the
-    pairs themselves would take N^2/2 reciprocals.  Independent of the
-    digamma route of :mod:`lapasym.decomposition`; the tests check both
-    against direct summation.
+    about 300 nodes and fewer than 60 N exponentials, in blocks of at most
+    max(_BLOCK_ELEMENTS, N) floats, where the pairs themselves would take
+    N^2/2 reciprocals.  Independent of the digamma route of
+    :mod:`lapasym.decomposition`; the tests check both against direct
+    summation.
     """
     return _laplace_quadrant(quartic_rows(n))
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lapasym import verify
+from lapasym import decomposition, verify
 from lapasym.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, RunConfig,
                          cmd_errors, cmd_sum, cmd_verify, config_from_argv,
                          main)
@@ -228,6 +228,17 @@ def test_verify_identities_suite_passes():
     code, text = run_cmd(cmd_verify, cfg)
     assert code == EXIT_OK, text
     assert "digamma_route" in text
+
+
+def test_verify_quadrant_checks_catch_a_route_off_by_1e14(monkeypatch):
+    # both limits come from the routes' stated agreement with the direct
+    # sum, below 2e-15, so a digamma route 1e-14 off fails each of them
+    route = decomposition._route_sum
+    monkeypatch.setattr(decomposition, "_route_sum",
+                        lambda rows: route(rows) * (1.0 + 1e-14))
+    checks = {r.name: r for r in verify.suite_identities(max_n=120)}
+    assert not checks["digamma_route"].passed
+    assert not checks["restricted_decomposition"].passed
 
 
 def test_verify_reports_failures(monkeypatch):

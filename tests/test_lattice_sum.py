@@ -467,6 +467,21 @@ def test_exact_sums_match_exact_sum():
                 assert r == exact_sum(spec, r.n), (spec.name, r.n)  # bit identical
 
 
+def test_gathered_rows_memory_is_per_block():
+    # at most three block temporaries of _BLOCK_ELEMENTS floats live at once
+    # (psi, an int64 index array, the index sum or the gathered values) plus
+    # a few arrays of n; 64-row blocks peaked near 4 MB at n = 2000
+    n = 2000
+    exact_sum(NO_ROW_BASIS, 64)  # warm numpy's lazy setup
+    tracemalloc.start()
+    try:
+        exact_sum(NO_ROW_BASIS, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * lattice_sum._BLOCK_ELEMENTS + 8 * n)
+
+
 def test_exact_sums_gather_path_matches_exact_sum():
     ladder = [1030, 3, 1, 64, 1030, 2]
     want = [exact_sum(NO_ROW_BASIS, n) for n in ladder]
@@ -603,9 +618,12 @@ def test_quadrant_sums_reciprocal_count(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [200, 1287, 4001, 16000])
 def test_quadrant_sum_cost(monkeypatch, n):
-    # about 66 N exponentials, where the pairs took N^2/2 reciprocals, and
-    # a peak of about 70 arrays of N floats: one block of 64 nodes plus u
+    # fewer than 60 N exponentials, where the pairs took N^2/2 reciprocals,
+    # and a peak of one block (at most 16 nodes and _BLOCK_ELEMENTS floats),
+    # numpy's iteration buffers (under one more block), a few arrays of N
+    # floats and 2^17 bytes of fixed cost
     N = GridGeometry.from_n(n).N
+    block = min(16, max(1, lattice_sum._BLOCK_ELEMENTS // N)) * N
     formed = []
     exp = np.exp
 
@@ -621,8 +639,48 @@ def test_quadrant_sum_cost(monkeypatch, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert N < sum(formed) <= 80 * N
-    assert peak <= 8 * 80 * N + 2 ** 17
+    assert N < sum(formed) <= 60 * N
+    assert peak <= 8 * (2 * block + 8 * N) + 2 ** 17
+
+
+@pytest.mark.parametrize("n", [4, 41, 1287, 16000])
+def test_laplace_moment_series_within_budget(n):
+    # the truncated moment series against the exponential sum it replaces,
+    # both in 40 digits, at the last node that takes it, x = t u_N = 0.05;
+    # the docstring budget is e^0.05 0.05^13 / 13! = 2.1e-27 relative
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    u = quartic_rows(n)
+    x = mp.mpf(lattice_sum._LAPLACE_SERIES_X)
+    r = [mp.mpf(v) / mp.mpf(u[-1]) for v in u.tolist()]
+    exact = mp.fsum(mp.exp(-x * rj) for rj in r)
+    series = mp.fsum((-x) ** k / mp.factorial(k) * mp.fsum(rj ** k for rj in r)
+                     for k in range(lattice_sum._LAPLACE_MOMENTS))
+    assert abs(series / exact - 1) <= 2.1e-27
+
+
+@pytest.mark.parametrize("n", [21, 1287, 16000, 140001])
+def test_laplace_column_cut_within_budget(monkeypatch, n):
+    # every node of every exponential block, with the columns its block
+    # kept: the dropped e^(-t u_j) add up to at most N e^-60 of S(t)
+    u = quartic_rows(n)
+    N = len(u)
+    blocks = []
+    exp = np.exp
+
+    def recording(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            blocks.append((-x[:, 0] / u[0], x.shape[1]))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording)
+    quadrant_sum(n)
+    monkeypatch.undo()
+    assert blocks
+    for t, cols in blocks:
+        w = np.exp(-np.multiply.outer(t, u - u[0]))  # S(t) e^(t u_1), each node
+        assert (w[:, cols:].sum(axis=1) <= N * math.exp(-60.0) * w.sum(axis=1)).all()
 
 
 def test_quadrant_sums_singularity_guard(monkeypatch):

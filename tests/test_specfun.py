@@ -65,6 +65,27 @@ def test_bernoulli_float_rendering():
         assert flt == float(frac)
 
 
+def bernoulli_by_recurrence(max_index):
+    """B_m = -(1/(m+1)) sum_{j<m} C(m+1, j) B_j, exact in rational arithmetic."""
+    values = [Fraction(1)]
+    for m in range(1, max_index + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * values[j]
+        values.append(-acc / (m + 1))
+    return values
+
+
+@pytest.mark.parametrize("max_index", [0, 1, 2, 3, 4, 7, 40, 61])
+def test_bernoulli_tangent_numbers_match_recurrence(max_index):
+    table = specfun._make_bernoulli(max_index)
+    want = bernoulli_by_recurrence(max_index)
+    assert list(table.exact) == want
+    assert list(table.floats) == [float(b) for b in want]
+    if max_index == BERNOULLI.max_index:
+        assert table == BERNOULLI
+
+
 # ---------------------------------------------------------------------------
 # Clausen function
 # ---------------------------------------------------------------------------
