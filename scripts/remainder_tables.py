@@ -28,7 +28,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from lapasym.asymptotics import (axis_sum_expansion,                 # noqa: E402
                                  edge_sum_decay_coefficient, exp_tail_limit,
                                  restricted_integral_expansion)
-from lapasym.decomposition import double_sum_via_digamma, piece_sums  # noqa: E402
+from lapasym.decomposition import piece_sums                         # noqa: E402
 from lapasym.lattice_sum import quadrant_sum, restricted_sum_f2      # noqa: E402
 from lapasym.quadrature import integral_f2_restricted                 # noqa: E402
 
@@ -65,7 +65,7 @@ def main():
         axis = n * n * (p.q_axis - axis_sum_expansion(n))
         edge = n * (n * p.r_edge - beta3)
         laplace = quadrant_sum(n)
-        route = abs(double_sum_via_digamma(n) - laplace) / laplace
+        route = abs(p.r_double - laplace) / laplace  # r_double is the digamma route
         print(f"{n:>6} {d:>12.6f} {delta:>12.6f} {tail:>12.3e} "
               f"{axis:>13.6f} {edge:>12.6f} {route:>10.2e}")
     return 0

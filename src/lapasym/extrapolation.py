@@ -63,14 +63,13 @@ class FitResult:
 
 def fit_expansion(values: Sequence[tuple[int, float]],
                   basis: Sequence[str] = ("n2logn", "n2", "n", "1"),
-                  fixed: Mapping[str, float] | None = None,
-                  allow_mixed_residues: bool = False) -> FitResult:
+                  fixed: Mapping[str, float] | None = None) -> FitResult:
     """Least-squares coefficients of the expansion basis over a ladder.
 
     ``fixed`` pins coefficients (by basis name) that are subtracted from
-    the data before fitting the rest.  Ladders are required to stay in one
-    residue class mod 4 (residue-dependent constants must be constant
-    across the ladder) unless ``allow_mixed_residues`` is set.
+    the data before fitting the rest.  Ladders must stay in one residue
+    class mod 4, so that residue-dependent constants are constant across
+    the ladder; a mixed ladder raises DomainError.
     """
     fixed = dict(fixed or {})
     for name in list(fixed) + list(basis):
@@ -81,10 +80,8 @@ def fit_expansion(values: Sequence[tuple[int, float]],
         raise DomainError(
             f"ladder of {len(values)} points is too short for {len(free)} columns")
     ns = [n for n, _ in values]
-    if not allow_mixed_residues and len({n % 4 for n in ns}) > 1:
-        raise DomainError(
-            "ladder mixes residue classes mod 4; pass allow_mixed_residues=True "
-            "to override")
+    if len({n % 4 for n in ns}) > 1:
+        raise DomainError("ladder mixes residue classes mod 4")
 
     rhs = np.array([f - sum(c * BASIS_FUNCTIONS[b](n) for b, c in fixed.items())
                     for n, f in values])

@@ -18,9 +18,9 @@ rows of consecutive sizes are evaluated together in one elementwise pass
 sin^2 terms built by angle addition, so it needs no difference, and
 rho^n is formed only on the few rows per size where it is representable
 beside 1.  Since 1 - rho >= s/4, n log rho <= -n s/4, so n log rho itself
-is formed only on the rows with n s < 200.  Other stencils gather their
-rows from a sin^2 table (:func:`_gathered_rows`): rows are formed in
-blocks of about _BLOCK_ELEMENTS floats, with psi as
+is formed only on the rows with n s < 160, which alone can reach -40.
+Other stencils gather their rows from a sin^2 table (:func:`_gathered_rows`):
+rows are formed in blocks of about _BLOCK_ELEMENTS floats, with psi as
 (2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
 the zeros of psi, and each row is summed by numpy's pairwise reduction.
 The weighted rows of each size are summed exactly by error-free
@@ -75,7 +75,6 @@ _BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per block temporary; bounds memo
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
 _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
-_TAIL_NS = 200.0          # n s >= this gives n log rho <= -n s / 4 <= -50
 _EXTRACT_LEVELS = 4       # exact extraction passes of _segment_sums
 _EXTRACT_MAX = 2.0 ** 960  # segments reaching this go to math.fsum whole
 # |stencil entry| bound: a row forms sin(m x) for every m up to twice the
@@ -334,18 +333,6 @@ def _tail_rows(stencil, n, j, s, e) -> np.ndarray:
         np.expm1(e) ** 2 + 4.0 * np.exp(e) * np.sin(0.5 * n * phi) ** 2)
 
 
-def _tail(stencil, n, s, X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the rows with e = n log rho > _TAIL_LOG_RHO_N, and their e.
-
-    e is formed only where n s < _TAIL_NS: elsewhere e <= -n s / 4 <= -50
-    (:func:`_log_rho_n`).
-    """
-    near = np.flatnonzero(n * s < _TAIL_NS)
-    e = _log_rho_n(stencil, n[near], s[near], X[near], Y[near])
-    keep = e > _TAIL_LOG_RHO_N
-    return near[keep], e[keep]
-
-
 def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     """Weighted rows 0..n//2 of F_n for each n in sizes, concatenated in order.
 
@@ -363,7 +350,7 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     1, so the row rounds to exactly n/s.  Only the first few rows of each
     size have e > -40; they alone need phi and the full formula
     (:func:`_tail_rows`), and since e <= -n s / 4, e is formed only on
-    rows with n s < 200 (:func:`_tail`).
+    rows with n s < 160, the only ones that can pass the cutoff.
 
     Rows 0 < j < n/2 stand for rows j and n - j, so they are doubled: all
     rows j >= 1 are multiplied by 2 and the row j = n/2 of an even n by
@@ -379,7 +366,10 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     at = np.arange(len(n)) + np.repeat(np.arange(1, len(sizes) + 1), half)
     j = at - np.repeat(first, half)
     s, X, Y = _row_kernel(stencil, n, j)
-    tail, e = _tail(stencil, n, s, X, Y)
+    near = np.flatnonzero(n * s < -4.0 * _TAIL_LOG_RHO_N)
+    e = _log_rho_n(stencil, n[near], s[near], X[near], Y[near])
+    keep = e > _TAIL_LOG_RHO_N
+    tail, e = near[keep], e[keep]
     out = n / s
     out[tail] = _tail_rows(stencil, n[tail], j[tail], s[tail], e)
     out *= 2.0

@@ -134,8 +134,9 @@ def integrate_2d(fn: Callable[[float, float], float],
                  ax: float, bx: float, ay: float, by: float) -> QuadratureResult:
     """Tensor-product oracle: adaptive outer integral of adaptive inner ones.
 
-    The outer integral runs to tolerance 1e-8, each inner one to 1e-9.
-    Meant only for small cross-checks; cost grows multiplicatively.
+    The outer integral runs to tolerance 1e-8, each inner one to 1e-9, and
+    abs_error_estimate adds (bx - ax) 1e-9 for the inner errors.  Meant
+    only for small cross-checks; cost grows multiplicatively.
     """
     evaluations = 0
 
@@ -146,7 +147,7 @@ def integrate_2d(fn: Callable[[float, float], float],
         return inner.value
 
     res = integrate_1d(outer, ax, bx, tol=1e-8)
-    return QuadratureResult(res.value, res.abs_error_estimate, evaluations)
+    return QuadratureResult(res.value, res.abs_error_estimate + (bx - ax) * 1e-9, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_criterion_02_triangular_and_union_jack_plateaus():
         f"E_2500(muj) = {e_mu:.4f} in [-0.40, -0.34]")
 
 
+# Each quadrant route meets the direct double sum to 4e-16 (the Laplace
+# quadrature of quadrant_sum) and 1e-15 (the digamma route), so the two
+# meet each other to 1.4e-15.  restricted_sum_f2 and the piece sums share
+# the axis sum bit for bit; beyond the route gap each side rounds axis plus
+# quadrant once and its n^2/pi^2 scaling once: 1.4e-15 + 4 * 2^-53.
+ROUTE_LIMIT = 1.4e-15
+DECOMPOSITION_LIMIT = 1.84e-15
+
+
 def test_criterion_03_decomposition_identity():
     started = time.perf_counter()
     worst = 0.0
@@ -78,11 +87,11 @@ def test_criterion_03_decomposition_identity():
         gap = abs(f - (4.0 * n * n / math.pi ** 2) * (p.q_axis + p.r_double))
         worst = max(worst, gap / abs(f))
     elapsed = time.perf_counter() - started
-    ok = worst <= 1e-10 and elapsed <= 2.0
+    ok = worst <= DECOMPOSITION_LIMIT and elapsed <= 2.0
     assert report(
         "criterion-03 decomposition identity",
         ok,
-        f"max relative gap {worst:.2e} <= 1e-10 over n in 5..64 and "
+        f"max relative gap {worst:.2e} <= {DECOMPOSITION_LIMIT} over n in 5..64 and "
         f"{{100, 500, 1000}}, runtime {elapsed:.2f}s <= 2s")
 
 
@@ -91,9 +100,9 @@ def test_criterion_04_digamma_route():
     for n in (8, 20, 100, 500):
         laplace = quadrant_sum(n)
         worst = max(worst, abs(double_sum_via_digamma(n) - laplace) / abs(laplace))
-    ok = worst <= 1e-10
+    ok = worst <= ROUTE_LIMIT
     assert report("criterion-04 digamma route equivalence", ok,
-                  f"max relative gap {worst:.2e} <= 1e-10 at n in {{8, 20, 100, 500}}")
+                  f"max relative gap {worst:.2e} <= {ROUTE_LIMIT} at n in {{8, 20, 100, 500}}")
 
 
 def _assembly_gap(n):

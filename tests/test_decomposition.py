@@ -360,6 +360,19 @@ def test_euler_maclaurin_quadratic_exact():
     assert bound <= 2e-3
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_euler_maclaurin_odd_order_bound_covers_the_maximum(p):
+    # with g = x^p and N = 1 the bound is max|B_p(.)| itself; the maximum
+    # sits at the root of B_p' = p B_(p-1) in (0, 1/2), sqrt(3)/36 for p = 3
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    x = mp.findroot(lambda t: mp.bernpoly(p - 1, t), 0.22)
+    derivatives = [lambda t, k=k: math.perm(p, k) * t ** (p - k) for k in range(1, p + 1)]
+    _, bound = euler_maclaurin(lambda t: t ** p, 1, p, derivatives=derivatives)
+    assert bound >= abs(mp.bernpoly(p, x))
+
+
 def test_euler_maclaurin_constant_function():
     approx, bound = euler_maclaurin(lambda x: 7.0, 25, 3,
                                     derivatives=[lambda x: 0.0] * 3)

@@ -100,7 +100,6 @@ def test_ladder_preconditions():
     mixed = synthetic_ladder(1.0, 1.0, 1.0, 1.0, [100, 201, 304, 400, 500, 600])
     with pytest.raises(DomainError):
         fit_expansion(mixed)
-    fit_expansion(mixed, allow_mixed_residues=True)  # explicit override works
     with pytest.raises(DomainError):
         fit_expansion(short, basis=("n2", "bogus"))
 

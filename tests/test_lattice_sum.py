@@ -15,8 +15,7 @@ from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
                                  LatticeSpec, _closed_form_rows,
                                  _gathered_rows, _log_rho_n, _row_basis,
-                                 _row_kernel, _segment_sums, _tail,
-                                 _tail_rows,
+                                 _row_kernel, _segment_sums, _tail_rows,
                                  builtin_lattice, exact_sum, exact_sums,
                                  kernel_fm, kernel_psi,
                                  parse_lattice_file, quadrant_sum,
@@ -365,18 +364,20 @@ def test_rows_past_the_tail_cutoff_are_n_over_s(n):
 
 def test_tail_prefilter_keeps_every_tail_row():
     # 1 - rho >= s / 4, so e = n log rho <= -n s / 4, and rows with
-    # n s >= 200 lie far past the cutoff; the prefilter drops only those
+    # n s >= 160 lie past the cutoff -40; the prefilter drops only those,
+    # so every row above the cutoff still takes the full formula
     for n in [*range(2, 300), 517, 2500, 9999, 10007, 20000]:
         j = np.arange(1, n // 2 + 1)
         sizes = np.full(len(j), float(n))
+        weight = np.where(2 * j == n, 1.0, 2.0)
         for name, stencil in row_stencils():
             s, X, Y = _row_kernel(stencil, sizes, j)
             e = _log_rho_n(stencil, sizes, s, X, Y)
             assert np.all(e <= -sizes * s / 4), (name, n)
-            tail, e_tail = _tail(stencil, sizes, s, X, Y)
-            assert np.array_equal(
-                tail, np.flatnonzero(e > lattice_sum._TAIL_LOG_RHO_N)), (name, n)
-            assert np.array_equal(e_tail, e[tail]), (name, n)
+            tail = e > lattice_sum._TAIL_LOG_RHO_N
+            full = weight * _tail_rows(stencil, sizes, j, s, e)
+            assert np.array_equal(_closed_form_rows(stencil, [n])[1:][tail],
+                                  full[tail]), (name, n)
 
 
 def fsum_each(segments):

@@ -1,4 +1,5 @@
 """Tests for the adaptive quadrature oracles."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lapasym import asymptotics, decomposition, quadrature, specfun, verify
 from lapasym.asymptotics import (log_cos_closed_forms,
                                  quartic_factor_params,
                                  restricted_integral_expansion)
@@ -200,3 +202,44 @@ def test_factored_log_integrals_match_closed_forms():
 def test_factored_log_integrals_domain():
     with pytest.raises(DomainError):
         factored_log_integrals(1.0)
+
+
+def _shift_log_cos(monkeypatch):
+    closed = asymptotics.log_cos_closed_forms
+    monkeypatch.setattr(asymptotics, "log_cos_closed_forms",
+                        lambda a, regime: tuple(j + 1e-12 for j in closed(a, regime)))
+
+
+def _shift_catalan(monkeypatch):
+    moved = dataclasses.replace(CONSTANTS, catalan_G=CONSTANTS.catalan_G + 1e-11)
+    monkeypatch.setattr(specfun, "CONSTANTS", moved)
+
+
+def _scale_f1(monkeypatch):
+    f1 = quadrature.integral_f1_restricted
+    monkeypatch.setattr(quadrature, "integral_f1_restricted", lambda n: f1(n) * (1.0 + 1e-9))
+
+
+def _shift_profile(monkeypatch):
+    profile = decomposition.profile_decomposition
+
+    def shifted(n):
+        pr = profile(n)
+        return dataclasses.replace(pr, r_log_profile=pr.r_log_profile + 1e-13)
+
+    monkeypatch.setattr(decomposition, "profile_decomposition", shifted)
+
+
+@pytest.mark.parametrize("suite, check, shift", [
+    ("quadrature", "log_cos_closed_forms", _shift_log_cos),
+    ("quadrature", "catalan_integral", _shift_catalan),
+    ("quadrature", "restricted_f1_vs_2d", _scale_f1),
+    ("identities", "cascade_profiles_n0_zero", _shift_profile),
+])
+def test_verify_limits_catch_small_shifts(monkeypatch, suite, check, shift):
+    # each shift passes a limit of 1e-9, 1e-11, 1e-6 or 1e-12 respectively,
+    # but not the limit derived from the check's error sources
+    assert {r.name: r for r in verify.SUITES[suite](max_n=100)}[check].passed
+    shift(monkeypatch)
+    result = {r.name: r for r in verify.SUITES[suite](max_n=100)}[check]
+    assert not result.passed, result.detail
