@@ -25,6 +25,6 @@ from .quadrature import (QuadratureResult, factored_log_integrals,
                          integral_f1_restricted, integral_f2_restricted,
                          integrate_1d, integrate_2d)
 from .specfun import (BERNOULLI, CONSTANTS, clausen_cl2, digamma_complex,
-                      digamma_real, log_q_pochhammer_inv, periodic_bernoulli)
+                      digamma_real, log_q_pochhammer_inv)
 
 __version__ = "0.1.0"

@@ -125,7 +125,7 @@ def quartic_factor_params(n: int) -> tuple[float, float]:
     u_n = alpha_n + sqrt(alpha_n^2 - 1/2).  As n grows, 2 u_n - 1 -> nu
     and 1 - 1/u_n -> (nu - 1)/(nu + 1).
     """
-    beta_n = GridGeometry.from_n(n).beta_n
+    beta_n = GridGeometry.restricted(n).beta_n
     alpha = (beta_n * beta_n + 6.0) / (2.0 * beta_n * beta_n)
     u = alpha + math.sqrt(alpha * alpha - 0.5)
     return alpha, u
@@ -231,7 +231,8 @@ def log_cos_closed_forms(a: float, regime: str) -> tuple[float, float]:
     regime "gt1" (a > 1): returns (J11, J12) with
       J11 = int_0^{pi/2} log(a - cos t) dt
           = Cl2(pi + 2 atan r) - Cl2(2 atan r)
-            - (pi/2 + 2 atan r) log r - (pi/2) log 2,   r = a - sqrt(a^2-1),
+            - (pi/2 + 2 atan r) log r - (pi/2) log 2,
+          r = a - sqrt(a^2-1) = 1/(a + sqrt(a^2-1)),
       J12 = int_0^{pi/2} dt/(a - cos t)
           = (2/sqrt(a^2-1)) atan(sqrt((a+1)/(a-1))).
 
@@ -244,7 +245,7 @@ def log_cos_closed_forms(a: float, regime: str) -> tuple[float, float]:
     if regime == "gt1":
         if not a > 1.0:
             raise DomainError(f"regime 'gt1' needs a > 1, got {a!r}")
-        r = a - math.sqrt(a * a - 1.0)
+        r = 1.0 / (a + math.sqrt(a * a - 1.0))  # a - sqrt(a^2 - 1) would cancel
         t = math.atan(r)
         j11 = (
             clausen_cl2(math.pi + 2.0 * t)

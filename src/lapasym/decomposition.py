@@ -336,7 +336,7 @@ def cascade_profile(x: float) -> CascadeRow:
 
 def taylor_cascade(n: int, k: int) -> CascadeRow:
     """Cascade coefficients for row k of the size-n decomposition."""
-    geom = GridGeometry.from_n(n)
+    geom = GridGeometry.restricted(n)
     if not 1 <= k <= geom.N:
         raise DomainError(f"row index must satisfy 1 <= k <= {geom.N}, got {k}")
     return cascade_profile(k / geom.N)

@@ -73,9 +73,8 @@ __all__ = [
 
 _BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per block temporary; bounds memory
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
-_SINGULAR_FLOOR = 1e-300  # denominators below this abort the sum
+_SINGULAR_FLOOR = 1e-300  # kernel_fm denominators below this raise
 _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
-_EXTRACT_LEVELS = 4       # exact extraction passes of _segment_sums
 _EXTRACT_MAX = 2.0 ** 960  # segments reaching this go to math.fsum whole
 # |stencil entry| bound: a row forms sin(m x) for every m up to twice the
 # largest entry, and the gather path forms p j + q k in int64
@@ -175,23 +174,13 @@ class GridGeometry:
     beta_n: float
 
     @classmethod
-    def from_n(cls, n: int) -> "GridGeometry":
-        if n < 1:
-            raise DomainError(f"grid size must be positive, got {n}")
-        n0 = n % 4
-        return cls(
-            n=n,
-            n0=n0,
-            N=(n - n0) // 4,
-            beta_n=0.5 * math.pi * (1.0 + (2.0 - n0) / n),
-        )
-
-    @classmethod
     def restricted(cls, n: int) -> "GridGeometry":
-        """:meth:`from_n` for a nonempty restricted window, N >= 1."""
+        """The geometry of a nonempty restricted window, N >= 1."""
         if n < 4:
             raise DomainError(f"restricted window needs n >= 4, got {n}")
-        return cls.from_n(n)
+        n0 = n % 4
+        return cls(n=n, n0=n0, N=(n - n0) // 4,
+                   beta_n=0.5 * math.pi * (1.0 + (2.0 - n0) / n))
 
 
 @dataclass(frozen=True)
@@ -201,7 +190,8 @@ class SumResult:
     ``value`` is the correctly rounded sum of the weighted row sums, the
     float math.fsum returns (:func:`_segment_sums`); ``compensation`` is
     ``value`` minus their plain numpy sum, i.e. what the exact combine
-    changed.
+    changed.  :func:`restricted_sum_f2` adds two parts, which one IEEE
+    addition rounds correctly, so its compensation is always 0.0.
     """
 
     value: float
@@ -435,10 +425,11 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> list[float]:
     with max |r| < 2^e and len + 2 < 2^l, sigma = 2^(e + l) splits every r
     exactly into q = (sigma + r) - sigma and r - q.  Each q is a multiple
     of 2^-53 sigma and every partial sum of a segment's q is below sigma,
-    so np.add.reduceat adds them exactly in any order.  After at most
-    _EXTRACT_LEVELS such passes, math.fsum of a segment's exact parts, with
-    its remainders if any is still nonzero, is the correctly rounded sum
-    of the segment: what math.fsum of the segment returns.  A segment that
+    so np.add.reduceat adds them exactly in any order.  A pass leaves each
+    |r - q| at most 2^(e + l - 53), cutting max |r| by at least 2^(52 - l),
+    so the passes end when every remainder is zero (after two on the
+    Figure-1 ladder and at n near 10^4).  math.fsum of a segment's exact
+    parts is then what math.fsum of the segment returns.  A segment that
     is not finite or reaches _EXTRACT_MAX = 2^960, where sigma could
     overflow, goes to math.fsum whole.
     """
@@ -451,17 +442,13 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> list[float]:
         r[np.repeat(direct, lengths)] = 0.0
         top[direct] = 0.0
     parts = []
-    for _ in range(_EXTRACT_LEVELS):
+    while not parts or top.any():  # one pass at least, then until r is all zero
         sigma = np.repeat(np.ldexp(1.0, np.frexp(top)[1] + ell), lengths)
         q = (sigma + r) - sigma
         r -= q
         parts.append(np.add.reduceat(q, starts))
         top = np.maximum.reduceat(np.abs(r), starts)
-        if not top.any():
-            break
     terms = np.column_stack(parts).tolist()
-    for i in np.flatnonzero(top):
-        terms[i] += r[starts[i]:starts[i] + lengths[i]].tolist()
     for i in np.flatnonzero(direct):
         terms[i] = values[starts[i]:starts[i] + lengths[i]].tolist()
     return [math.fsum(t) for t in terms]
@@ -545,20 +532,14 @@ _LAPLACE_MOMENTS = 13         # moments P_0..P_12 of that series
 def quartic_rows(n: int) -> np.ndarray:
     """The row formula u_k = k^2 - c k^4, c = pi^2 / (3 n^2), for k = 1..N.
 
-    u_j + u_k is the quartic denominator of the restricted window.  Raises
-    DomainError for n < 4 and SingularityError where a u_k vanishes, the
-    axis point (0, k) of the window.
+    u_j + u_k is the quartic denominator of the restricted window.  As
+    k <= N <= n/4, u_k >= k^2 (1 - pi^2/48) >= 0.79 k^2, so none vanishes.
+    Raises DomainError for n < 4.
     """
     N = GridGeometry.restricted(n).N
     c = math.pi ** 2 / (3.0 * n * n)
     k2 = np.arange(1, N + 1, dtype=np.float64) ** 2
-    u = k2 - c * (k2 * k2)
-    # min over j, k of fl(u_j + u_k) is fl(2 min u) >= min u when u > 0
-    if u.min() < _SINGULAR_FLOOR:
-        point = (0, int(np.argmin(u)) + 1)
-        raise SingularityError(
-            f"restricted denominator vanishes at (j, k) = {point}", point=point)
-    return u
+    return k2 - c * (k2 * k2)
 
 
 def _laplace_quadrant(u: np.ndarray) -> float:
@@ -641,15 +622,9 @@ def restricted_sum_f2(n: int) -> SumResult:
     That is (n^2/pi^2) * sum over |j|,|k| <= N, (j,k) != 0 of
     1 / (u_j + u_k), u_0 = 0, computed through the four-fold sign symmetry
     as (4 n^2/pi^2) (sum_k 1/u_k + :func:`quadrant_sum`).  Denominators
-    are positive throughout the window.
+    are positive throughout the window (:func:`quartic_rows`).
     """
     u = quartic_rows(n)
     axis, quadrant = float(np.sum(1.0 / u)), _laplace_quadrant(u)
-    total = math.fsum((axis, quadrant))
-    scale = 4.0 * n * n / math.pi ** 2
-    return SumResult(
-        value=scale * total,
-        compensation=scale * (total - (axis + quadrant)),
-        term_count=(2 * len(u) + 1) ** 2 - 1,
-        n=n,
-    )
+    return SumResult(value=4.0 * n * n / math.pi ** 2 * (axis + quadrant), compensation=0.0,
+                     term_count=(2 * len(u) + 1) ** 2 - 1, n=n)

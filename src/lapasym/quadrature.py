@@ -96,7 +96,7 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
     per level) are evaluated once and accepted.  Raises
     :class:`~lapasym.exceptions.ConvergenceError` (with the partial result
     attached) when the depth or evaluation limit cut refinement short and
-    the total estimate still exceeds ``tol``.
+    the total estimate is still not within ``tol`` (a nan one never is).
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
@@ -113,7 +113,7 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
                 or evaluations >= _MAX_EVALUATIONS):
             total += val
             err_total += err
-            if err > seg_tol:
+            if not err <= seg_tol:  # also a nan estimate
                 exhausted = True
             continue
         mid = 0.5 * (lo + hi)
@@ -121,7 +121,7 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
         stack.append((lo, mid, half_tol, depth + 1))
         stack.append((mid, hi, half_tol, depth + 1))
     result = QuadratureResult(total, err_total, evaluations)
-    if exhausted and err_total > tol:
+    if exhausted and not err_total <= tol:
         raise ConvergenceError(
             f"subdivision or evaluation limit reached with estimate "
             f"{err_total:.3e} > {tol:.3e}",

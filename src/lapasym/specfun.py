@@ -3,7 +3,7 @@
 Everything is plain IEEE-754 binary64, no external special-function
 dependency.  Provided here:
 
-* exact rational Bernoulli numbers and periodic Bernoulli polynomials,
+* exact rational Bernoulli numbers,
 * the Clausen function Cl2(theta) = sum_{k>=1} sin(k theta)/k^2,
 * the digamma function, once: :func:`digamma_array` works elementwise on
   real or complex arrays, and :func:`digamma_real` and
@@ -47,7 +47,6 @@ __all__ = [
     "digamma_real",
     "digamma_complex",
     "digamma_array",
-    "periodic_bernoulli",
     "log_q_pochhammer_inv",
 ]
 
@@ -99,24 +98,6 @@ def _make_bernoulli(max_index: int) -> BernoulliTable:
 
 
 BERNOULLI = _make_bernoulli(40)
-
-
-def periodic_bernoulli(p: int, x: float) -> float:
-    """Value of the p-th Bernoulli polynomial on the fractional part of x.
-
-    The polynomial on [0, 1) is extended with period one, so
-    ``periodic_bernoulli(p, x + 1) == periodic_bernoulli(p, x)``.
-    Supported degrees: 1 <= p <= 8.
-    """
-    if not isinstance(p, int) or not 1 <= p <= 8:
-        raise DomainError(f"polynomial degree must be an integer in [1, 8], got {p!r}")
-    t = x - math.floor(x)
-    if t == 1.0:  # x just below an integer can round up to the period end
-        t = 0.0
-    acc = 0.0
-    for j in range(p + 1):  # descending powers: coefficient of t^(p-j)
-        acc = acc * t + math.comb(p, j) * BERNOULLI.floats[j]
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # specfun suite
 # ---------------------------------------------------------------------------
 
+# Cl2's stated absolute accuracy against 40-digit mpmath (lapasym.specfun)
+_CL2_ERROR = 4e-16
+
+
 def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult]:
     """Special-function contracts.  ``workers`` is ignored; kept for existing callers."""
     del max_n, n0, workers
@@ -45,9 +49,12 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
     c = specfun.CONSTANTS
 
     v = specfun.clausen_cl2(math.pi)
-    out.append(_check("clausen_at_pi", abs(v) <= 1e-12, f"Cl2(pi) = {v:.3e}"))
+    out.append(_check("clausen_at_pi", abs(v) <= _CL2_ERROR,
+                      f"Cl2(pi) = {v:.3e}; limit {_CL2_ERROR:.0e}, Cl2's stated accuracy"))
     v = specfun.clausen_cl2(math.pi / 2.0) - c.catalan_G
-    out.append(_check("clausen_catalan", abs(v) <= 1e-12, f"Cl2(pi/2) - G = {v:.3e}"))
+    limit = _CL2_ERROR + 2.0 ** -54
+    out.append(_check("clausen_catalan", abs(v) <= limit, f"Cl2(pi/2) - G = {v:.3e}; limit "
+                      f"{limit:.2e} = Cl2's stated accuracy + half an ulp of G"))
 
     rng = np.random.default_rng(20260808)
     psi = specfun.digamma_array
@@ -169,6 +176,15 @@ def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
 # quadrature suite
 # ---------------------------------------------------------------------------
 
+# Error budget of a closed form J of asymptotics.log_cos_closed_forms: two
+# Cl2 errors and 8 |J| roundings of 2^-53, plus `carry` roundings, 8 for
+# a > 1: there J11 is exact in r = 1/(a + sqrt(a^2 - 1)), which is good to
+# about 2.5 ulps, and a relative error d in r moves J11 by
+# sqrt(a^2 - 1) J12 d <= pi d.  0 for 0 < a < 1.
+def _log_cos_limit(closed: float, carry: float) -> float:
+    return 2.0 * _CL2_ERROR + (8.0 * abs(closed) + carry) * 2.0 ** -53
+
+
 def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckResult]:
     """Quadrature against closed forms.  ``workers`` is ignored; kept for existing callers."""
     del max_n, n0, workers
@@ -181,27 +197,25 @@ def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
     out.append(_check("catalan_integral", gap <= limit, f"gap {gap:.3e}; limit "
                       f"{limit:.2e} = abs_error_estimate + 8 roundings of 2^-53"))
 
-    # Each closed form J is within two Cl2 errors (4e-16 each against
-    # 40-digit mpmath, tests/test_specfun.py) and 8 (a^2 + |J|) roundings
-    # of 2^-53 of its integral: for a > 1, r = a - sqrt(a^2 - 1) is only
-    # good to about ulp(a), 2 a^2 ulps of r, and J11 carries that through
-    # log r.  Each quadrature adds its own abs_error_estimate.
+    # each closed form within _log_cos_limit, each quadrature within its
+    # own abs_error_estimate
     rng = np.random.default_rng(1234)
     worst, margin = 0.0, math.inf
-    for regime, lo, hi, sign in (("gt1", 1.1, 10.0, -1.0), ("in01", 0.05, 0.95, 1.0)):
+    for regime, lo, hi, sign, carry in (("gt1", 1.1, 10.0, -1.0, 8.0),
+                                        ("in01", 0.05, 0.95, 1.0, 0.0)):
         for a in rng.uniform(lo, hi, size=50).tolist():
             closed_forms = asymptotics.log_cos_closed_forms(a, regime)
             for closed, op in zip(closed_forms, (math.log, lambda x: 1.0 / x)):
                 q = quadrature.integrate_1d(lambda t: op(a + sign * math.cos(t)), 0.0, math.pi / 2)
                 gap = abs(closed - q.value)
-                limit = q.abs_error_estimate + 8e-16 + 8 * (a * a + abs(closed)) * 2.0 ** -53
+                limit = q.abs_error_estimate + _log_cos_limit(closed, carry)
                 worst, margin = max(worst, gap), min(margin, limit - gap)
     out.append(_check("log_cos_closed_forms", margin >= 0.0, f"max gap {worst:.3e} over 100 "
                       f"arguments, least margin {margin:.2e} to its limit: quadrature's "
-                      f"abs_error_estimate + 8e-16 + 8 (a^2 + |J|) 2^-53"))
+                      f"abs_error_estimate + 2 Cl2 errors + (8 |J| + 8 for r if a > 1) 2^-53"))
 
     n = 20
-    beta_n = GridGeometry.from_n(n).beta_n
+    beta_n = GridGeometry.restricted(n).beta_n
     oracle = quadrature.integrate_2d(
         lambda x, y: 4.0 / (x * x + y * y), math.pi / n,
         beta_n, 0.0, beta_n)

@@ -168,6 +168,29 @@ def test_regime_validation():
         log_cos_closed_forms(2.0, "elsewhere")
 
 
+def _j11_with_r(a, r):
+    """J11 of log_cos_closed_forms assembled from a given r."""
+    t = math.atan(r)
+    return (clausen_cl2(math.pi + 2.0 * t) - clausen_cl2(2.0 * t)
+            - (0.5 * math.pi + 2.0 * t) * math.log(r) - 0.5 * math.pi * math.log(2.0))
+
+
+def test_outside_log_closed_form_against_mpmath():
+    # J11 against its integral in 30 digits, at the budget verify holds it
+    # to; r = a - sqrt(a^2 - 1) cancels, and that form misses the budget
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    old_misses = 0
+    for a in [1.1 + 8.9 * i / 200 for i in range(201)] + [NU]:
+        want = mp.quad(lambda t: mp.log(mp.mpf(a) - mp.cos(t)), [0, mp.pi / 2])
+        j11, _ = log_cos_closed_forms(a, "gt1")
+        assert abs(j11 - want) <= verify._log_cos_limit(j11, 8.0), a
+        old = _j11_with_r(a, a - math.sqrt(a * a - 1.0))
+        old_misses += abs(old - want) > verify._log_cos_limit(old, 8.0)
+    assert old_misses > 0
+
+
 def test_inside_closed_form_at_factorization_point():
     a = (NU - 1.0) / (NU + 1.0)
     j21, _ = log_cos_closed_forms(a, "in01")

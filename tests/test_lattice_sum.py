@@ -87,7 +87,7 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 11, 20])
 def test_grid_geometry(n):
-    g = GridGeometry.from_n(n)
+    g = GridGeometry.restricted(n)
     assert g.n == 4 * g.N + g.n0
     assert g.n0 == n % 4
     assert g.beta_n == pytest.approx((math.pi / 2) * (1 + (2 - g.n0) / n))
@@ -96,7 +96,7 @@ def test_grid_geometry(n):
 @pytest.mark.parametrize("n", range(4, 21))
 def test_restricted_membership_matches_frequency_cutoff(n):
     # index predicate |j|,|k| <= N equals the |t| <= pi/2 frequency cutoff
-    g = GridGeometry.from_n(n)
+    g = GridGeometry.restricted(n)
     for j in range(-g.N - 2, g.N + 3):
         for k in range(-g.N - 2, g.N + 3):
             by_freq = (abs(2 * math.pi * j / n) <= math.pi / 2 + 1e-12
@@ -432,7 +432,7 @@ def test_segment_sums_match_fsum_bit_for_bit():
 @pytest.mark.parametrize("segment", [
     [5.0], [0.0], [-0.0], [2.0 ** -1074], [-(2.0 ** -1074), 2.0 ** -1074],
     [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106], [1e308, 1e308],
-    # a tie that only the remainder left after the last extraction breaks
+    # a tie that only passes beyond the fourth break: six extraction passes
     [1.0, 2.0 ** -53, 2.0 ** -200, -(2.0 ** -200), 2.0 ** -400, -(2.0 ** -400),
      2.0 ** -600, -(2.0 ** -800)],
     [1e308, 1e308, -1e308], [2.0 ** 960, -(2.0 ** 960), 1.0],
@@ -447,6 +447,38 @@ def test_segment_sums_special_segments(segment):
 
 # the Figure-1 ladder as `lapasym errors --plot` builds it: 196 sizes
 FIGURE1_LADDER = sorted(set(range(1, 101)) | set(range(25, 2501, 25)))
+
+
+@pytest.mark.parametrize("spec", ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE))],
+                         ids=lambda spec: spec.name)
+def test_segment_sums_take_two_passes(monkeypatch, spec):
+    # the extraction passes run until every remainder is zero; on the
+    # Figure-1 ladder and at n near 10^4 each batch needs exactly two, one
+    # np.add.reduceat of its exact parts q per pass
+    add, calls, passes = np.add, [], []
+
+    class CountingAdd:
+        def __getattr__(self, name):
+            return getattr(add, name)
+
+        def reduceat(self, *args, **kwargs):
+            calls.append(1)
+            return add.reduceat(*args, **kwargs)
+
+    segment_sums = lattice_sum._segment_sums
+
+    def counting(values, lengths):
+        calls.clear()
+        out = segment_sums(values, lengths)
+        passes.append(len(calls))
+        return out
+
+    monkeypatch.setattr(np, "add", CountingAdd())
+    monkeypatch.setattr(lattice_sum, "_segment_sums", counting)
+    for ladder in (FIGURE1_LADDER, range(9968, 10033)):
+        exact_sums(spec, ladder)
+        assert passes == [2] * len(list(lattice_sum._batches(list(ladder))))
+        passes.clear()
 
 
 def test_exact_sums_match_exact_sum():
@@ -567,7 +599,7 @@ def test_restricted_n5_enumeration():
 
 
 def brute_restricted(n):
-    g = GridGeometry.from_n(n)
+    g = GridGeometry.restricted(n)
     total = 0.0
     c = math.pi ** 2 / (3.0 * n * n)
     for j in range(-g.N, g.N + 1):
@@ -581,12 +613,12 @@ def brute_restricted(n):
 def test_restricted_against_brute_force(n):
     r = restricted_sum_f2(n)
     assert r.value == pytest.approx(brute_restricted(n), rel=1e-12, abs=0.0)
-    assert r.term_count == (2 * GridGeometry.from_n(n).N + 1) ** 2 - 1
+    assert r.term_count == (2 * GridGeometry.restricted(n).N + 1) ** 2 - 1
 
 
 def quadrant_oracle(n):
     """Axis sum and open-quadrant double sum, unfolded, added by math.fsum."""
-    N = GridGeometry.from_n(n).N
+    N = GridGeometry.restricted(n).N
     c = math.pi ** 2 / (3.0 * n * n)
     k2 = np.arange(1, N + 1, dtype=np.float64) ** 2
     u = k2 - c * (k2 * k2)
@@ -623,7 +655,7 @@ def test_quadrant_sum_cost(monkeypatch, n):
     # and a peak of one block (at most 16 nodes and _BLOCK_ELEMENTS floats),
     # numpy's iteration buffers (under one more block), a few arrays of N
     # floats and 2^17 bytes of fixed cost
-    N = GridGeometry.from_n(n).N
+    N = GridGeometry.restricted(n).N
     block = min(16, max(1, lattice_sum._BLOCK_ELEMENTS // N)) * N
     formed = []
     exp = np.exp
@@ -684,18 +716,19 @@ def test_laplace_column_cut_within_budget(monkeypatch, n):
         assert (w[:, cols:].sum(axis=1) <= N * math.exp(-60.0) * w.sum(axis=1)).all()
 
 
-def test_quadrant_sums_singularity_guard(monkeypatch):
-    # denominators are at least k^2 (1 - pi^2/48) here, so raise the floor
-    monkeypatch.setattr(lattice_sum, "_SINGULAR_FLOOR", 1e300)
-    with pytest.raises(SingularityError) as err:
-        quadrant_sum(40)
-    assert err.value.point == (0, 1)
+def test_quartic_rows_bounded_below():
+    # k <= N <= n/4 keeps every u_k at least k^2 (1 - pi^2/48) >= 0.79 k^2,
+    # so no denominator of the window vanishes
+    for n in list(range(4, 601)) + [10001, 1000003]:
+        u = quartic_rows(n)
+        k2 = np.arange(1, len(u) + 1, dtype=np.float64) ** 2
+        assert (u >= k2 * (1.0 - math.pi ** 2 / 48.0)).all(), n
 
 
 def test_restricted_matches_pointwise_kernel():
     # same sum built from kernel_fm at the grid frequencies
     n = 9
-    g = GridGeometry.from_n(n)
+    g = GridGeometry.restricted(n)
     total = 0.0
     for j in range(-g.N, g.N + 1):
         for k in range(-g.N, g.N + 1):

@@ -50,6 +50,16 @@ def test_convergence_error_carries_partial():
     assert err.value.partial.evaluations > 0
 
 
+@pytest.mark.parametrize("fn", [lambda t: math.nan,
+                                lambda t: math.nan if t > 0.5 else 1.0])
+def test_nan_integrand_raises(fn):
+    # a nan error estimate compares false both ways, so it must not pass as
+    # converged
+    with pytest.raises(ConvergenceError) as err:
+        integrate_1d(fn, 0.0, 1.0)
+    assert math.isnan(err.value.partial.abs_error_estimate)
+
+
 @given(st.tuples(*[st.floats(min_value=-3.0, max_value=3.0) for _ in range(4)]))
 def test_cubic_polynomials_exact(coeffs):
     a, b, c, d = coeffs
@@ -125,7 +135,7 @@ def test_f1_restricted_three_term_expansion(n):
 
 def test_f1_restricted_against_2d_oracle():
     n = 20
-    beta_n = GridGeometry.from_n(n).beta_n
+    beta_n = GridGeometry.restricted(n).beta_n
     a = math.pi / n
 
     def f1(x, y):
@@ -140,7 +150,7 @@ def test_f1_restricted_against_2d_oracle():
 
 def test_f2_restricted_against_2d_oracle():
     n = 5
-    beta_n = GridGeometry.from_n(n).beta_n
+    beta_n = GridGeometry.restricted(n).beta_n
     a = math.pi / n
 
     def f2(x, y):
@@ -156,7 +166,7 @@ def test_f2_integrand_at_zero_angle():
     # eta(0) = 1, so the angular integrand at 0 is log(12 - (pi/n)^2) - log(12 - beta_n^2)
     n = 16
     assert eta_sq(0.0) == 1.0
-    beta_n = GridGeometry.from_n(n).beta_n
+    beta_n = GridGeometry.restricted(n).beta_n
     general = math.log(12.0 - (math.pi / n) ** 2 * eta_sq(0.0)
                        / math.cos(0.0) ** 2) \
         - math.log(12.0 - beta_n ** 2 * eta_sq(0.0) / math.cos(0.0) ** 2)
@@ -210,9 +220,13 @@ def _shift_log_cos(monkeypatch):
                         lambda a, regime: tuple(j + 1e-12 for j in closed(a, regime)))
 
 
-def _shift_catalan(monkeypatch):
-    moved = dataclasses.replace(CONSTANTS, catalan_G=CONSTANTS.catalan_G + 1e-11)
+def _shift_catalan(monkeypatch, by=1e-11):
+    moved = dataclasses.replace(CONSTANTS, catalan_G=CONSTANTS.catalan_G + by)
     monkeypatch.setattr(specfun, "CONSTANTS", moved)
+
+
+def _shift_catalan_literal(monkeypatch):
+    _shift_catalan(monkeypatch, by=1e-14)
 
 
 def _scale_f1(monkeypatch):
@@ -235,9 +249,10 @@ def _shift_profile(monkeypatch):
     ("quadrature", "catalan_integral", _shift_catalan),
     ("quadrature", "restricted_f1_vs_2d", _scale_f1),
     ("identities", "cascade_profiles_n0_zero", _shift_profile),
+    ("specfun", "clausen_catalan", _shift_catalan_literal),
 ])
 def test_verify_limits_catch_small_shifts(monkeypatch, suite, check, shift):
-    # each shift passes a limit of 1e-9, 1e-11, 1e-6 or 1e-12 respectively,
+    # each shift passes a limit of 1e-9, 1e-11, 1e-6, 1e-12 or 1e-12 respectively,
     # but not the limit derived from the check's error sources
     assert {r.name: r for r in verify.SUITES[suite](max_n=100)}[check].passed
     shift(monkeypatch)

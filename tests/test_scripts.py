@@ -48,3 +48,18 @@ def test_figure1_errors_script(tmp_path, monkeypatch):
     for row in rows:
         want = exact_sum(BUILTIN_LATTICES[row["lattice"]], int(row["n"])).value
         assert float(row["F_n"]) == want, (row["lattice"], row["n"])
+
+
+def test_source_lines_script(tmp_path):
+    done = subprocess.run([sys.executable, str(SCRIPTS / "source_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    source_lines = runpy.run_path(str(SCRIPTS / "source_lines.py"))["source_lines"]
+    assert int(done.stdout) == source_lines() > 1000
+    # blank and comment lines do not count; code and docstrings do, in
+    # every .py file below the root
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text('"""Doc."""\n\n# note\nx = 1  # counted\n    # indented\n')
+    (tmp_path / "sub" / "b.py").write_text("def f():\n    return 2\n")
+    (tmp_path / "c.txt").write_text("not python\n")
+    assert source_lines(tmp_path) == 4

@@ -13,7 +13,7 @@ from lapasym.exceptions import DomainError, PoleError
 from lapasym.quadrature import integrate_1d
 from lapasym.specfun import (BERNOULLI, CONSTANTS, clausen_cl2,
                              digamma_array, digamma_complex, digamma_real,
-                             log_q_pochhammer_inv, periodic_bernoulli)
+                             log_q_pochhammer_inv)
 
 
 def accelerated_alternating_sum(terms, passes=60):
@@ -318,30 +318,6 @@ def test_digamma_series_coefficients_are_zeta_minus_one():
     for k, c in enumerate(specfun._ZETA_MINUS_ONE, start=2):
         assert c == float(mp.zeta(k) - 1), k
     assert specfun._DIGAMMA_AT_TWO == float(1 - mp.euler)
-
-
-# ---------------------------------------------------------------------------
-# Periodic Bernoulli polynomial
-# ---------------------------------------------------------------------------
-
-def test_periodic_bernoulli_values():
-    assert periodic_bernoulli(2, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert periodic_bernoulli(2, 0.5) == pytest.approx(-1.0 / 12.0, abs=1e-15)
-    assert periodic_bernoulli(1, 1.25) == pytest.approx(-0.25, abs=1e-15)
-
-
-def test_periodic_bernoulli_domain():
-    for p in (0, 9, -2):
-        with pytest.raises(DomainError):
-            periodic_bernoulli(p, 0.3)
-
-
-@given(st.integers(min_value=1, max_value=8),
-       st.floats(min_value=-10.0, max_value=10.0,
-                 allow_nan=False, allow_infinity=False))
-def test_periodic_bernoulli_periodicity(p, x):
-    assert periodic_bernoulli(p, x + 1.0) == pytest.approx(
-        periodic_bernoulli(p, x), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
