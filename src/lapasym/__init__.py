@@ -13,8 +13,7 @@ from .asymptotics import (ExpansionForm, axis_sum_expansion,
                           restricted_integral_expansion,
                           restricted_integral_lambda)
 from .decomposition import (double_sum_via_digamma, euler_maclaurin,
-                            factor_rows, piece_sums, profile_decomposition,
-                            taylor_cascade)
+                            factor_rows, piece_sums, profile_decomposition)
 from .extrapolation import error_series, fit_expansion
 from .lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK, SQUARE,
                           TRIANGULAR, GridGeometry, LatticeSpec, SumResult,
@@ -24,7 +23,6 @@ from .lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK, SQUARE,
 from .quadrature import (QuadratureResult, factored_log_integrals,
                          integral_f1_restricted, integral_f2_restricted,
                          integrate_1d, integrate_2d)
-from .specfun import (BERNOULLI, CONSTANTS, clausen_cl2, digamma_complex,
-                      digamma_real, log_q_pochhammer_inv)
+from .specfun import BERNOULLI, CONSTANTS, clausen_cl2, log_q_pochhammer_inv
 
 __version__ = "0.1.0"

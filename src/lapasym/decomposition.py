@@ -59,7 +59,6 @@ __all__ = [
     "factor_rows",
     "piece_sums",
     "double_sum_via_digamma",
-    "taylor_cascade",
     "cascade_profile",
     "euler_maclaurin",
     "profile_decomposition",
@@ -332,14 +331,6 @@ def cascade_profile(x: float) -> CascadeRow:
         a=a, cal_A=calA,
         alpha=tuple(alpha), beta=tuple(beta), gamma=tuple(gamma),
     )
-
-
-def taylor_cascade(n: int, k: int) -> CascadeRow:
-    """Cascade coefficients for row k of the size-n decomposition."""
-    geom = GridGeometry.restricted(n)
-    if not 1 <= k <= geom.N:
-        raise DomainError(f"row index must satisfy 1 <= k <= {geom.N}, got {k}")
-    return cascade_profile(k / geom.N)
 
 
 # ---------------------------------------------------------------------------

@@ -95,33 +95,38 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
     spent, no segment is bisected further: the pending ones (at most one
     per level) are evaluated once and accepted.  Raises
     :class:`~lapasym.exceptions.ConvergenceError` (with the partial result
-    attached) when the depth or evaluation limit cut refinement short and
-    the total estimate is still not within ``tol`` (a nan one never is).
+    attached) at the first segment whose estimate is nan or infinite, and
+    when the depth or evaluation limit cut refinement short and the total
+    estimate is still not within ``tol``.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
     total = 0.0
     err_total = 0.0
     evaluations = 0
-    exhausted = False
     stack = [(a, b, tol, 0)]
     while stack:
         lo, hi, seg_tol, depth = stack.pop()
         val, err = _gk15(fn, lo, hi)
         evaluations += 15
+        if not math.isfinite(err):  # never fits a share of tol; bisecting would spend the budget
+            raise ConvergenceError(
+                f"non-finite error estimate {err} on [{lo!r}, {hi!r}]",
+                partial=QuadratureResult(total + val, err_total + err, evaluations))
         if (err <= seg_tol or depth >= _MAX_DEPTH
                 or evaluations >= _MAX_EVALUATIONS):
             total += val
             err_total += err
-            if not err <= seg_tol:  # also a nan estimate
-                exhausted = True
             continue
         mid = 0.5 * (lo + hi)
         half_tol = 0.5 * seg_tol
         stack.append((lo, mid, half_tol, depth + 1))
         stack.append((mid, hi, half_tol, depth + 1))
     result = QuadratureResult(total, err_total, evaluations)
-    if exhausted and not err_total <= tol:
+    # a segment accepted within its share adds at most that share, and the
+    # shares tol 2^-depth sum to tol exactly, so only a cut segment (or a
+    # nan tol) can leave the total outside tol
+    if not err_total <= tol:
         raise ConvergenceError(
             f"subdivision or evaluation limit reached with estimate "
             f"{err_total:.3e} > {tol:.3e}",

@@ -5,9 +5,8 @@ dependency.  Provided here:
 
 * exact rational Bernoulli numbers,
 * the Clausen function Cl2(theta) = sum_{k>=1} sin(k theta)/k^2,
-* the digamma function, once: :func:`digamma_array` works elementwise on
-  real or complex arrays, and :func:`digamma_real` and
-  :func:`digamma_complex` are its scalar faces, returning Python numbers,
+* the digamma function, :func:`digamma_array`, elementwise on real or
+  complex arrays,
 * log of the inverse q-Pochhammer symbol, -log((q;q)_inf),
 * a table of fundamental constants shared by every closed-form expansion.
 
@@ -19,10 +18,9 @@ at most 6.9e-16 on [2, 10] and 3.9e-16 on [0.05, 2], where the Taylor
 series about 2 replaces the recurrence's reciprocals that cancelled
 against log x and lost 1.7e-15 (20000 random points per interval), and
 5.3e-16 over 760 reals from -9.95 to 1e8 and 3.3e-16 over 690 complex
-points up to |Im z| = 50, for the array and its scalar faces alike.  The
-complex arguments N + i sqrt C of the digamma route never reach that disc,
-and the route's gap to the direct quadrant sum stays 8.3e-16 at n = 7 and
-3.8e-16 at n = 8.
+points up to |Im z| = 50.  The complex arguments N + i sqrt C of the
+digamma route never reach that disc, and the route's gap to the direct
+quadrant sum stays 8.3e-16 at n = 7 and 3.8e-16 at n = 8.
 
 All functions are pure; the constant tables are built once at import and
 never mutated, so concurrent use needs no locking.
@@ -44,8 +42,6 @@ __all__ = [
     "BERNOULLI",
     "CONSTANTS",
     "clausen_cl2",
-    "digamma_real",
-    "digamma_complex",
     "digamma_array",
     "log_q_pochhammer_inv",
 ]
@@ -220,24 +216,6 @@ def _digamma_near_two(e):
     return _DIGAMMA_AT_TWO + acc * e
 
 
-def digamma_real(x: float) -> float:
-    """Digamma (logarithmic derivative of Gamma) for real non-pole arguments.
-
-    The real face of :func:`digamma_array`, returned as a Python float.
-    """
-    return float(digamma_array(x))
-
-
-def digamma_complex(z: complex) -> complex:
-    """Digamma on the complex plane minus the poles at 0, -1, -2, ...
-
-    The complex face of :func:`digamma_array`, returned as a Python
-    complex.  Conjugate symmetry psi(conj z) = conj(psi(z)) holds to
-    within rounding.
-    """
-    return complex(digamma_array(complex(z)))
-
-
 def digamma_array(z) -> np.ndarray:
     """Digamma elementwise over a real or complex array, off the poles 0, -1, ...
 
@@ -249,7 +227,8 @@ def digamma_array(z) -> np.ndarray:
     of psi about 2, whose coefficients are zeta(k) - 1, so no run of
     reciprocals cancels against the log.
     Real input gives a float array, complex input a complex array; a
-    scalar gives a 0-d result.
+    scalar gives a 0-d result.  Conjugate symmetry
+    psi(conj z) = conj(psi(z)) holds to within rounding.
     """
     z = np.asarray(z)
     z = z.astype(np.result_type(z.dtype, np.float64))  # a copy

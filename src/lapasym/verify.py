@@ -3,8 +3,10 @@
 Each suite is a list of named checks that exercise exact identities
 (decomposition, digamma routes, partial fractions), special-function
 contracts, quadrature-versus-closed-form agreement, and the large-n
-remainder plateaus.  Checks return their measured numbers in the detail
-string so failures are diagnosable from the report alone.
+remainders, each written once in :data:`REMAINDERS` (which
+``scripts/remainder_tables.py`` prints).  Checks return their measured
+numbers in the detail string so failures are diagnosable from the report
+alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import asymptotics, decomposition, quadrature, specfun
 from .lattice_sum import (BUILTIN_LATTICES, GridGeometry, exact_sum,
                           quadrant_sum, restricted_sum_f2)
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "available_suites"]
+__all__ = ["CheckResult", "Remainder", "REMAINDERS", "SUITES", "run_suite", "available_suites"]
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,40 @@ def _non_increasing(values):
     return all(b <= a for a, b in zip(values, values[1:]))
 
 
+@dataclass(frozen=True)
+class Remainder:
+    """A large-n remainder of the fourth-degree Taylor window.
+
+    ``value(n, pieces)`` takes the caller's ``piece_sums(n)``; ``limit(n0)``
+    is its limit over n = 4 N + n0, or None where none is derived yet.
+    """
+
+    name: str
+    value: Callable[[int, decomposition.PieceSums], float]
+    limit: Callable[[int], float] | None
+
+
+REMAINDERS = (
+    # six-piece assembly of the restricted quartic-kernel sum minus its
+    # direct value (stays near 0.621 in every class)
+    Remainder("D", lambda n, p: p.assembled() - restricted_sum_f2(n).value, None),
+    # restricted quartic integral minus its three-term expansion
+    Remainder("Delta", lambda n, p: (quadrature.integral_f2_restricted(n).value
+                                     - asymptotics.restricted_integral_expansion(n)),
+              asymptotics.restricted_integral_remainder_limit),
+    # exponential-tail row sum minus its Dedekind-eta limit, O(1/n^2)
+    Remainder("exp_tail", lambda n, p: p.r_exp - asymptotics.exp_tail_limit(),
+              lambda n0: 0.0),
+    # n^2 (axis row sum - pi^2/6 - c1/n), c1 from axis_sum_expansion
+    Remainder("axis_gap", lambda n, p: n * n * (p.q_axis - asymptotics.axis_sum_expansion(n)),
+              asymptotics.axis_gap_limit),
+    # n (n r_edge - beta3), the edge row sum against its decay coefficient
+    Remainder("edge_gap",
+              lambda n, p: n * (n * p.r_edge - asymptotics.edge_sum_decay_coefficient()),
+              asymptotics.edge_sum_gap_limit),
+)
+
+
 def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[CheckResult]:
     """Large-n remainder checks.  ``workers`` is ignored; kept for existing callers."""
     del workers
@@ -267,40 +303,33 @@ def suite_asymptotics(max_n: int = 2500, n0: int = 0, workers=None) -> list[Chec
 
     sizes = [n - (n - n0) % 4 for n in (200, 400, 800)]  # keep the requested residue class
     axis_sizes = [n - (n - n0) % 4 for n in (100, 200, 400)]
-    pieces = {n: decomposition.piece_sums(n)
-              for n in sorted({*sizes, *axis_sizes, 100, 200})}
-    dvals = [pieces[n].assembled() - restricted_sum_f2(n).value for n in sizes]
+    pieces = {n: decomposition.piece_sums(n) for n in sorted({*sizes, *axis_sizes, 100, 200})}
+    d, delta, tail, axis, edge = REMAINDERS
+    dvals = [d.value(n, pieces[n]) for n in sizes]
     spread = max(dvals) - min(dvals)
     out.append(_check("assembly_remainder",
-                      max(abs(d) for d in dvals) <= 5.0 and spread <= 0.05,
-                      f"D = {['%.4f' % d for d in dvals]} at n = {sizes}"))
+                      max(abs(v) for v in dvals) <= 5.0 and spread <= 0.05,
+                      f"D = {['%.4f' % v for v in dvals]} at n = {sizes}"))
 
-    deltas = []
-    for n in sizes:
-        q = quadrature.integral_f2_restricted(n).value
-        deltas.append(q - asymptotics.restricted_integral_expansion(n))
+    deltas = [delta.value(n, pieces[n]) for n in sizes]
     conv = abs(deltas[-1] - deltas[-2])
-    dist, detail = _distances(deltas, asymptotics.restricted_integral_remainder_limit(n0))
+    dist, detail = _distances(deltas, delta.limit(n0))
     out.append(_check("restricted_integral_remainder",
                       max(dist) <= 0.02 and _non_increasing(dist) and conv <= 0.05,
-                      f"Delta = {['%.4f' % d for d in deltas]} at n = {sizes}, {detail}"))
+                      f"Delta = {['%.4f' % v for v in deltas]} at n = {sizes}, {detail}"))
 
-    lim = asymptotics.exp_tail_limit()
-    e100 = abs(pieces[100].r_exp - lim)
-    e200 = abs(pieces[200].r_exp - lim)
+    e100, e200 = _distances([tail.value(n, pieces[n]) for n in (100, 200)], tail.limit(n0))[0]
     out.append(_check("exp_tail_limit", e100 <= 1e-3 and e200 <= 0.35 * e100,
                       f"errors {e100:.3e} (n=100), {e200:.3e} (n=200)"))
 
-    qgaps = [n * n * (pieces[n].q_axis - asymptotics.axis_sum_expansion(n))
-             for n in axis_sizes]
-    dist, detail = _distances(qgaps, asymptotics.axis_gap_limit(n0))
+    qgaps = [axis.value(n, pieces[n]) for n in axis_sizes]
+    dist, detail = _distances(qgaps, axis.limit(n0))
     out.append(_check("axis_sum_remainder", _non_increasing(dist) and dist[-1] <= 0.05,
                       f"n^2 gaps {['%.3f' % g for g in qgaps]} at n = {axis_sizes}, "
                       f"{detail}"))
 
-    beta3 = asymptotics.edge_sum_decay_coefficient()
-    egaps = [n * (n * pieces[n].r_edge - beta3) for n in sizes]
-    dist, detail = _distances(egaps, asymptotics.edge_sum_gap_limit(n0))
+    egaps = [edge.value(n, pieces[n]) for n in sizes]
+    dist, detail = _distances(egaps, edge.limit(n0))
     out.append(_check("edge_sum_decay", _non_increasing(dist) and dist[-1] <= 0.02,
                       f"n (n r_edge - coeff) = {['%.4f' % g for g in egaps]} "
                       f"at n = {sizes}, {detail}"))

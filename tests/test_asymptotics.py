@@ -294,20 +294,40 @@ def test_edge_sum_gap_limit_per_residue_class():
         edge_sum_gap_limit(4)
 
 
-@pytest.mark.parametrize("n0", [0, 1, 2, 3])
-def test_edge_sum_gap_converges_to_limit(n0):
-    # n (n r_edge - beta3) approaches E(n0) like 1/n: each doubling halves the distance
-    beta3 = edge_sum_decay_coefficient()
-    limit = edge_sum_gap_limit(n0)
+# the verify check of each remainder that tends to its limit like 1/n
+_CONVERGENCE_CHECKS = {"Delta": "restricted_integral_remainder",
+                       "axis_gap": "axis_sum_remainder", "edge_gap": "edge_sum_decay"}
+
+
+@pytest.mark.parametrize("name, n0", [(r.name, n0) for r in verify.REMAINDERS
+                                      if r.name in _CONVERGENCE_CHECKS for n0 in range(4)])
+def test_remainder_converges_to_limit(name, n0):
+    # each doubling of n halves the distance to the limit; Delta's 1/n
+    # coefficient (2 - n0)^3 delta vanishes in class 2, where the distance
+    # is already below 1.4e-7 at n = 798
+    entry = {r.name: r for r in verify.REMAINDERS}[name]
+    limit = entry.limit(n0)
     dist = []
     for m in (800, 1600, 3200, 6400):
         n = m - (m - n0) % 4
-        dist.append(abs(n * (n * decomposition.piece_sums(n).r_edge - beta3) - limit))
-    for near, far in zip(dist[1:], dist):
-        assert 0.45 <= near / far <= 0.55
-    assert dist[-1] <= 2e-3
-    check = {r.name: r for r in verify.suite_asymptotics(max_n=100, n0=n0)}["edge_sum_decay"]
+        dist.append(abs(entry.value(n, decomposition.piece_sums(n)) - limit))
+    if name == "Delta" and n0 == 2:
+        assert max(dist) <= 1e-6
+    else:
+        for near, far in zip(dist[1:], dist):
+            assert 0.45 <= near / far <= 0.55
+        assert dist[-1] <= 2e-3
+    check = {r.name: r for r in verify.suite_asymptotics(max_n=100, n0=n0)}[
+        _CONVERGENCE_CHECKS[name]]
     assert check.passed and "limit" in check.detail, check.detail
+
+
+def test_remainder_table_entries():
+    # D has no derived limit yet; the exp tail is measured from its own limit
+    entries = {r.name: r for r in verify.REMAINDERS}
+    assert list(entries) == ["D", "Delta", "exp_tail", "axis_gap", "edge_gap"]
+    assert entries["D"].limit is None
+    assert entries["exp_tail"].limit(0) == 0.0
 
 
 def test_window_constants_against_30_digit_reference():

@@ -267,6 +267,15 @@ def test_console_script_runs():
     assert "F_n=2.5" in proc.stdout
 
 
+def test_python_dash_m_lapasym_runs():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lapasym", "verify", "--suite", "specfun"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.returncode == 0, proc.stderr
+    assert "checks passed" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # The ignored ``workers`` keyword
 # ---------------------------------------------------------------------------

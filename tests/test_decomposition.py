@@ -8,7 +8,7 @@ from lapasym import decomposition, lattice_sum
 from lapasym.asymptotics import exp_tail_limit
 from lapasym.decomposition import (cascade_profile, double_sum_via_digamma,
                                    euler_maclaurin, factor_rows, piece_sums,
-                                   profile_decomposition, taylor_cascade)
+                                   profile_decomposition)
 from lapasym.exceptions import ConsistencyError, DomainError
 from lapasym.lattice_sum import quadrant_sum, quartic_rows, restricted_sum_f2
 
@@ -52,8 +52,8 @@ def test_factor_row_smallest_grid():
     assert rows.u[0] == 1.0 - math.pi ** 2 / 48.0
     expected = math.sqrt(1.0 + (math.pi ** 2 / 12.0) * (1.0 - math.pi ** 2 / 48.0))
     assert rows.A[0] == pytest.approx(expected, abs=1e-5)
-    # n = 4 has n0 = 0, so A equals its n0 = 0 value calA
-    assert rows.A[0] == pytest.approx(taylor_cascade(4, 1).cal_A, rel=1e-15, abs=0.0)
+    # n = 4 has n0 = 0, so A equals its n0 = 0 value calA at k/N = 1
+    assert rows.A[0] == pytest.approx(cascade_profile(1.0).cal_A, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [5, 12, 37, 100])
@@ -67,7 +67,8 @@ def test_factor_row_discriminant_identity(n):
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64, 256])
 def test_scaled_row_fraction_below_half(n):
-    a = [taylor_cascade(n, k).a for k in range(1, len(factor_rows(n).A) + 1)]
+    N = len(factor_rows(n).A)
+    a = [cascade_profile(k / N).a for k in range(1, N + 1)]
     assert all(0.0 < a_k <= math.pi / (4.0 * math.sqrt(3.0)) for a_k in a)
     assert a[-1] < 0.5
 
@@ -310,16 +311,16 @@ def test_cascade_summand_reconstruction_residue_zero():
     sB = math.sqrt(B)
     N = 10
     direct = (1.0 / A) * (N / sB) * math.log((1.0 + N / sB) / (1.0 - N / sB))
-    assert abs(direct - taylor_cascade(n, k).alpha[8]) <= 1e-12
+    assert abs(direct - cascade_profile(k / N).alpha[8]) <= 1e-12
     arc = math.atan(math.sqrt(C) / N) / (math.sqrt(C) / N)
-    assert abs((1.0 / A) * arc - taylor_cascade(n, k).alpha[9]) <= 1e-12
+    assert abs((1.0 / A) * arc - cascade_profile(k / N).alpha[9]) <= 1e-12
 
 
 def test_cascade_beta6_display():
     # beta6/a^2 == 2(1-2a^2)/(calA(1+calA)) + 1/(1-a^2)
-    n = 100
+    N = 25  # n = 100
     for k in (1, 7, 20, 25):
-        row = taylor_cascade(n, k)
+        row = cascade_profile(k / N)
         a2 = row.a ** 2
         display = 2.0 * (1.0 - 2.0 * a2) / (row.cal_A * (1.0 + row.cal_A)) \
             + 1.0 / (1.0 - a2)
@@ -337,10 +338,6 @@ def test_invsqrt_profile_taylor_head():
 
 
 def test_cascade_domain():
-    with pytest.raises(DomainError):
-        taylor_cascade(40, 0)
-    with pytest.raises(DomainError):
-        taylor_cascade(40, 11)
     with pytest.raises(DomainError):
         cascade_profile(2.5)  # outside the analyticity margin
 

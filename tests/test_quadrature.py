@@ -60,6 +60,19 @@ def test_nan_integrand_raises(fn):
     assert math.isnan(err.value.partial.abs_error_estimate)
 
 
+def test_nan_integrand_raises_at_the_first_segment():
+    # a nan estimate cannot converge, so no evaluation budget is spent on it
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return math.nan
+
+    with pytest.raises(ConvergenceError) as err:
+        integrate_1d(fn, 0.0, 1.0)
+    assert len(calls) <= 15 and err.value.partial.evaluations == len(calls)
+
+
 @given(st.tuples(*[st.floats(min_value=-3.0, max_value=3.0) for _ in range(4)]))
 def test_cubic_polynomials_exact(coeffs):
     a, b, c, d = coeffs

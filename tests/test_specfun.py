@@ -12,8 +12,7 @@ from lapasym import specfun
 from lapasym.exceptions import DomainError, PoleError
 from lapasym.quadrature import integrate_1d
 from lapasym.specfun import (BERNOULLI, CONSTANTS, clausen_cl2,
-                             digamma_array, digamma_complex, digamma_real,
-                             log_q_pochhammer_inv)
+                             digamma_array, log_q_pochhammer_inv)
 
 
 def accelerated_alternating_sum(terms, passes=60):
@@ -166,32 +165,32 @@ def test_digamma_at_one_against_harmonic_oracle():
     h = math.fsum(1.0 / k for k in range(1, M + 1))
     gamma_est = h - math.log(M) - 0.5 / M + 1.0 / (12.0 * M * M)
     assert abs(gamma_est - CONSTANTS.euler_gamma) <= 1e-12
-    assert abs(digamma_real(1.0) + gamma_est) <= 1e-12
+    assert abs(digamma_array(1.0) + gamma_est) <= 1e-12
 
 
 def test_digamma_at_two():
-    assert digamma_real(2.0) == pytest.approx(
-        digamma_real(1.0) + 1.0, abs=1e-13)
-    assert digamma_real(2.0) == pytest.approx(
+    assert digamma_array(2.0) == pytest.approx(
+        digamma_array(1.0) + 1.0, abs=1e-13)
+    assert digamma_array(2.0) == pytest.approx(
         1.0 - CONSTANTS.euler_gamma, abs=1e-13)
 
 
 def test_digamma_difference_is_finite_sum():
     expected = 1.0 / 1.5 + 1.0 / 2.5 + 1.0 / 3.5
-    assert digamma_real(4.5) - digamma_real(1.5) == pytest.approx(expected, abs=1e-12)
+    assert digamma_array(4.5) - digamma_array(1.5) == pytest.approx(expected, abs=1e-12)
 
 
 def test_digamma_half():
-    assert digamma_real(0.5) == pytest.approx(
+    assert digamma_array(0.5) == pytest.approx(
         -CONSTANTS.euler_gamma - 2.0 * math.log(2.0), abs=1e-12)
 
 
 def test_digamma_poles():
     for x in (0.0, -1.0, -7.0):
         with pytest.raises(PoleError):
-            digamma_real(x)
+            digamma_array(x)
         with pytest.raises(PoleError):
-            digamma_complex(complex(x, 0.0))
+            digamma_array(complex(x, 0.0))
 
 
 def test_digamma_recurrence_random_points():
@@ -211,21 +210,21 @@ def test_digamma_finite_sum_identity():
         N = int(rng.integers(1, 51))
         a = float(rng.uniform(0.1, 5.0))
         direct = math.fsum(1.0 / (j + a) for j in range(1, N + 1))
-        via = digamma_real(N + 1 + a) - digamma_real(1 + a)
+        via = digamma_array(N + 1 + a) - digamma_array(1 + a)
         worst = max(worst, abs(direct - via))
     assert worst <= 1e-11
 
 
 def test_digamma_complex_matches_real_axis():
-    z = digamma_complex(2.0 + 0j)
+    z = digamma_array(2.0 + 0j)
     assert z.imag == 0.0
-    assert z.real == pytest.approx(digamma_real(2.0), abs=1e-14)
+    assert z.real == pytest.approx(digamma_array(2.0), abs=1e-14)
 
 
 def test_digamma_complex_reflection_recurrence():
     # psi(1+z) - psi(1-z) = 1/z - pi cot(pi z), checked at z = i
     z = 1j
-    lhs = digamma_complex(1 + z) - digamma_complex(1 - z)
+    lhs = digamma_array(1 + z) - digamma_array(1 - z)
     rhs = 1.0 / z - math.pi / cmath.tan(math.pi * z)
     assert abs(lhs - rhs) <= 1e-12
     assert abs(lhs.real) <= 1e-13  # purely imaginary
@@ -233,23 +232,22 @@ def test_digamma_complex_reflection_recurrence():
 
 def test_digamma_schwarz_reflection():
     z = 3.0 + 2.0j
-    assert abs(digamma_complex(z.conjugate()) - digamma_complex(z).conjugate()) <= 1e-13
+    assert abs(digamma_array(z.conjugate()) - digamma_array(z).conjugate()) <= 1e-13
 
 
 @given(st.floats(min_value=0.1, max_value=100.0),
        st.floats(min_value=-100.0, max_value=100.0))
 def test_digamma_schwarz_property(re, im):
     z = complex(re, im)
-    assert abs(digamma_complex(z.conjugate())
-               - digamma_complex(z).conjugate()) <= 1e-13
+    assert abs(digamma_array(z.conjugate())
+               - digamma_array(z).conjugate()) <= 1e-13
 
 
 def test_digamma_array_of_a_scalar_is_a_scalar():
     # one argument in the disc about 2 after a shift, one past the shift
-    for x, scalar in ((1.0, digamma_real), (30.0, digamma_real),
-                      (1.0 + 0.1j, digamma_complex)):
+    for x in (1.0, 30.0, 1.0 + 0.1j):
         got = digamma_array(x)
-        assert np.ndim(got) == 0 and got == scalar(x)
+        assert np.ndim(got) == 0 and got == digamma_array([x])[0]
 
 
 def test_digamma_array_rejects_poles_and_non_finite():
@@ -259,20 +257,14 @@ def test_digamma_array_rejects_poles_and_non_finite():
     for bad in ([1.0, math.nan], [complex(math.inf, 1.0)]):
         with pytest.raises(DomainError):
             digamma_array(bad)
-
-
-
-def test_digamma_faces_return_python_numbers():
-    assert type(digamma_real(3.0)) is float and type(digamma_real(3)) is float
-    assert type(digamma_complex(3.0 + 1j)) is complex and type(digamma_complex(3.0)) is complex
     with pytest.raises(PoleError, match=r"^digamma pole at -2\.0$"):
-        digamma_real(-2.0)
+        digamma_array(-2.0)
     with pytest.raises(PoleError, match=r"^digamma pole at \(-2\+0j\)$"):
-        digamma_complex(-2.0)
+        digamma_array(-2.0 + 0j)
     with pytest.raises(PoleError, match=r"^digamma pole at 0\.0$"):
         digamma_array([1.5, 0.0])
     with pytest.raises(DomainError, match=r"got inf$"):
-        digamma_real(math.inf)
+        digamma_array(math.inf)
 
 
 def test_digamma_against_40_digit_reference():
@@ -285,29 +277,25 @@ def test_digamma_against_40_digit_reference():
                         np.linspace(-9.95, -0.05, 100) + 1e-3])
     z = np.concatenate([x[::4] + 1j * np.linspace(-30.0, 30.0, len(x[::4])),
                         3.0 + 1j * np.linspace(0.1, 50.0, 500)])  # N + i sqrt(C)
-    cases = [(digamma_array(x), digamma_real, x), (digamma_array(z), digamma_complex, z)]
-    for arr, face, args in cases:
+    for args in (x, z):
+        arr = digamma_array(args)
         assert arr.dtype == args.dtype
-        for got_array, arg in zip(arr.tolist(), args.tolist()):
+        for got, arg in zip(arr.tolist(), args.tolist()):
             want = mp.digamma(arg)
-            for got in (got_array, face(arg)):
-                err = abs(mp.mpmathify(got) - want) / max(abs(want), 1)
-                assert err <= 1e-15, arg
+            err = abs(mp.mpmathify(got) - want) / max(abs(want), 1)
+            assert err <= 1e-15, arg
 
 
 def test_digamma_near_one_against_40_digit_reference():
     # the recurrence from x near 1 summed nine reciprocals (about -2.8)
-    # that cancelled against log(x + 9): 1.4e-15 here before the series;
-    # the real face is checked on every twentieth point
+    # that cancelled against log(x + 9): 1.4e-15 here before the series
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
     x = np.random.default_rng(20261018).uniform(1.0, 1.1, 20000)
     worst = 0.0
-    for i, (t, got_array) in enumerate(zip(x.tolist(), digamma_array(x).tolist())):
-        want = mp.digamma(mp.mpf(t))
-        for got in (got_array, digamma_real(t)) if i % 20 == 0 else (got_array,):
-            worst = max(worst, float(abs(mp.mpf(got) - want)))
+    for t, got in zip(x.tolist(), digamma_array(x).tolist()):
+        worst = max(worst, float(abs(mp.mpf(got) - mp.digamma(mp.mpf(t)))))
     assert worst <= 8e-16
 
 
