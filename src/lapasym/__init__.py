@@ -9,9 +9,9 @@ identities, quadrature oracles and least-squares coefficient recovery.
 
 from .asymptotics import (ExpansionForm, axis_sum_expansion,
                           edge_sum_decay_coefficient, exp_tail_limit,
-                          log_cos_closed_forms, model_for_lattice,
-                          restricted_integral_expansion,
-                          restricted_integral_lambda)
+                          integral_f1_restricted, log_cos_closed_forms,
+                          model_for_lattice, restricted_integral_expansion,
+                          restricted_integral_f2, restricted_integral_lambda)
 from .decomposition import (double_sum_via_digamma, euler_maclaurin,
                             factor_rows, piece_sums, profile_decomposition)
 from .extrapolation import error_series, fit_expansion
@@ -21,8 +21,7 @@ from .lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK, SQUARE,
                           kernel_psi, parse_lattice_file, restricted_sum_f2,
                           trace_pseudoinverse)
 from .quadrature import (QuadratureResult, factored_log_integrals,
-                         integral_f1_restricted, integral_f2_restricted,
-                         integrate_1d, integrate_2d)
+                         integral_f2_restricted, integrate_1d, integrate_2d)
 from .specfun import BERNOULLI, CONSTANTS, clausen_cl2, log_q_pochhammer_inv
 
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Adaptive quadrature oracles, independent of any closed form they check.
 
 The workhorse is a 7-point Gauss / 15-point Kronrod pair under adaptive
-bisection.  On top of it sit the two restricted-region integrals of the
-lattice kernels f1 and f2 (reduced to one dimension by polar coordinates)
-and the pair of log-cosine integrals their asymptotics factor through.
+bisection.  On top of it sit the oracle of the restricted-region integral
+of the quartic kernel f2 (reduced to one angular integral by polar
+coordinates) and the pair of log-cosine integrals it factors through.
 A small tensor-product 2-D rule is included purely as a cross-check oracle
 for moderate grid sizes.  :mod:`lapasym.asymptotics` imports nothing from
-here: its limit constants are closed forms that these integrals check.
+here: the f1 and f2 integrals and the limit constants are closed forms
+there, which these integrals check.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .asymptotics import integral_f1_restricted
 from .exceptions import ConvergenceError, DomainError
 from .lattice_sum import GridGeometry
 
@@ -23,7 +25,6 @@ __all__ = [
     "integrate_1d",
     "integrate_2d",
     "eta_sq",
-    "integral_f1_restricted",
     "integral_f2_restricted",
     "factored_log_integrals",
 ]
@@ -172,22 +173,12 @@ def eta_sq(theta: float) -> float:
     return c ** 4 + s ** 4
 
 
-def integral_f1_restricted(n: int) -> float:
-    """Normalized integral of the quadratic kernel f1 over the restricted region.
-
-    In polar coordinates the integral is elementary:
-    (2 n^2 / pi) * log(n beta_n / pi).  Exact arithmetic, no quadrature.
-    """
-    return (2.0 * n * n / math.pi) * math.log(n * GridGeometry.restricted(n).beta_n / math.pi)
-
-
 def integral_f2_restricted(n: int) -> QuadratureResult:
-    """Normalized integral of the quartic kernel f2 over the restricted region.
+    """Quadrature oracle of :func:`lapasym.asymptotics.restricted_integral_f2`.
 
-    Splitting 1/(r - eta^2 r^3 / 12) into 1/r plus a rational remainder
-    turns the radial integral into logs, leaving the f1 value plus
-    (4 n^2 / pi^2) times a single smooth angular integral, evaluated here
-    by adaptive quadrature.
+    The same f1 value plus (4 n^2 / pi^2) times the angular integral of
+    log(12 - (pi/n)^2 g) - log(12 - beta_n^2 g), here by adaptive
+    quadrature instead of the closed form.
     """
     beta = GridGeometry.restricted(n).beta_n
     pin = math.pi / n

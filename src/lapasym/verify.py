@@ -40,8 +40,10 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # specfun suite
 # ---------------------------------------------------------------------------
 
-# Cl2's stated absolute accuracy against 40-digit mpmath (lapasym.specfun)
+# Cl2's stated absolute accuracy against 40-digit mpmath, and digamma's
+# (relative, absolute where |psi| < 1; lapasym.specfun)
 _CL2_ERROR = 4e-16
+_PSI_ERROR = 6.9e-16
 
 
 def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult]:
@@ -69,9 +71,17 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
 
     draws = [(int(rng.integers(1, 51)), rng.uniform(0.1, 5.0)) for _ in range(100)]
     N, a = (np.array(col) for col in zip(*draws))
-    direct = [math.fsum(1.0 / (j + t) for j in range(1, n + 1)) for n, t in draws]
-    worst = np.max(np.abs(direct - (psi(N + 1 + a) - psi(1 + a))))
-    out.append(_check("digamma_finite_sum", worst <= 1e-11, f"max residual {worst:.3e}"))
+    direct = np.array([math.fsum(1.0 / (j + t) for j in range(1, n + 1)) for n, t in draws])
+    top, bottom = psi(N + 1 + a), psi(1 + a)
+    gap = np.abs(direct - (top - bottom))
+    # each term 1/(j + a) rounds twice, the fsum and the difference once each
+    limit = (_PSI_ERROR * (np.maximum(1.0, np.abs(top)) + np.maximum(1.0, np.abs(bottom)))
+             + 4 * 2.0 ** -53 * direct)
+    ratio = np.max(gap / limit)
+    out.append(_check("digamma_finite_sum", ratio <= 1.0,
+                      f"max residual {np.max(gap):.3e}, worst residual/limit {ratio:.2f}; "
+                      f"limit per draw = digamma's stated accuracy {_PSI_ERROR:.1e} at "
+                      f"both ends + 4 roundings of 2^-53 of the sum"))
 
     b = specfun.BERNOULLI.exact
     ok = (b[1] == Fraction(-1, 2) and b[2] == Fraction(1, 6)
@@ -83,8 +93,15 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
     eta = math.exp(-math.pi / 12.0) * math.prod(
         1.0 - math.exp(-2.0 * math.pi * k) for k in range(1, 9))
     relation = eta * 2.0 * math.pi ** 0.75 / c.gamma_quarter - 1.0
-    out.append(_check("eta_gamma_relation", abs(relation) <= 1e-13,
-                      f"eta(i) 2 pi^(3/4) / Gamma(1/4) - 1 = {relation:.3e}"))
+    # roundings of 2^-53: 9 for the eight factors, 7 for their product, 3 for
+    # e^(-pi/12) (1 ulp of exp plus its argument), 1 for eta, 4 for
+    # 2 pi^(3/4) (1 ulp of pow, pi's own rounding, the product), 1 for the
+    # Gamma(1/4) literal and 1 for the division; the first dropped factor
+    # 1 - q^9 adds e^(-18 pi)
+    limit = 26 * 2.0 ** -53 + math.exp(-18.0 * math.pi)
+    out.append(_check("eta_gamma_relation", abs(relation) <= limit,
+                      f"eta(i) 2 pi^(3/4) / Gamma(1/4) - 1 = {relation:.3e}; limit "
+                      f"{limit:.2e} = 26 roundings of 2^-53 + e^(-18 pi) of truncation"))
 
     approx, _bound = decomposition.euler_maclaurin(
         lambda x: x * x, 10, 2, derivatives=[lambda x: 2.0 * x, lambda x: 2.0])
@@ -187,6 +204,11 @@ def _log_cos_limit(closed: float, carry: float) -> float:
     return 2.0 * _CL2_ERROR + (8.0 * abs(closed) + carry) * 2.0 ** -53
 
 
+# restricted_integral_f2's stated relative accuracy against 30-digit mpmath
+# (lapasym.asymptotics; tests/test_asymptotics.py)
+_F2_ERROR = 8e-16
+
+
 def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckResult]:
     """Quadrature against closed forms.  ``workers`` is ignored; kept for existing callers."""
     del max_n, n0, workers
@@ -226,11 +248,23 @@ def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
         math.pi / n, beta_n)
     dn2 = (2.0 * math.pi / n) ** 2
     ref = 4.0 * (oracle.value + corner.value) / dn2
-    got = quadrature.integral_f1_restricted(n)
+    got = asymptotics.integral_f1_restricted(n)
     rel = abs(got - ref) / abs(ref)
     limit = 4.0 * (oracle.abs_error_estimate + corner.abs_error_estimate) / dn2 / ref + 2.0 ** -50
     out.append(_check("restricted_f1_vs_2d", rel <= limit, f"relative gap {rel:.3e}; limit "
                       f"{limit:.2e} = the 2-D abs_error_estimate + 8 roundings of 2^-53"))
+
+    sizes = (8, 20, 517, 2500)
+    worst, margin = 0.0, math.inf
+    for n in sizes:
+        q = quadrature.integral_f2_restricted(n)
+        rel = abs(asymptotics.restricted_integral_f2(n) - q.value) / q.value
+        limit = q.abs_error_estimate / q.value + _F2_ERROR
+        worst, margin = max(worst, rel), min(margin, limit - rel)
+    out.append(_check("restricted_f2_closed_form", margin >= 0.0,
+                      f"max relative gap {worst:.3e} at n = {list(sizes)}, least margin "
+                      f"{margin:.2e} to its limit: quadrature's abs_error_estimate + the "
+                      f"closed form's stated accuracy {_F2_ERROR:.0e}"))
     return out
 
 
@@ -273,7 +307,7 @@ REMAINDERS = (
     # direct value (stays near 0.621 in every class)
     Remainder("D", lambda n, p: p.assembled() - restricted_sum_f2(n).value, None),
     # restricted quartic integral minus its three-term expansion
-    Remainder("Delta", lambda n, p: (quadrature.integral_f2_restricted(n).value
+    Remainder("Delta", lambda n, p: (asymptotics.restricted_integral_f2(n)
                                      - asymptotics.restricted_integral_expansion(n)),
               asymptotics.restricted_integral_remainder_limit),
     # exponential-tail row sum minus its Dedekind-eta limit, O(1/n^2)

@@ -12,11 +12,12 @@ from lapasym.asymptotics import (MODEL_FORMS, ExpansionForm, axis_gap_limit,
                                  log_cos_closed_forms,
                                  model_for_lattice, quartic_factor_params,
                                  restricted_integral_expansion,
+                                 restricted_integral_f2,
                                  restricted_integral_lambda,
                                  restricted_integral_remainder_limit,
                                  square_integral_form)
 from lapasym.exceptions import DomainError
-from lapasym.lattice_sum import BUILTIN_LATTICES
+from lapasym.lattice_sum import BUILTIN_LATTICES, GridGeometry
 from lapasym.quadrature import integrate_1d
 from lapasym.specfun import CONSTANTS, clausen_cl2, log_q_pochhammer_inv
 
@@ -91,8 +92,9 @@ def test_factorization_constant_windows():
     assert 0.08 < RHO < 0.10
     j11, _ = log_cos_closed_forms(NU, "gt1")
     j21, _ = log_cos_closed_forms((NU - 1.0) / (NU + 1.0), "in01")
+    # the root u at beta = pi/2 gives the float of the paper's mu/nu route
     assert restricted_integral_lambda() == -j11 - j21 - math.pi * math.log(2.0)
-    assert -5.09 < restricted_integral_lambda() < -5.07
+    assert restricted_integral_lambda() == -5.079784026747255
 
 
 def test_quartic_factor_params_limits():
@@ -142,6 +144,44 @@ def test_linear_term_vanishes_mod_two():
     c1_b = (restricted_integral_expansion(n2)
             - (2.0 / math.pi) * n2 * n2 * math.log(n2)) / (n2 * n2)
     assert c1_a == pytest.approx(c1_b, abs=1e-13)
+
+
+def _phi_reference(mp, beta):
+    """int_0^{pi/4} log(12 - beta^2 g) in mpmath, g = (cos^4 + sin^4)/cos^2."""
+    return mp.quad(lambda t: mp.log(12 - beta ** 2 * (mp.cos(t) ** 4 + mp.sin(t) ** 4)
+                                    / mp.cos(t) ** 2), [0, mp.pi / 4])
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.3, math.pi / 2, 1.6])
+def test_phi_against_mpmath(beta):
+    # Phi within half the budgets of its two Clausen forms plus 4 roundings
+    # of 2^-53 of the size of its four terms
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    _, u = asymptotics._quartic_root(beta)
+    j11, _ = log_cos_closed_forms(2.0 * u - 1.0, "gt1")
+    j21, _ = log_cos_closed_forms(1.0 - 1.0 / u, "in01")
+    size = (0.25 * math.pi * abs(math.log(2.0 * beta * beta)) + 0.5 * (abs(j11) + abs(j21))
+            + CONSTANTS.catalan_G)
+    limit = (0.5 * (verify._log_cos_limit(j11, 8.0) + verify._log_cos_limit(j21, 0.0))
+             + 4 * 2.0 ** -53 * size)
+    assert abs(asymptotics._phi(beta) - _phi_reference(mp, mp.mpf(beta))) <= limit
+
+
+@pytest.mark.parametrize("n", [7, 8, 517, 4001, 10 ** 5])
+def test_restricted_integral_f2_against_mpmath(n):
+    # within the stated accuracy, 8e-16 relative; n = 7 is the worst size
+    # of the sweep in the docstring
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    big_n = mp.mpf(n)
+    beta = mp.pi / 2 * (1 + mp.mpf(2 - GridGeometry.restricted(n).n0) / big_n)
+    want = (2 * big_n ** 2 / mp.pi * mp.log(big_n * beta / mp.pi)
+            + 4 * big_n ** 2 / mp.pi ** 2
+            * (_phi_reference(mp, mp.pi / big_n) - _phi_reference(mp, beta)))
+    assert abs(restricted_integral_f2(n) - want) <= verify._F2_ERROR * want
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +234,8 @@ def test_outside_log_closed_form_against_mpmath():
 def test_inside_closed_form_at_factorization_point():
     a = (NU - 1.0) / (NU + 1.0)
     j21, _ = log_cos_closed_forms(a, "in01")
-    quad = integrate_1d(lambda t: math.log(math.cos(t) + a), 0.0, math.pi / 2).value
-    assert j21 == pytest.approx(quad, abs=1e-9)
+    quad = integrate_1d(lambda t: math.log(math.cos(t) + a), 0.0, math.pi / 2)
+    assert abs(j21 - quad.value) <= quad.abs_error_estimate + verify._log_cos_limit(j21, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -746,7 +746,8 @@ def test_restricted_rejects_non_square_and_tiny_n():
 RESTRICTED_ENTRY_POINTS = [
     decomposition.factor_rows, decomposition.piece_sums,
     decomposition.double_sum_via_digamma, decomposition.profile_decomposition,
-    quadrature.integral_f1_restricted, quadrature.integral_f2_restricted,
+    asymptotics.integral_f1_restricted, asymptotics.restricted_integral_f2,
+    quadrature.integral_f2_restricted,
     asymptotics.restricted_integral_expansion, asymptotics.axis_sum_expansion,
     quartic_rows, quadrant_sum, restricted_sum_f2,
 ]

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lapasym import asymptotics, decomposition, quadrature, specfun, verify
-from lapasym.asymptotics import (log_cos_closed_forms,
+from lapasym import asymptotics, decomposition, specfun, verify
+from lapasym.asymptotics import (integral_f1_restricted,
+                                 log_cos_closed_forms,
                                  quartic_factor_params,
                                  restricted_integral_expansion)
 from lapasym.exceptions import ConvergenceError, DomainError
 from lapasym.lattice_sum import GridGeometry
 from lapasym.quadrature import (eta_sq, factored_log_integrals,
-                                integral_f1_restricted,
                                 integral_f2_restricted, integrate_1d,
                                 integrate_2d)
 from lapasym.specfun import CONSTANTS
@@ -91,15 +91,21 @@ def test_cubic_polynomials_exact(coeffs):
 # Closed-form cross checks
 # ---------------------------------------------------------------------------
 
+def _assert_within_log_cos_limit(closed, quad, carry):
+    # the quadrature within its own estimate, the closed form within its
+    # error budget (carry 8 for a > 1, 0 for 0 < a < 1; see verify)
+    assert abs(closed - quad.value) <= quad.abs_error_estimate + verify._log_cos_limit(closed, carry)
+
+
 def test_log_integral_closed_forms_outside():
     rng = np.random.default_rng(11)
     for a in rng.uniform(1.1, 10.0, size=50):
         a = float(a)
         j11, j12 = log_cos_closed_forms(a, "gt1")
-        q1 = integrate_1d(lambda t: math.log(a - math.cos(t)), 0.0, math.pi / 2).value
-        q2 = integrate_1d(lambda t: 1.0 / (a - math.cos(t)), 0.0, math.pi / 2).value
-        assert j11 == pytest.approx(q1, abs=1e-9)
-        assert j12 == pytest.approx(q2, abs=1e-10)
+        q1 = integrate_1d(lambda t: math.log(a - math.cos(t)), 0.0, math.pi / 2)
+        q2 = integrate_1d(lambda t: 1.0 / (a - math.cos(t)), 0.0, math.pi / 2)
+        _assert_within_log_cos_limit(j11, q1, 8.0)
+        _assert_within_log_cos_limit(j12, q2, 8.0)
 
 
 def test_log_integral_closed_forms_inside():
@@ -107,10 +113,10 @@ def test_log_integral_closed_forms_inside():
     for a in rng.uniform(0.05, 0.95, size=50):
         a = float(a)
         j21, j22 = log_cos_closed_forms(a, "in01")
-        q1 = integrate_1d(lambda t: math.log(math.cos(t) + a), 0.0, math.pi / 2).value
-        q2 = integrate_1d(lambda t: 1.0 / (math.cos(t) + a), 0.0, math.pi / 2).value
-        assert j21 == pytest.approx(q1, abs=1e-9)
-        assert j22 == pytest.approx(q2, abs=1e-10)
+        q1 = integrate_1d(lambda t: math.log(math.cos(t) + a), 0.0, math.pi / 2)
+        q2 = integrate_1d(lambda t: 1.0 / (math.cos(t) + a), 0.0, math.pi / 2)
+        _assert_within_log_cos_limit(j21, q1, 0.0)
+        _assert_within_log_cos_limit(j22, q2, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +223,13 @@ def test_factored_log_integrals_large_u_limit():
 def test_factored_log_integrals_match_closed_forms():
     _, u = quartic_factor_params(1000)
     j1, j2 = factored_log_integrals(u)
-    assert j1 == pytest.approx(log_cos_closed_forms(2.0 * u - 1.0, "gt1")[0], abs=1e-9)
-    assert j2 == pytest.approx(
-        log_cos_closed_forms(1.0 - 1.0 / u, "in01")[0], abs=1e-9)
+    # the same two quadratures, for their error estimates
+    s1, s2 = 2.0 * u - 1.0, 1.0 - 1.0 / u
+    q1 = integrate_1d(lambda t: math.log(s1 - math.cos(t)), 0.0, 0.5 * math.pi)
+    q2 = integrate_1d(lambda t: math.log(math.cos(t) + s2), 0.0, 0.5 * math.pi)
+    assert (q1.value, q2.value) == (j1, j2)
+    _assert_within_log_cos_limit(log_cos_closed_forms(s1, "gt1")[0], q1, 8.0)
+    _assert_within_log_cos_limit(log_cos_closed_forms(s2, "in01")[0], q2, 0.0)
 
 
 def test_factored_log_integrals_domain():
@@ -243,8 +253,23 @@ def _shift_catalan_literal(monkeypatch):
 
 
 def _scale_f1(monkeypatch):
-    f1 = quadrature.integral_f1_restricted
-    monkeypatch.setattr(quadrature, "integral_f1_restricted", lambda n: f1(n) * (1.0 + 1e-9))
+    f1 = asymptotics.integral_f1_restricted
+    monkeypatch.setattr(asymptotics, "integral_f1_restricted", lambda n: f1(n) * (1.0 + 1e-9))
+
+
+def _scale_f2(monkeypatch):
+    f2 = asymptotics.restricted_integral_f2
+    monkeypatch.setattr(asymptotics, "restricted_integral_f2", lambda n: f2(n) * (1.0 + 1e-12))
+
+
+def _scale_digamma(monkeypatch):
+    psi = specfun.digamma_array
+    monkeypatch.setattr(specfun, "digamma_array", lambda z: psi(z) * (1.0 + 1e-13))
+
+
+def _scale_gamma_quarter(monkeypatch):
+    moved = dataclasses.replace(CONSTANTS, gamma_quarter=CONSTANTS.gamma_quarter * (1.0 + 5e-14))
+    monkeypatch.setattr(specfun, "CONSTANTS", moved)
 
 
 def _shift_profile(monkeypatch):
@@ -261,12 +286,16 @@ def _shift_profile(monkeypatch):
     ("quadrature", "log_cos_closed_forms", _shift_log_cos),
     ("quadrature", "catalan_integral", _shift_catalan),
     ("quadrature", "restricted_f1_vs_2d", _scale_f1),
+    ("quadrature", "restricted_f2_closed_form", _scale_f2),
     ("identities", "cascade_profiles_n0_zero", _shift_profile),
     ("specfun", "clausen_catalan", _shift_catalan_literal),
+    ("specfun", "digamma_finite_sum", _scale_digamma),
+    ("specfun", "eta_gamma_relation", _scale_gamma_quarter),
 ])
 def test_verify_limits_catch_small_shifts(monkeypatch, suite, check, shift):
-    # each shift passes a limit of 1e-9, 1e-11, 1e-6, 1e-12 or 1e-12 respectively,
-    # but not the limit derived from the check's error sources
+    # each shift passes a limit of 1e-9, 1e-11, 1e-6, 1e-9, 1e-12, 1e-12, 1e-11
+    # or 1e-13 respectively, but not the limit derived from the check's error
+    # sources
     assert {r.name: r for r in verify.SUITES[suite](max_n=100)}[check].passed
     shift(monkeypatch)
     result = {r.name: r for r in verify.SUITES[suite](max_n=100)}[check]
