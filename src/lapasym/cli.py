@@ -53,9 +53,6 @@ class RunConfig:
     lattice: str = "square"
     lattice_file: str | None = None
     n: int | None = None
-    start: int = _FIGURE_LADDER[0]
-    stop: int = _FIGURE_LADDER[1]
-    step: int = _FIGURE_LADDER[2]
     n_list: tuple[int, ...] = ()
     out: str | None = None
     plot: str | None = None
@@ -87,11 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="error ladder CSV against the expansion models")
     p_err.add_argument("--lattice", default="all",
                        choices=sorted(BUILTIN_LATTICES) + ["all"])
-    p_err.add_argument("--start", type=int)
-    p_err.add_argument("--stop", type=int)
-    p_err.add_argument("--step", type=int)
     p_err.add_argument("--n-list",
-                       help="explicit comma-separated ladder, overrides start/stop/step")
+                       help="comma-separated ladder (default 25..2500 step 25)")
     p_err.add_argument("--out", help="CSV output path (default stdout)")
     p_err.add_argument("--plot",
                        help="also write a gnuplot script rendering the two error panels")
@@ -146,11 +140,8 @@ def cmd_sum(cfg: RunConfig, out=None) -> int:
 
 
 def _ladder(cfg: RunConfig) -> list[int]:
-    if cfg.n_list:
-        return list(cfg.n_list)
-    if cfg.step < 1:
-        raise DomainError(f"--step must be at least 1, got {cfg.step}")
-    return list(range(cfg.start, cfg.stop + 1, cfg.step))
+    start, stop, step = _FIGURE_LADDER
+    return list(cfg.n_list) or list(range(start, stop + 1, step))
 
 
 def _gnuplot_script(csv_path: str, lattices: list[str]) -> str:
@@ -192,8 +183,6 @@ def cmd_errors(cfg: RunConfig, out=None) -> int:
         raise DomainError("--plot requires --out (the script references the CSV)")
     names = sorted(BUILTIN_LATTICES) if cfg.lattice == "all" else [cfg.lattice]
     ladder = _ladder(cfg)
-    if not ladder:
-        raise DomainError("empty ladder")
     requested_ns = set(ladder)
     panel_ns = sorted(requested_ns | set(range(1, _SMALL_PANEL_MAX + 1))) \
         if cfg.plot else ladder

@@ -18,7 +18,10 @@ at most 6.9e-16 on [2, 10] and 3.9e-16 on [0.05, 2], where the Taylor
 series about 2 replaces the recurrence's reciprocals that cancelled
 against log x and lost 1.7e-15 (20000 random points per interval), and
 5.3e-16 over 760 reals from -9.95 to 1e8 and 3.3e-16 over 690 complex
-points up to |Im z| = 50.  The complex arguments N + i sqrt C of the
+points up to |Im z| = 50.  Over the sector 1 <= |z| <= 101,
+|arg z| <= 0.49 pi it reaches 1.03e-15 (20000 random points), off the
+real axis near |z| = 1.3, where the shifted argument misses the Taylor
+disc and the reciprocals cancel against log z.  The complex arguments N + i sqrt C of the
 digamma route never reach that disc, and the route's gap to the direct
 quadrant sum stays 8.3e-16 at n = 7 and 3.8e-16 at n = 8.
 

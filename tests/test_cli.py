@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lapasym import decomposition, verify
+from lapasym import decomposition, lattice_sum, verify
 from lapasym.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, RunConfig,
                          cmd_errors, cmd_sum, cmd_verify, config_from_argv,
                          main)
@@ -40,7 +40,8 @@ def test_main_maps_config_error_to_exit_2(tmp_path):
     path.write_text("s = 1 0\ns = 0 1\ns = x 1\ndivisor = 4\n")
     assert main(["sum", "--lattice-file", str(path), "--n", "4"]) == EXIT_CONFIG
     assert main(["sum", "--n", "4", "--workers", "2"]) == EXIT_CONFIG
-    assert main(["errors", "--lattice", "square", "--step", "0"]) == EXIT_CONFIG
+    for gone in ("--start", "--stop", "--step"):  # unknown options: --n-list sets the ladder
+        assert main(["errors", "--lattice", "square", gone, "0"]) == EXIT_CONFIG
 
 
 def test_config_defaults_are_run_config_defaults():
@@ -49,8 +50,7 @@ def test_config_defaults_are_run_config_defaults():
     assert config_from_argv(["verify"]) == RunConfig(subcommand="verify")
     assert RunConfig(subcommand="verify") == RunConfig(
         subcommand="verify", lattice="square", lattice_file=None, n=None,
-        start=25, stop=2500, step=25, n_list=(), out=None, plot=None,
-        csv=False, suite="all", max_n=200, n0=0)
+        n_list=(), out=None, plot=None, csv=False, suite="all", max_n=200, n0=0)
 
 
 def test_lattice_file_is_a_sum_option_only():
@@ -231,14 +231,44 @@ def test_verify_identities_suite_passes():
 
 
 def test_verify_quadrant_checks_catch_a_route_off_by_1e14(monkeypatch):
-    # both limits come from the routes' stated agreement with the direct
-    # sum, below 2e-15, so a digamma route 1e-14 off fails each of them
+    # the limit comes from the routes' stated agreement with the direct
+    # sum, 1.4e-15 in all, so a digamma route 1e-14 off fails it
     route = decomposition._route_sum
     monkeypatch.setattr(decomposition, "_route_sum",
                         lambda rows: route(rows) * (1.0 + 1e-14))
     checks = {r.name: r for r in verify.suite_identities(max_n=120)}
-    assert not checks["digamma_route"].passed
-    assert not checks["restricted_decomposition"].passed
+    assert [name for name, r in checks.items() if not r.passed] == ["digamma_route"]
+
+
+def _scale_route_at_n1(monkeypatch):
+    # 3e-15 only where N = 1 (n = 5, 6, 7), the sizes below 8
+    route = decomposition._route_sum
+    monkeypatch.setattr(decomposition, "_route_sum", lambda rows: route(rows) * (
+        1.0 + 3e-15 if len(rows.A) == 1 else 1.0))
+
+
+def _scale_laplace(monkeypatch):
+    laplace = lattice_sum._laplace_quadrant
+    monkeypatch.setattr(lattice_sum, "_laplace_quadrant", lambda u: laplace(u) * (1.0 + 1e-14))
+
+
+@pytest.mark.parametrize("shift", [_scale_route_at_n1, _scale_laplace])
+def test_verify_digamma_route_catches_either_side(monkeypatch, shift):
+    assert {r.name: r for r in verify.suite_identities(max_n=120)}["digamma_route"].passed
+    shift(monkeypatch)
+    checks = {r.name: r for r in verify.suite_identities(max_n=120)}
+    assert [name for name, r in checks.items() if not r.passed] == ["digamma_route"]
+
+
+def test_verify_check_names_are_unique_and_limits_stated():
+    # one check per identity; the asymptotics suite's windows are not yet derived
+    results = {name: suite(max_n=100) for name, suite in verify.SUITES.items()}
+    names = [r.name for checks in results.values() for r in checks]
+    assert len(names) == len(set(names)) == 23
+    exact = {"bernoulli_exact", "factor_row_bounds"}  # no tolerance to state
+    for suite in ("specfun", "quadrature", "identities"):
+        for r in results[suite]:
+            assert r.name in exact or "limit" in r.detail, r
 
 
 def test_verify_reports_failures(monkeypatch):

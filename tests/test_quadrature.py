@@ -262,14 +262,31 @@ def _scale_f2(monkeypatch):
     monkeypatch.setattr(asymptotics, "restricted_integral_f2", lambda n: f2(n) * (1.0 + 1e-12))
 
 
-def _scale_digamma(monkeypatch):
+def _scale_digamma(monkeypatch, by=1e-13):
     psi = specfun.digamma_array
-    monkeypatch.setattr(specfun, "digamma_array", lambda z: psi(z) * (1.0 + 1e-13))
+    monkeypatch.setattr(specfun, "digamma_array", lambda z: psi(z) * (1.0 + by))
+
+
+def _scale_digamma_more(monkeypatch):
+    _scale_digamma(monkeypatch, by=3e-14)
 
 
 def _scale_gamma_quarter(monkeypatch):
+    # exp_tail_limit reads the constant table asymptotics imported; its
+    # uncached body sees the moved one and leaves the cache alone
     moved = dataclasses.replace(CONSTANTS, gamma_quarter=CONSTANTS.gamma_quarter * (1.0 + 5e-14))
-    monkeypatch.setattr(specfun, "CONSTANTS", moved)
+    monkeypatch.setattr(asymptotics, "CONSTANTS", moved)
+    monkeypatch.setattr(asymptotics, "exp_tail_limit", asymptotics.exp_tail_limit.__wrapped__)
+
+
+def _scale_em_integral(monkeypatch):
+    integrate = decomposition.integrate_1d
+
+    def scaled(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        return dataclasses.replace(res, value=res.value * (1.0 + 1e-14))
+
+    monkeypatch.setattr(decomposition, "integrate_1d", scaled)
 
 
 def _shift_profile(monkeypatch):
@@ -290,12 +307,15 @@ def _shift_profile(monkeypatch):
     ("identities", "cascade_profiles_n0_zero", _shift_profile),
     ("specfun", "clausen_catalan", _shift_catalan_literal),
     ("specfun", "digamma_finite_sum", _scale_digamma),
-    ("specfun", "eta_gamma_relation", _scale_gamma_quarter),
+    ("specfun", "q_pochhammer_eta", _scale_gamma_quarter),
+    ("specfun", "digamma_recurrence", _scale_digamma_more),
+    ("specfun", "euler_maclaurin_quadratic", _scale_em_integral),
 ])
 def test_verify_limits_catch_small_shifts(monkeypatch, suite, check, shift):
-    # each shift passes a limit of 1e-9, 1e-11, 1e-6, 1e-9, 1e-12, 1e-12, 1e-11
-    # or 1e-13 respectively, but not the limit derived from the check's error
-    # sources
+    # each shift passes a limit of 1e-9, 1e-11, 1e-6, 1e-9, 1e-12, 1e-12,
+    # 1e-11, 1e-12, 1e-12 or 1e-14 respectively (the last three are the
+    # round limits these checks had), but not the limit derived from the
+    # check's error sources
     assert {r.name: r for r in verify.SUITES[suite](max_n=100)}[check].passed
     shift(monkeypatch)
     result = {r.name: r for r in verify.SUITES[suite](max_n=100)}[check]

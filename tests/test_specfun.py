@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lapasym import specfun
+from lapasym import specfun, verify
 from lapasym.exceptions import DomainError, PoleError
 from lapasym.quadrature import integrate_1d
 from lapasym.specfun import (BERNOULLI, CONSTANTS, clausen_cl2,
@@ -284,6 +284,25 @@ def test_digamma_against_40_digit_reference():
             want = mp.digamma(arg)
             err = abs(mp.mpmathify(got) - want) / max(abs(want), 1)
             assert err <= 1e-15, arg
+
+
+def test_digamma_sector_against_40_digit_reference():
+    # the sector of verify's digamma_recurrence draws, z and 1 + z with
+    # 1 <= |z| <= 100, |arg z| <= 0.49 pi: off the real axis near |z| = 1.3
+    # the recurrence's reciprocals cancel against the log (1.03e-15 seen
+    # over 20000 random points), beyond the real-line 6.9e-16
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rng = np.random.default_rng(20261019)
+    z = np.exp(rng.uniform(0.0, math.log(100.0), 1500)
+               + 1j * rng.uniform(-0.49 * math.pi, 0.49 * math.pi, 1500))
+    worst = 0.0
+    for args in (z, 1.0 + z):
+        for got, arg in zip(digamma_array(args).tolist(), args.tolist()):
+            want = mp.digamma(arg)
+            worst = max(worst, float(abs(mp.mpmathify(got) - want) / max(abs(want), 1)))
+    assert worst <= verify._PSI_SECTOR_ERROR
 
 
 def test_digamma_near_one_against_40_digit_reference():
