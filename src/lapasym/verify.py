@@ -12,6 +12,7 @@ alone.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -63,10 +64,12 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
     out.append(_check("clausen_catalan", abs(v) <= limit, f"Cl2(pi/2) - G = {v:.3e}; limit "
                       f"{limit:.2e} = Cl2's stated accuracy + half an ulp of G"))
 
-    rng = np.random.default_rng(20260808)
+    # the stdlib's seeded draws, which spare each run numpy.random's import
+    rng = random.Random(20260808)
     psi = specfun.digamma_array
-    x = rng.uniform(0.1, 100.0, size=1000)
-    mag, ang = rng.uniform([1.0, -0.49 * math.pi], [100.0, 0.49 * math.pi], size=(1000, 2)).T
+    x = np.array([rng.uniform(0.1, 100.0) for _ in range(1000)])
+    mag, ang = np.array([(rng.uniform(1.0, 100.0), rng.uniform(-0.49 * math.pi, 0.49 * math.pi))
+                         for _ in range(1000)]).T
     worst, ratio = 0.0, 0.0
     # z and 1 + z of the complex draws lie in the sector of _PSI_SECTOR_ERROR
     # (|Im z| reaches 98); |1 + z| |psi'(1 + z)| stays below 2, so rounding
@@ -84,7 +87,7 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
                       f"2^-53 for 1 + z + 3 of |1/z| (the reciprocal, the difference and "
                       f"the residual)"))
 
-    draws = [(int(rng.integers(1, 51)), rng.uniform(0.1, 5.0)) for _ in range(100)]
+    draws = [(rng.randint(1, 50), rng.uniform(0.1, 5.0)) for _ in range(100)]
     N, a = (np.array(col) for col in zip(*draws))
     direct = np.array([math.fsum(1.0 / (j + t) for j in range(1, n + 1)) for n, t in draws])
     top, bottom = psi(N + 1 + a), psi(1 + a)
@@ -242,11 +245,11 @@ def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
 
     # each closed form within _log_cos_limit, each quadrature within its
     # own abs_error_estimate
-    rng = np.random.default_rng(1234)
+    rng = random.Random(1234)
     worst, margin = 0.0, math.inf
     for regime, lo, hi, sign, carry in (("gt1", 1.1, 10.0, -1.0, 8.0),
                                         ("in01", 0.05, 0.95, 1.0, 0.0)):
-        for a in rng.uniform(lo, hi, size=50).tolist():
+        for a in [rng.uniform(lo, hi) for _ in range(50)]:
             closed_forms = asymptotics.log_cos_closed_forms(a, regime)
             for closed, op in zip(closed_forms, (math.log, lambda x: 1.0 / x)):
                 q = quadrature.integrate_1d(lambda t: op(a + sign * math.cos(t)), 0.0, math.pi / 2)

@@ -306,6 +306,20 @@ def test_python_dash_m_lapasym_runs():
     assert "checks passed" in proc.stdout
 
 
+def test_verify_runs_without_numpy_random():
+    # verify draws its points from the stdlib's random, so neither
+    # run_suite nor the verify command pays for importing numpy.random
+    code = ("import contextlib, io, sys\n"
+            "from lapasym import cli, verify\n"
+            "assert all(r.passed for r in verify.run_suite('all', max_n=200))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify']) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # The ignored ``workers`` keyword
 # ---------------------------------------------------------------------------
