@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Argument outside the domain an operation is defined on."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole."""
-
-
 class SingularityError(ArithmeticError):
     """A summand denominator vanished (or underflowed) at a lattice point."""
 

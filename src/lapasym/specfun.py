@@ -6,7 +6,7 @@ dependency.  Provided here:
 * exact rational Bernoulli numbers,
 * the Clausen function Cl2(theta) = sum_{k>=1} sin(k theta)/k^2,
 * the digamma function, :func:`digamma_array`, elementwise on real or
-  complex arrays,
+  complex arrays with Re z > 0,
 * log of the inverse q-Pochhammer symbol, -log((q;q)_inf),
 * a table of fundamental constants shared by every closed-form expansion.
 
@@ -17,17 +17,15 @@ against 40-digit mpmath (relative error, absolute where |psi| < 1):
 at most 6.9e-16 on [2, 10] and 3.9e-16 on [0.05, 2], where the Taylor
 series about 2 replaces the recurrence's reciprocals that cancelled
 against log x and lost 1.7e-15 (20000 random points per interval), and
-5.3e-16 over 760 reals from -9.95 to 1e8 and 3.3e-16 over 690 complex
+5.3e-16 over 660 reals from 0.05 to 1e8 and 3.3e-16 over 665 complex
 points up to |Im z| = 50.  Over the sector 1 <= |z| <= 101,
 |arg z| <= 0.49 pi it reaches 1.03e-15 (20000 random points), off the
 real axis near |z| = 1.3, where the shifted argument misses the Taylor
 disc and the reciprocals cancel against log z.  The complex arguments N + i sqrt C of the
 digamma route never reach that disc, and the route's gap to the direct
-quadrant sum stays 8.3e-16 at n = 7 and 3.8e-16 at n = 8.  On
-[-1024, -10] the rounding of up to a thousand reciprocals reaches
-5.7e-15 (20000 random points); below -1024, where the recurrence's cost
-grows with -Re z, digamma refuses.  It shifts in rounds of at most 16
-steps on a grid of 18 entries per shifted entry.
+quadrant sum stays 8.3e-16 at n = 7 and 3.8e-16 at n = 8.  Digamma
+takes finite z with Re z > 0 only, all the route and the checks need,
+so it shifts each entry at most 10 steps in one pass.
 
 All functions are pure; the constant tables are built once at import and
 never mutated, so concurrent use needs no locking.
@@ -41,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import DomainError, PoleError
+from .exceptions import DomainError
 
 __all__ = [
     "BernoulliTable",
@@ -183,12 +181,8 @@ _DIGAMMA_SHIFT = 10.0
 # B_{2j}/(2j) for j=1..7: the first omitted term, |B_16|/(16 x^16), is
 # 4.4e-17 at the shift threshold x = 10, below the rounding of psi there.
 _DIGAMMA_COEFF = tuple(float(BERNOULLI.exact[2 * j] / (2 * j)) for j in range(1, 8))
-# the most recurrence steps one round takes: a round's grid holds this many
-# plus two entries per shifted entry
-_SHIFT_ROUND = 16
-# the lowest real part accepted: the recurrence takes about 10 - Re z steps,
-# so below it the real parts, not the number of entries, would set the cost
-_DIGAMMA_FLOOR = -1024.0
+# an entry with Re z > 0 reaches Re z >= _DIGAMMA_SHIFT within this many steps
+_DIGAMMA_STEPS = 10
 
 
 def _digamma_finish(acc, z):
@@ -230,37 +224,8 @@ def _digamma_near_two(e):
     return _DIGAMMA_AT_TWO + acc * e
 
 
-def _shift_round(z, acc, near, low):
-    """Up to _SHIFT_ROUND steps, in place, for the entries ``low`` of z; returns those left.
-
-    One accumulate forms z, z + 1, ... as repeated ``z += 1`` rounds them,
-    and a second subtracts the reciprocals before each stop from acc in
-    the same order, so every bit is that of one step at a time.
-    """
-    grid = np.ones((_SHIFT_ROUND + 2, low.size), z.dtype)  # acc, then z, z + 1, ...
-    grid[0], grid[1] = acc[low], z[low]
-    steps = grid[1:]
-    np.add.accumulate(steps, out=steps)
-    re = steps.real
-    # |z - 2| <= 1/2 needs |Re z - 2| <= 1/2: the modulus is taken only there
-    stop = re >= 2.0 - _DIGAMMA_DISC
-    stop &= re <= 2.0 + _DIGAMMA_DISC
-    stop[stop] = np.abs(steps[stop] - 2.0) <= _DIGAMMA_DISC  # in the disc about 2
-    stop |= re >= _DIGAMMA_SHIFT
-    np.logical_or.accumulate(stop, out=stop)  # true from each entry's first stop on
-    k, left = _SHIFT_ROUND - stop[:-1].sum(axis=0), ~stop[-1]  # steps taken, no stop yet
-    cols = np.arange(low.size)
-    shifted = steps[k, cols]
-    z[low] = shifted
-    near[low] = ~left & (shifted.real < _DIGAMMA_SHIFT)
-    np.divide(1.0, steps, out=steps)
-    np.subtract.accumulate(grid, out=grid)
-    acc[low] = grid[k, cols]
-    return low[left]
-
-
 def digamma_array(z) -> np.ndarray:
-    """Digamma elementwise over a real or complex array, off the poles 0, -1, ...
+    """Digamma elementwise over a real or complex array with Re z > 0.
 
     The recurrence psi(z) = psi(z + 1) - 1/z shifts every entry with real
     part below 10 upward, and then
@@ -268,31 +233,43 @@ def digamma_array(z) -> np.ndarray:
     inside its sector of validity.  An entry that the shift brings within
     1/2 of 2 (every real x < 2.5) stops there and takes the Taylor series
     of psi about 2, whose coefficients are zeta(k) - 1, so no run of
-    reciprocals cancels against the log.  The shifts run in rounds of at
-    most 16 steps on a grid of 18 entries per shifted entry, bit for bit
-    as one step at a time.  Real parts below -1024, where the step count
-    grows with -Re z, raise DomainError.
+    reciprocals cancels against the log.  Since Re z > 0, every entry
+    stops within 10 steps, all taken in one pass over a grid of 12 entries
+    per shifted entry.  An entry that is not finite or has Re z <= 0
+    raises DomainError.
     Real input gives a float array, complex input a complex array; a
     scalar gives a 0-d result.  Conjugate symmetry
     psi(conj z) = conj(psi(z)) holds to within rounding.
     """
     z = np.asarray(z)
     z = z.astype(np.result_type(z.dtype, np.float64))  # a copy
-    if not np.isfinite(z).all():
-        raise DomainError(f"arguments must be finite, got {z[~np.isfinite(z)][0].item()!r}")
-    if (z.real <= 0.0).any():
-        pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-        if pole.any():
-            raise PoleError(f"digamma pole at {z[pole][0].item()!r}")
-        below = z.real < _DIGAMMA_FLOOR
-        if below.any():
-            raise DomainError(f"real part below {_DIGAMMA_FLOOR:g}, got {z[below][0].item()!r}")
+    bad = ~(np.isfinite(z) & (z.real > 0.0))
+    if bad.any():
+        raise DomainError(f"digamma needs finite z with Re z > 0, got {z[bad][0].item()!r}")
     flat = z.reshape(-1)
+    acc, near = 0.0, np.zeros(flat.shape, dtype=bool)  # 0.0 + x rounds as zeros + x
     low = np.flatnonzero(flat.real < _DIGAMMA_SHIFT)
-    acc = np.zeros_like(flat) if low.size else 0.0  # 0.0 + x rounds as zeros + x
-    near = np.zeros(flat.shape, dtype=bool)
-    while low.size:
-        low = _shift_round(flat, acc, near, low)
+    if low.size:
+        grid = np.ones((_DIGAMMA_STEPS + 2, low.size), z.dtype)  # acc, then z, z + 1, ...
+        grid[0], grid[1] = 0.0, flat[low]
+        steps = grid[1:]
+        np.add.accumulate(steps, out=steps)  # rounded as repeated z += 1 rounds them
+        re = steps.real
+        # |z - 2| <= 1/2 needs |Re z - 2| <= 1/2: the modulus is taken only there
+        stop = re >= 2.0 - _DIGAMMA_DISC
+        stop &= re <= 2.0 + _DIGAMMA_DISC
+        stop[stop] = np.abs(steps[stop] - 2.0) <= _DIGAMMA_DISC  # in the disc about 2
+        stop |= re >= _DIGAMMA_SHIFT
+        k, cols = stop.argmax(axis=0), np.arange(low.size)  # steps taken: the first stop
+        shifted = steps[k, cols]
+        flat[low] = shifted
+        near[low] = shifted.real < _DIGAMMA_SHIFT
+        # acc - 1/z - 1/(z + 1) - ..., subtracted in the order of one step at a time
+        np.divide(1.0, steps, out=steps)
+        np.subtract.accumulate(grid, out=grid)
+        acc = np.zeros_like(flat)
+        acc[low] = grid[k, cols]
+        del grid, steps, re  # the grid is freed before the tail's temporaries
     out = _digamma_finish(acc, flat)
     if near.any():
         out[near] = acc[near] + _digamma_near_two(flat[near] - 2.0)

@@ -175,24 +175,27 @@ def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
                       f"{_QUADRANT_GAP:.0e} (quadrature) + {_ROUTE_GAP:.0e} (route), "
                       f"each against the direct sum"))
 
-    x, a, b = 3.0, 0.01, 5.0
-    A = math.sqrt(1.0 + 4.0 * a * b)
-    B = (1.0 + A) / (2.0 * a)
-    C = (A - 1.0) / (2.0 * a)
-    sB, sC = math.sqrt(B), math.sqrt(C)
+    # every pair 1/(u_j + u_k) of the quadrant at n = 40, rebuilt from
+    # factor_rows' partial fraction with x = j and b = u_k.  First-order
+    # count, in units of 2^-53 of the pair: 3.3 for the target (u_j's
+    # rounding, at most 1.26, the sum and the reciprocal) and 1.7 for A's
+    # three operations.  The real term's share of the target is
+    # w = (j^2 + C)/(B + C) <= 0.41; sqrt B carries 2.5 units, which
+    # B - j^2 amplifies at most 2.5-fold, and its eight operations 6 more.
+    # The imaginary term's share is 1 - w; sqrt C's 2.5 units double, and
+    # its complex divisions and products add 8.  The sum and the gap add
+    # 1 each: 20 in all.  C = 2u/(1 + A) does not cancel, as (A - 1)/(2c) would.
+    u, A, B, C = decomposition.factor_rows(40)
+    x = np.arange(1.0, len(u) + 1.0)[:, None]
+    sB, sC = np.sqrt(B), np.sqrt(C)
     rebuilt = (1.0 / (2.0 * A * sB)) * (1.0 / (x + sB) - 1.0 / (x - sB)) \
         + (1j / (2.0 * A * sC)) * (1.0 / (x + 1j * sC) - 1.0 / (x - 1j * sC))
-    target = 1.0 / (x * x - a * x ** 4 + b)
-    gap = abs(rebuilt - target)
-    # one rounding of 2^-53 at each operation, carried to first order into
-    # units of 2^-53 |target|: 4.6 from A's, most of it through
-    # C = (A - 1)/(2a), whose cancellation multiplies A's error by
-    # A/(A - 1) = 11.5; 11.1 from the other 23 operations of rebuilt; 2.7
-    # from target and 1 from the gap: 19.4 in all
-    limit = 20 * 2.0 ** -53 * target
-    out.append(_check("partial_fraction", gap <= limit,
-                      f"reconstruction gap {gap:.3e}; limit {limit:.2e} = 20 roundings of "
-                      f"2^-53 of the target, C's cancellation A/(A - 1) = 11.5 included"))
+    target = 1.0 / (u[:, None] + u)
+    units = np.max(np.abs(rebuilt - target) / target) / 2.0 ** -53
+    out.append(_check("partial_fraction", units <= 20,
+                      f"max gap {units:.2f} 2^-53 of 1/(u_j + u_k) over the {target.size} "
+                      f"pairs at n = 40, rebuilt from factor_rows' A, B and C; limit per "
+                      f"pair 20 roundings of 2^-53 of its value, a first-order count"))
 
     # at n0 = 0 both routes give each of the N summands to within 16
     # roundings (at most 9.5 seen); the direct np.sum adds at most N more
