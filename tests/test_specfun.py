@@ -162,39 +162,43 @@ def test_clausen_rejects_non_finite():
 # ---------------------------------------------------------------------------
 
 def test_digamma_at_one_against_harmonic_oracle():
-    # gamma = lim (H_M - log M - 1/(2M) + 1/(12 M^2)), here at M = 10^6
+    # gamma = lim (H_M - log M - 1/(2M) + 1/(12 M^2)), here at M = 10^6;
+    # psi(1) = psi(10) - H_9 by the recurrence
     M = 1_000_000
     h = math.fsum(1.0 / k for k in range(1, M + 1))
     gamma_est = h - math.log(M) - 0.5 / M + 1.0 / (12.0 * M * M)
     assert abs(gamma_est - CONSTANTS.euler_gamma) <= 1e-12
-    assert abs(digamma_array(1.0) + gamma_est) <= 1e-12
+    h9 = math.fsum(1.0 / k for k in range(1, 10))
+    assert abs(digamma_array(10.0) - h9 + gamma_est) <= 1e-12
 
 
 def test_digamma_at_two():
-    assert digamma_array(2.0) == pytest.approx(
-        digamma_array(1.0) + 1.0, abs=1e-13)
-    assert digamma_array(2.0) == pytest.approx(
-        1.0 - CONSTANTS.euler_gamma, abs=1e-13)
+    # psi(2) = psi(10) - sum_{j=2}^{9} 1/j = 1 - gamma
+    assert digamma_array(11.0) == pytest.approx(
+        digamma_array(10.0) + 0.1, abs=1e-15)
+    psi2 = digamma_array(10.0) - math.fsum(1.0 / j for j in range(2, 10))
+    assert psi2 == pytest.approx(1.0 - CONSTANTS.euler_gamma, abs=1e-15)
 
 
 def test_digamma_difference_is_finite_sum():
-    expected = 1.0 / 1.5 + 1.0 / 2.5 + 1.0 / 3.5
-    assert digamma_array(4.5) - digamma_array(1.5) == pytest.approx(expected, abs=1e-12)
+    expected = 1.0 / 10.5 + 1.0 / 11.5 + 1.0 / 12.5
+    assert digamma_array(13.5) - digamma_array(10.5) == pytest.approx(expected, abs=1e-15)
 
 
 def test_digamma_half():
-    assert digamma_array(0.5) == pytest.approx(
-        -CONSTANTS.euler_gamma - 2.0 * math.log(2.0), abs=1e-12)
+    # psi(m + 1/2) = -gamma - 2 log 2 + sum_{j<=m} 2/(2j - 1), here at m = 10
+    want = math.fsum([-CONSTANTS.euler_gamma, -2.0 * math.log(2.0)]
+                     + [2.0 / (2 * j - 1) for j in range(1, 11)])
+    assert digamma_array(10.5) == pytest.approx(want, abs=2e-15)
 
 
 def test_digamma_recurrence_random_points():
     rng = np.random.default_rng(99)
-    x = rng.uniform(0.1, 100.0, size=1000)
+    x = rng.uniform(10.0, 110.0, size=1000)
     worst = np.max(np.abs(digamma_array(1.0 + x) - digamma_array(x) - 1.0 / x))
-    mag, ang = rng.uniform([1.0, -0.49 * math.pi], [100.0, 0.49 * math.pi], size=(1000, 2)).T
-    z = mag * np.exp(1j * ang)
+    z = rng.uniform(10.0, 110.0, size=1000) + 1j * rng.uniform(-100.0, 100.0, size=1000)
     worst = max(worst, np.max(np.abs(digamma_array(1.0 + z) - digamma_array(z) - 1.0 / z)))
-    assert worst <= 1e-12
+    assert worst <= 1e-14
 
 
 def test_digamma_finite_sum_identity():
@@ -203,188 +207,101 @@ def test_digamma_finite_sum_identity():
     for _ in range(100):
         N = int(rng.integers(1, 51))
         a = float(rng.uniform(0.1, 5.0))
-        direct = math.fsum(1.0 / (j + a) for j in range(1, N + 1))
-        via = digamma_array(N + 1 + a) - digamma_array(1 + a)
+        direct = math.fsum(1.0 / (j + a) for j in range(10, N + 10))
+        via = digamma_array(N + 10 + a) - digamma_array(10 + a)
         worst = max(worst, abs(direct - via))
-    assert worst <= 1e-11
+    assert worst <= 4e-15
 
 
 def test_digamma_complex_matches_real_axis():
-    z = digamma_array(2.0 + 0j)
+    z = digamma_array(12.0 + 0j)
     assert z.imag == 0.0
-    assert z.real == pytest.approx(digamma_array(2.0), abs=1e-14)
+    assert z.real == digamma_array(12.0)
 
 
 def test_digamma_complex_reflection_recurrence():
-    # psi(1+z) - psi(1-z) = 1/z - pi cot(pi z), checked at z = i
+    # psi(1 + z) - psi(1 - z) = 1/z - pi cot(pi z) at z = i, carried to
+    # psi(10 + i) - psi(10 - i) by the recurrence: purely imaginary
     z = 1j
-    lhs = digamma_array(1 + z) - digamma_array(1 - z)
-    rhs = 1.0 / z - math.pi / cmath.tan(math.pi * z)
-    assert abs(lhs - rhs) <= 1e-12
-    assert abs(lhs.real) <= 1e-13  # purely imaginary
+    lhs = digamma_array(10 + z) - digamma_array(10 - z)
+    rhs = 1.0 / z - math.pi / cmath.tan(math.pi * z) + sum(
+        1.0 / (j + z) - 1.0 / (j - z) for j in range(1, 10))
+    assert abs(lhs - rhs) <= 1e-15
+    assert lhs.real == 0.0
 
 
 def test_digamma_schwarz_reflection():
-    z = 3.0 + 2.0j
-    assert abs(digamma_array(z.conjugate()) - digamma_array(z).conjugate()) <= 1e-13
+    z = 13.0 + 2.0j
+    assert digamma_array(z.conjugate()) == digamma_array(z).conjugate()
 
 
-@given(st.floats(min_value=0.1, max_value=100.0),
+@given(st.floats(min_value=10.0, max_value=110.0),
        st.floats(min_value=-100.0, max_value=100.0))
 def test_digamma_schwarz_property(re, im):
     z = complex(re, im)
     assert abs(digamma_array(z.conjugate())
-               - digamma_array(z).conjugate()) <= 1e-13
+               - digamma_array(z).conjugate()) <= 1e-15
 
 
 def test_digamma_array_of_a_scalar_is_a_scalar():
-    # one argument in the disc about 2 after a shift, one past the shift
-    for x in (1.0, 30.0, 1.0 + 0.1j):
+    # the domain's edge, a real past it and a complex point on the edge
+    for x in (10.0, 30.0, 10.0 + 0.1j):
         got = digamma_array(x)
         assert np.ndim(got) == 0 and got == digamma_array([x])[0]
 
 
 def test_digamma_array_rejects_poles_and_non_finite():
-    # the domain is finite z with Re z > 0: the poles, the rest of the left
-    # half-plane, the imaginary axis, nan and inf are refused, and the
-    # message names the first refused entry
-    for bad in (0.0, -0.0, -0.5, -1.0, -2.0, -2.0 + 0j, -7.0 + 0j, 1e-300j, -1024.5, -1e7 + 1j,
-                math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(1.0, math.inf)):
+    # the domain is finite z with Re z >= 10: the poles, the rest of the
+    # plane left of Re z = 10, nan and inf are refused, and the message
+    # names the first refused entry; the edge Re z = 10, which the route
+    # reaches at N = 10 (n = 40), is taken
+    below = float(np.nextafter(10.0, 0.0))
+    for bad in (9.999, below, complex(below, 5.0), 0.5, 0.0, -0.0, -1.0, -2.0 + 0j, 1e-300j,
+                9.0 + 50j, math.nan, math.inf, -math.inf, complex(10.0, math.nan),
+                complex(10.0, math.inf), complex(math.inf, 0.0)):
         with pytest.raises(DomainError) as err:
             digamma_array(bad)
-        assert str(err.value) == f"digamma needs finite z with Re z > 0, got {bad!r}"
-    for bad, first in (([1.5, 0.0, -3.0], 0.0), (np.array([2.0 + 0j, -1.0 + 0j]), -1.0 + 0j),
-                       ([[1.0, 2.0], [math.nan, -1.0]], math.nan)):
+        assert str(err.value) == f"digamma needs finite z with Re z >= 10, got {bad!r}"
+    for bad, first in (([10.5, 9.5, -3.0], 9.5), (np.array([12.0 + 0j, 1.0 + 0j]), 1.0 + 0j),
+                       ([[11.0, 12.0], [math.nan, 1.0]], math.nan)):
         with pytest.raises(DomainError) as err:
             digamma_array(bad)
         assert str(err.value).endswith(f", got {first!r}")
-
-
-def _digamma_stepwise(z):
-    """digamma_array's recurrence one masked step at a time, as it ran
-    before its one-pass grid, with the same tail and series: the bit oracle."""
-    z = np.asarray(z)
-    z = z.astype(np.result_type(z.dtype, np.float64))
-    acc = np.zeros_like(z)
-    near = np.zeros(z.shape, dtype=bool)
-    low = z.real < specfun._DIGAMMA_SHIFT
-    while low.any():
-        near |= low & (np.abs(z - 2.0) <= specfun._DIGAMMA_DISC)
-        low &= ~near
-        acc[low] -= 1.0 / z[low]
-        z[low] += 1.0
-        low &= z.real < specfun._DIGAMMA_SHIFT
-    u = 1.0 / (z * z)
-    tail = 0.0
-    for c in reversed(specfun._DIGAMMA_COEFF):
-        tail = (tail + c) * u
-    out = np.asarray(acc + np.log(z) - 0.5 / z - tail)
-    if near.any():
-        out[near] = acc[near] + specfun._digamma_near_two(z[near] - 2.0)
-    return out[()]
-
-
-def test_digamma_rounds_match_the_stepwise_loop_bit_for_bit():
-    rng = np.random.default_rng(20261019)
-    edges = np.concatenate([c + np.arange(-6, 7) * np.spacing(c) for c in (1.5, 2.5)])
-    edges = np.concatenate([edges - k for k in range(3)])  # reached after k steps
-    edges = edges[edges > 0.0]
-    sector = np.exp(rng.uniform(0.0, math.log(100.0), 5000)
-                    + 1j * rng.uniform(-0.49 * math.pi, 0.49 * math.pi, 5000))
-    # z with Re z just above 0 and |Im z| > 1/2 misses the disc and takes
-    # all 10 steps; a real x < 2.5 stops in the disc first
-    cases = [120.0 - rng.uniform(0.0, 120.0, 20000), edges, edges + 0j, edges + 1e-9j,
-             edges - 1e-200j, np.array([1e-300 + 1j, 1e-300 - 0.6j, 1e-3 + 2j, 0.7 - 0.5j]),
-             sector, 1.0 + sector, np.conj(sector), np.array([30.0, complex(12.0, -0.0)]),
-             np.append(np.arange(3.0, 10.0), 0.3), np.arange(1.0, 10.0) + 0.5j,  # land on 10
-             np.array([[1.0, 2.0], [30.0, 3.3]]).T, np.array([], dtype=float)]
-    for n in range(5, 65):
-        _, A, B, C = factor_rows(n)
-        N, sB = len(A), np.sqrt(B)
-        cases += [N + 1j * np.sqrt(C), np.concatenate((sB + N, sB - N))]
-    for x in cases:
-        got, want = digamma_array(x), _digamma_stepwise(x)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), x
-    for x in (1.0, 30.0, 7.7, 2.5, 1.0 + 0.1j, complex(3.5, -0.0), np.float64(7.3),
-              np.array(4.2), np.array(1e-300 + 1j)):
-        got, want = digamma_array(x), _digamma_stepwise(x)
-        assert type(got) is type(want) and np.ndim(got) == 0
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+    _, A, _, C = factor_rows(40)
+    assert len(A) == 10 and np.all(np.isfinite(digamma_array(10 + 1j * np.sqrt(C))))
+    assert np.isfinite(digamma_array(10.0)) and np.isfinite(digamma_array([10.0 - 0j]))
 
 
 def test_digamma_round_memory_is_bounded():
-    # the one pass's grid holds acc and z, z + 1, ..., z + _DIGAMMA_STEPS:
-    # 12 entries per shifted entry; the slack of 8 covers the working copy,
-    # acc, the shifted z, the stop mask, the index arrays and the
-    # fancy-index temporaries (18.3 entries seen in all)
-    z = np.full(10_000, 1e-3 + 1j)
+    # the asymptotic series' temporaries: 5.1 entries per input entry seen
+    z = np.full(10_000, 10.0 + 1j)
     tracemalloc.start()
     try:
         digamma_array(z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (specfun._DIGAMMA_STEPS + 2 + 8) * z.nbytes
+    assert peak <= 8 * z.nbytes
 
 
 def test_digamma_against_40_digit_reference():
-    # relative error, absolute where |psi| < 1; the real grid starts far
-    # below the shift threshold 10 and reaches 1e8
+    # relative error; the real grid starts at the domain's edge 10 and
+    # reaches 1e8, the complex points fill Re z in [10, 110), |Im z| <= 100
+    # and the route's N + i sqrt C at N = 10
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
-    x = np.concatenate([np.linspace(0.05, 30.0, 600), np.geomspace(30.0, 1e8, 60)])
-    z = np.concatenate([x[::4] + 1j * np.linspace(-30.0, 30.0, len(x[::4])),
-                        3.0 + 1j * np.linspace(0.1, 50.0, 500)])  # N + i sqrt(C)
-    for args, bound in ((x, 1e-15), (z, 1e-15)):
+    x = np.concatenate([np.linspace(10.0, 30.0, 600), np.geomspace(30.0, 1e8, 60)])
+    rng = np.random.default_rng(20261020)
+    z = np.concatenate([rng.uniform(10.0, 110.0, 500) + 1j * rng.uniform(-100.0, 100.0, 500),
+                        10.0 + 1j * np.linspace(0.1, 50.0, 500)])  # N + i sqrt(C)
+    for args in (x, z):
         arr = digamma_array(args)
         assert arr.dtype == args.dtype
         for got, arg in zip(arr.tolist(), args.tolist()):
             want = mp.digamma(arg)
-            err = abs(mp.mpmathify(got) - want) / max(abs(want), 1)
-            assert err <= bound, arg
-
-
-def test_digamma_sector_against_40_digit_reference():
-    # the sector of verify's digamma_recurrence draws, z and 1 + z with
-    # 1 <= |z| <= 100, |arg z| <= 0.49 pi: off the real axis near |z| = 1.3
-    # the recurrence's reciprocals cancel against the log (1.03e-15 seen
-    # over 20000 random points), beyond the real-line 6.9e-16
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 40
-    rng = np.random.default_rng(20261019)
-    z = np.exp(rng.uniform(0.0, math.log(100.0), 1500)
-               + 1j * rng.uniform(-0.49 * math.pi, 0.49 * math.pi, 1500))
-    worst = 0.0
-    for args in (z, 1.0 + z):
-        for got, arg in zip(digamma_array(args).tolist(), args.tolist()):
-            want = mp.digamma(arg)
-            worst = max(worst, float(abs(mp.mpmathify(got) - want) / max(abs(want), 1)))
-    assert worst <= verify._PSI_SECTOR_ERROR
-
-
-def test_digamma_near_one_against_40_digit_reference():
-    # the recurrence from x near 1 summed nine reciprocals (about -2.8)
-    # that cancelled against log(x + 9): 1.4e-15 here before the series
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 40
-    x = np.random.default_rng(20261018).uniform(1.0, 1.1, 20000)
-    worst = 0.0
-    for t, got in zip(x.tolist(), digamma_array(x).tolist()):
-        worst = max(worst, float(abs(mp.mpf(got) - mp.digamma(mp.mpf(t)))))
-    assert worst <= 8e-16
-
-
-def test_digamma_series_coefficients_are_zeta_minus_one():
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 40
-    for k, c in enumerate(specfun._ZETA_MINUS_ONE, start=2):
-        assert c == float(mp.zeta(k) - 1), k
-    assert specfun._DIGAMMA_AT_TWO == float(1 - mp.euler)
+            err = abs(mp.mpmathify(got) - want) / abs(want)
+            assert err <= verify._PSI_ERROR, arg
 
 
 # ---------------------------------------------------------------------------
