@@ -201,6 +201,20 @@ def test_piece_sums_families_unchanged():
 # Digamma route
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n,rel", [(8, 1e-11), (100, 1e-10), (500, 1e-10)])
+def test_digamma_route_equals_direct(n, rel):
+    direct = direct_double_sum(n)
+    assert double_sum_via_digamma(n) == pytest.approx(direct, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [16000, 16003])
+def test_digamma_route_at_large_n(n):
+    direct = direct_double_sum(n)
+    via = double_sum_via_digamma(n)
+    assert type(via) is float
+    assert abs(via - direct) <= 1e-13 * direct
+
+
 def partial_fraction_reference(mp, n):
     """Quadrant double sum to mp's precision, one row at a time.
 
