@@ -73,9 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("sum", argument_default=argparse.SUPPRESS,
                            help="one exact sum and trace")
-    p_sum.add_argument("--lattice", choices=sorted(BUILTIN_LATTICES),
+    which = p_sum.add_mutually_exclusive_group()
+    which.add_argument("--lattice", choices=sorted(BUILTIN_LATTICES),
                        help="built-in lattice")
-    p_sum.add_argument("--lattice-file",
+    which.add_argument("--lattice-file",
                        help="custom lattice config file (lines 's = j k', 'divisor = d')")
     p_sum.add_argument("--n", type=int, required=True, help="grid size")
     p_sum.add_argument("--csv", action="store_true", help="emit one CSV row")

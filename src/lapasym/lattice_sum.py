@@ -1,4 +1,4 @@
-"""Exact lattice sums: closed-form row sums and a deterministic blocked engine.
+"""Exact lattice sums: closed-form row sums and a deterministic row engine.
 
 The central object is
 
@@ -20,9 +20,9 @@ rho^n is formed only on the few rows per size where it is representable
 beside 1.  Since 1 - rho >= s/4, n log rho <= -n s/4, so n log rho itself
 is formed only on the rows with n s < 160, which alone can reach -40.
 Other stencils gather their rows from a sin^2 table (:func:`_gathered_rows`):
-rows are formed in blocks of about _BLOCK_ELEMENTS floats, with psi as
-(2/L) sum_l sin^2(s_l . x / 2), which loses no relative precision near
-the zeros of psi, and each row is summed by numpy's pairwise reduction.
+one row of n floats at a time, with psi as (2/L) sum_l sin^2(s_l . x / 2),
+which loses no relative precision near the zeros of psi, and each row is
+summed by numpy's pairwise reduction.
 The weighted rows of each size are summed exactly by error-free
 extraction over the whole batch (:func:`_segment_sums`) and rounded
 once: the float math.fsum returns, so a result does not depend on the
@@ -71,7 +71,7 @@ __all__ = [
     "quadrant_sum",
 ]
 
-_BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per block temporary; bounds memory
+_BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per quadrature block; bounds memory
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # kernel_fm denominators below this raise
 _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
@@ -151,6 +151,8 @@ def parse_lattice_file(path: str) -> LatticeSpec:
         if key == "s" and len(values) == 2:
             stencil.append(values)
         elif key == "divisor" and len(values) == 1:
+            if divisor is not None:
+                raise DomainError(f"{path}:{lineno}: second 'divisor' line")
             divisor = values[0]
         else:
             raise DomainError(f"{path}:{lineno}: cannot parse {raw.rstrip()!r}")
@@ -240,7 +242,7 @@ def kernel_fm(spec: LatticeSpec, m: int, x: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The full-window sum: closed-form rows or the blocked gather
+# The full-window sum: closed-form rows or the gathered rows
 # ---------------------------------------------------------------------------
 
 # Unimodular grid bases (u, w) in which a stencil can have every s . w in
@@ -373,32 +375,18 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
 def _gathered_rows(spec: LatticeSpec, n: int) -> np.ndarray:
     """Weighted rows 0..n//2 of F_n gathered from the sin^2 table, any stencil.
 
-    Rows are formed max(1, _BLOCK_ELEMENTS // n) at a time, so each block
-    temporary holds at most max(_BLOCK_ELEMENTS, n) floats whatever n is.
-    Each row is reduced on its own, so a row's sum does not depend on the
-    block it was formed in.  Rows 0 < j < n/2 are doubled, as in
-    :func:`_closed_form_rows`.
+    One row of n floats is formed and reduced at a time, so memory is
+    O(n).  Rows 0 < j < n/2 are doubled, as in :func:`_closed_form_rows`.
     """
     k = np.arange(n, dtype=np.int64)
     table = np.sin(np.pi * np.minimum(k, n - k) / n) ** 2  # sin^2(pi m / n)
     scale = 2.0 / spec.L
-    nrows = n // 2 + 1
-    block = max(1, _BLOCK_ELEMENTS // n)
-    out = np.empty(nrows)
-    for j0 in range(0, nrows, block):
-        j1 = min(j0 + block, nrows)
-        j = np.arange(j0, j1, dtype=np.int64)[:, None]
-        psi = np.zeros((j1 - j0, n))
-        for p, q in spec.stencil:
-            psi += table[(p * j + q * k) % n]
-        psi *= scale
-        if j0 == 0:
-            psi[0, 0] = 1.0  # the origin; its reciprocal is dropped below
-        np.reciprocal(psi, out=psi)
-        if j0 == 0:
-            psi[0, 0] = 0.0
-        out[j0:j1] = psi.sum(axis=1)
-        del psi  # one block alive at a time: free it before the next forms
+    out = np.empty(n // 2 + 1)
+    for j in range(n // 2 + 1):
+        psi = scale * sum(table[(p * j + q * k) % n] for p, q in spec.stencil)
+        if j == 0:
+            psi[0] = np.inf  # the origin: its reciprocal, 0, drops it
+        out[j] = np.reciprocal(psi, out=psi).sum()
     out[1:(n + 1) // 2] *= 2.0
     return out
 
@@ -477,8 +465,8 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
     share one elementwise pass until it holds at least _BATCH_ROWS rows,
     so a ladder of sizes pays numpy's per-call cost once per batch and
     memory stays O(_BATCH_ROWS + max n).  Otherwise the rows are gathered
-    from the sin^2 table in blocks of about _BLOCK_ELEMENTS floats, one
-    size at a time, about n^2/2 reciprocals each.
+    from the sin^2 table one row of n floats at a time, one size at a
+    time, about n^2/2 reciprocals each.
     ``term_count`` counts the n^2 - 1 terms represented.
 
     Deterministic: each size's weighted rows are summed exactly by the
@@ -566,9 +554,9 @@ def _laplace_quadrant(u: np.ndarray) -> float:
       remainder is at most e^0.05 0.05^13 / 13! = 2.1e-27.
     The other nodes form their exponentials min(16, _BLOCK_ELEMENTS // N)
     nodes at a time (at least one), so a block holds at most
-    max(_BLOCK_ELEMENTS, N) floats; about 48-57 N exponentials for N from
-    50 to 4000.  Rounding is left to the tests (<= 4e-16 against the direct
-    sum).
+    max(_BLOCK_ELEMENTS, N) floats; np.exp forms 47.6-57.5 N values for
+    every N from 50 to 4000.  Rounding is left to the tests (<= 4e-16
+    against the direct sum).
     """
     h = _LAPLACE_STEP
     lo = math.floor(math.log(_LAPLACE_TAIL / (2.0 * u[-1])) / h)

@@ -230,10 +230,12 @@ def suite_identities(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
                       f"profile route gap {worst:.3e} at n = {n}; limit {limit:.2e} = (16 + N) "
                       f"2^-53 max(r_log, r_atan): 16 roundings per summand, N in np.sum"))
 
+    sizes = sorted({5, 11, 26, 103, max_n})
     try:
-        for n in (5, 11, 26, 103, max_n):
+        for n in sizes:
             decomposition.factor_rows(n)
-        out.append(_check("factor_row_bounds", True, f"bounds hold up to n = {max_n}"))
+        out.append(_check("factor_row_bounds", True,
+                          f"bounds hold at n = {', '.join(map(str, sizes))}"))
     except Exception as exc:  # ConsistencyError carries the offending n
         out.append(_check("factor_row_bounds", False, str(exc)))
     return out

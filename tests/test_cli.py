@@ -39,6 +39,11 @@ def test_main_maps_config_error_to_exit_2(tmp_path):
     path = tmp_path / "bad.lattice"
     path.write_text("s = 1 0\ns = 0 1\ns = x 1\ndivisor = 4\n")
     assert main(["sum", "--lattice-file", str(path), "--n", "4"]) == EXIT_CONFIG
+    path.write_text("s = 1 0\ns = 0 1\ndivisor = 4\ndivisor = 5\n")
+    assert main(["sum", "--lattice-file", str(path), "--n", "4"]) == EXIT_CONFIG
+    path.write_text("s = 1 0\ns = 0 1\ndivisor = 4\n")
+    assert main(["sum", "--lattice", "square", "--lattice-file", str(path),
+                 "--n", "4"]) == EXIT_CONFIG
     assert main(["sum", "--n", "4", "--workers", "2"]) == EXIT_CONFIG
     for gone in ("--start", "--stop", "--step"):  # unknown options: --n-list sets the ladder
         assert main(["errors", "--lattice", "square", gone, "0"]) == EXIT_CONFIG
@@ -269,6 +274,15 @@ def test_verify_check_names_are_unique_and_limits_stated():
     for suite in ("specfun", "quadrature", "identities"):
         for r in results[suite]:
             assert r.name in exact or "limit" in r.detail, r
+
+
+@pytest.mark.parametrize("max_n, sizes", [(4, "4, 5, 11, 26, 103"),
+                                           (103, "5, 11, 26, 103"),
+                                           (2500, "5, 11, 26, 103, 2500")])
+def test_verify_factor_row_bounds_names_its_sizes(max_n, sizes):
+    checks = {r.name: r for r in verify.suite_identities(max_n=max_n)}
+    assert checks["factor_row_bounds"].passed
+    assert checks["factor_row_bounds"].detail == f"bounds hold at n = {sizes}"
 
 
 def test_verify_reports_failures(monkeypatch):

@@ -500,10 +500,9 @@ def test_exact_sums_match_exact_sum():
                 assert r == exact_sum(spec, r.n), (spec.name, r.n)  # bit identical
 
 
-def test_gathered_rows_memory_is_per_block():
-    # at most three block temporaries of _BLOCK_ELEMENTS floats live at once
-    # (psi, an int64 index array, the index sum or the gathered values) plus
-    # a few arrays of n; 64-row blocks peaked near 4 MB at n = 2000
+def test_gathered_rows_memory_is_per_row():
+    # a few arrays of n live at once: one row of psi, its int64 indices,
+    # the gathered values and the sin^2 table
     n = 2000
     exact_sum(NO_ROW_BASIS, 64)  # warm numpy's lazy setup
     tracemalloc.start()
@@ -512,7 +511,19 @@ def test_gathered_rows_memory_is_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (3 * lattice_sum._BLOCK_ELEMENTS + 8 * n)
+    assert peak <= 64 * n
+
+
+@pytest.mark.parametrize("n, value, compensation", [
+    (7, "0x1.9f5ecc401d4f4p+5", "0x0.0p+0"),
+    (64, "0x1.63e146faa42b4p+12", "0x1.0000000000000p-40"),
+    (1030, "0x1.cde8ae683643cp+20", "0x0.0p+0"),
+    (4001, "0x1.e280e15d714d2p+24", "0x0.0p+0"),
+])
+def test_gather_path_bits_are_pinned(n, value, compensation):
+    result = exact_sum(NO_ROW_BASIS, n)
+    assert result.value == float.fromhex(value)
+    assert result.compensation == float.fromhex(compensation)
 
 
 def test_exact_sums_gather_path_matches_exact_sum():
@@ -795,6 +806,10 @@ def test_parse_lattice_file_errors(tmp_path):
     missing.write_text("s = 1 0\ns = 0 1\n")
     with pytest.raises(DomainError):
         parse_lattice_file(str(missing))
+    twice = tmp_path / "two_divisors.lattice"  # the last one used to win
+    twice.write_text("s = 1 0\ns = 0 1\ndivisor = 4\ndivisor = 5\n")
+    with pytest.raises(DomainError, match=r"two_divisors\.lattice:4: second 'divisor'"):
+        parse_lattice_file(str(twice))
     bad = tmp_path / "bad_line.lattice"
     bad.write_text("s = 1 0\ns = 0 1\nwhat = ever\ndivisor = 4\n")
     with pytest.raises(DomainError):
