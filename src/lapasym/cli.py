@@ -146,7 +146,6 @@ def _ladder(cfg: RunConfig) -> list[int]:
 
 
 def _gnuplot_script(csv_path: str, lattices: list[str]) -> str:
-    titles = " ".join(lattices)
     lines = [
         "# gnuplot script: residuals of the exact sums against the",
         f"# two-term expansion models, read from {csv_path}",
@@ -155,23 +154,18 @@ def _gnuplot_script(csv_path: str, lattices: list[str]) -> str:
         "set xlabel 'n'",
         "set ylabel 'E_n'",
         "set key outside",
-        f"# lattices: {titles}",
+        f"# lattices: {' '.join(lattices)}",
     ]
-    small = ", ".join(
-        f"'{csv_path}' using (strcol(1) eq '{name}' && $2 <= {_SMALL_PANEL_MAX} ? $2 : 1/0):5 "
-        f"with linespoints title '{name}'"
-        for name in lattices)
-    big = ", ".join(
-        f"'{csv_path}' using (strcol(1) eq '{name}' && $2 >= {_FIGURE_LADDER[0]} ? $2 : 1/0):5 "
-        f"with linespoints title '{name}'"
-        for name in lattices)
-    lines += [f"set title 'n = 1..{_SMALL_PANEL_MAX}'", f"plot {small}"]
-    lines += [
-        f"set title 'n = {_FIGURE_LADDER[0]}..{_FIGURE_LADDER[1]} "
-        f"step {_FIGURE_LADDER[2]}'",
-        f"plot {big}",
-        "unset multiplot",
-    ]
+    panels = [(f"n = 1..{_SMALL_PANEL_MAX}", f"$2 <= {_SMALL_PANEL_MAX}"),
+              (f"n = {_FIGURE_LADDER[0]}..{_FIGURE_LADDER[1]} step {_FIGURE_LADDER[2]}",
+               f"$2 >= {_FIGURE_LADDER[0]}")]
+    for title, condition in panels:
+        curves = ", ".join(
+            f"'{csv_path}' using (strcol(1) eq '{name}' && {condition} ? $2 : 1/0):5 "
+            f"with linespoints title '{name}'"
+            for name in lattices)
+        lines += [f"set title '{title}'", f"plot {curves}"]
+    lines.append("unset multiplot")
     return "\n".join(lines) + "\n"
 
 

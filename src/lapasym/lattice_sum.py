@@ -42,6 +42,7 @@ other, and the tests check both against direct summation.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from itertools import accumulate
@@ -75,7 +76,7 @@ _BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per quadrature block; bounds mem
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # kernel_fm denominators below this raise
 _TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
-_EXTRACT_MAX = 2.0 ** 960  # segments reaching this go to math.fsum whole
+_EXTRACT_MAX = 2.0 ** 960  # batches reaching this go to math.fsum
 # |stencil entry| bound: a row forms sin(m x) for every m up to twice the
 # largest entry, and the gather path forms p j + q k in int64
 _MAX_ENTRY = 2 ** 10
@@ -178,6 +179,7 @@ class GridGeometry:
     @classmethod
     def restricted(cls, n: int) -> "GridGeometry":
         """The geometry of a nonempty restricted window, N >= 1."""
+        n = operator.index(n)  # TypeError unless an integer; a numpy one becomes an int
         if n < 4:
             raise DomainError(f"restricted window needs n >= 4, got {n}")
         n0 = n % 4
@@ -409,37 +411,33 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> list[float]:
 
     Segments are consecutive, of the given lengths >= 1.  Error-free
     extraction (Rump, Ogita and Oishi, "Accurate floating-point summation
-    part I", SIAM J. Sci. Comput. 31 (2008), ExtractVector): per segment,
-    with max |r| < 2^e and len + 2 < 2^l, sigma = 2^(e + l) splits every r
-    exactly into q = (sigma + r) - sigma and r - q.  Each q is a multiple
-    of 2^-53 sigma and every partial sum of a segment's q is below sigma,
-    so np.add.reduceat adds them exactly in any order.  A pass leaves each
-    |r - q| at most 2^(e + l - 53), cutting max |r| by at least 2^(52 - l),
-    so the passes end when every remainder is zero (after two on the
-    Figure-1 ladder and at n near 10^4).  math.fsum of a segment's exact
-    parts is then what math.fsum of the segment returns.  A segment that
-    is not finite or reaches _EXTRACT_MAX = 2^960, where sigma could
-    overflow, goes to math.fsum whole.
+    part I", SIAM J. Sci. Comput. 31 (2008)) with one sigma per pass: if
+    max |r| < 2^e over the batch and len + 2 < 2^l for every segment,
+    sigma = 2^(e + l) splits each r exactly into q = (sigma + r) - sigma
+    and r - q.  Each q is a multiple of 2^-53 sigma and every partial sum
+    of a segment's q is below sigma, so np.add.reduceat adds them exactly.
+    A pass leaves each |r - q| at most 2^(e + l - 53), cutting max |r| by
+    at least 2^(52 - l), until every remainder is zero: two passes on the
+    Figure-1 ladder and at n near 10^4, more where magnitudes spread
+    widely across the batch, even if not within any one segment.
+    math.fsum of a segment's exact parts is then its correctly rounded
+    sum.  A batch that is not finite or reaches _EXTRACT_MAX = 2^960,
+    where sigma could overflow, goes to math.fsum segment by segment.
     """
     starts = np.cumsum(lengths) - lengths
-    ell = np.frexp(lengths + 2.0)[1]
-    top = np.maximum.reduceat(np.abs(values), starts)
-    direct = ~(top < _EXTRACT_MAX)  # also nan
+    top = float(np.max(np.abs(values)))
+    if not top < _EXTRACT_MAX:  # also nan
+        return [math.fsum(values[i:i + m].tolist()) for i, m in zip(starts, lengths)]
+    ell = math.frexp(float(lengths.max()) + 2.0)[1]
     r = values.copy()
-    if direct.any():
-        r[np.repeat(direct, lengths)] = 0.0
-        top[direct] = 0.0
     parts = []
-    while not parts or top.any():  # one pass at least, then until r is all zero
-        sigma = np.repeat(np.ldexp(1.0, np.frexp(top)[1] + ell), lengths)
+    while not parts or top:  # one pass at least, then until r is all zero
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + ell)
         q = (sigma + r) - sigma
         r -= q
         parts.append(np.add.reduceat(q, starts))
-        top = np.maximum.reduceat(np.abs(r), starts)
-    terms = np.column_stack(parts).tolist()
-    for i in np.flatnonzero(direct):
-        terms[i] = values[starts[i]:starts[i] + lengths[i]].tolist()
-    return [math.fsum(t) for t in terms]
+        top = float(np.max(np.abs(r)))
+    return [math.fsum(t) for t in np.column_stack(parts).tolist()]
 
 
 def _results(sizes: Sequence[int], rows: np.ndarray) -> list[SumResult]:
@@ -475,7 +473,7 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
     across runs and does not depend on the other sizes in ns.  Results
     come in the order of ns; sizes may repeat and need not be sorted.
     """
-    sizes = list(ns)
+    sizes = [operator.index(n) for n in ns]
     for n in sizes:
         if n < 1:
             raise DomainError(f"grid size must be positive, got {n}")

@@ -179,6 +179,22 @@ def test_errors_plot_script(tmp_path):
     assert set(range(1, 101)) <= ns
 
 
+def test_errors_all_plot_writes_each_f_n_as_a_lone_exact_sum(tmp_path):
+    # the default ladder with --plot: 196 sizes per lattice, summed in
+    # batches, each F_n exactly as a lone exact_sum gives it
+    out = tmp_path / "errors.csv"
+    cfg = config_from_argv(["errors", "--lattice", "all", "--out", str(out),
+                            "--plot", str(tmp_path / "errors.gp")])
+    code, _ = run_cmd(cmd_errors, cfg)
+    assert code == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 196
+    for row in rows:
+        want = exact_sum(lattice_sum.BUILTIN_LATTICES[row["lattice"]], int(row["n"])).value
+        assert float(row["F_n"]) == want, (row["lattice"], row["n"])
+
+
 def test_errors_io_failure_exit_code(tmp_path):
     cfg = ["errors", "--lattice", "square", "--n-list", "30,60",
            "--out", str(tmp_path / "no_dir" / "x.csv")]

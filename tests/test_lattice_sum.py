@@ -429,6 +429,20 @@ def test_segment_sums_match_fsum_bit_for_bit():
         assert segment_sums_each(segments) == fsum_each(segments), segments
 
 
+def test_segment_sums_extracted_match_fsum_bit_for_bit():
+    # as above, but a segment reaching _EXTRACT_MAX (every kind 3, some of
+    # kinds 0 and 1) is redrawn, so every batch takes the extraction passes
+    rng = np.random.default_rng(2008)
+    for _ in range(3000):
+        segments = []
+        for _ in range(int(rng.integers(1, 12))):
+            segment = random_segment(rng)
+            while max(map(abs, segment)) >= lattice_sum._EXTRACT_MAX:
+                segment = random_segment(rng)
+            segments.append(segment)
+        assert segment_sums_each(segments) == fsum_each(segments), segments
+
+
 @pytest.mark.parametrize("segment", [
     [5.0], [0.0], [-0.0], [2.0 ** -1074], [-(2.0 ** -1074), 2.0 ** -1074],
     [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106], [1e308, 1e308],
@@ -536,6 +550,12 @@ def test_exact_sums_inputs():
     assert exact_sums(SQUARE, []) == []
     with pytest.raises(DomainError):
         exact_sums(SQUARE, [4, 0, 8])
+    # sizes are integers: a float raises, even a whole one, and a numpy
+    # integer becomes a Python int with the same bits
+    with pytest.raises(TypeError):
+        exact_sums(SQUARE, [4, 10.0])
+    result = exact_sum(SQUARE, np.int64(10))
+    assert result == exact_sum(SQUARE, 10) and type(result.n) is int
 
 
 def test_exact_sums_memory_is_per_batch():
@@ -768,6 +788,13 @@ RESTRICTED_ENTRY_POINTS = [
 @pytest.mark.parametrize("entry", RESTRICTED_ENTRY_POINTS, ids=lambda f: f.__name__)
 def test_restricted_entry_points_reject_tiny_n(entry, n):
     with pytest.raises(DomainError, match="restricted window needs n >= 4"):
+        entry(n)
+
+
+@pytest.mark.parametrize("n", [10.5, 40.0])
+@pytest.mark.parametrize("entry", RESTRICTED_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_restricted_entry_points_reject_non_integer_n(entry, n):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         entry(n)
 
 

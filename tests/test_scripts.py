@@ -1,13 +1,10 @@
 """Smoke tests for the scripts under scripts/, run as a user runs them."""
-import csv
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-from lapasym.lattice_sum import BUILTIN_LATTICES, exact_sum
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -31,23 +28,6 @@ def test_remainder_tables_rejects_bad_sizes(sizes):
     assert done.returncode == 2
     assert done.stderr.startswith("usage:") and "argument --sizes" in done.stderr
     assert "Traceback" not in done.stderr
-
-
-def test_figure1_errors_script(tmp_path, monkeypatch):
-    # in-process: the script itself puts the checkout's src first on sys.path
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "argv", ["figure1_errors.py", "--out-dir", str(tmp_path)])
-    with pytest.raises(SystemExit) as done:
-        runpy.run_path(str(SCRIPTS / "figure1_errors.py"), run_name="__main__")
-    assert done.value.code == 0
-    assert (tmp_path / "figure1_errors.gp").stat().st_size > 0
-    # the batched ladder writes each F_n exactly as a lone exact_sum gives it
-    with open(tmp_path / "figure1_errors.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3 * 196
-    for row in rows:
-        want = exact_sum(BUILTIN_LATTICES[row["lattice"]], int(row["n"])).value
-        assert float(row["F_n"]) == want, (row["lattice"], row["n"])
 
 
 def test_source_lines_script(tmp_path):
