@@ -14,8 +14,8 @@ symmetry.  Where a unimodular change of grid basis puts the second entry
 of every stencil vector in {-1, 0, 1} (every built-in), each row sum has
 a closed form (:func:`_closed_form_rows`), so F_n costs O(n), and the
 rows of consecutive sizes are evaluated together in one elementwise pass
-(:func:`exact_sums`).  A row costs two sines: s^2 = A^2 - R^2 is a sum of
-sin^2 terms built by angle addition, so it needs no difference, and
+(:func:`exact_sums`).  A row costs one sine, or two if it needs cos x;
+s^2 = A^2 - R^2 is a sum of sin^2 terms, so it needs no difference, and
 rho^n is formed only on the few rows per size where it is representable
 beside 1.  Since 1 - rho >= s/4, n log rho <= -n s/4, so n log rho itself
 is formed only on the rows with n s < 160, which alone can reach -40.
@@ -267,15 +267,15 @@ def _row_basis(stencil) -> tuple[tuple[int, int], tuple[int, int]] | None:
 
 
 def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
-    """s = sqrt(A^2 - R^2) and the sin^2 sums X, Y for rows j >= 1 of sizes n.
+    """s = sqrt(A^2 - R^2) and the sin^2 sums X, Y for rows j of sizes n.
 
     With x = pi j / n, K = #{q != 0} and t_l = q_l p_l over the vectors
     with q != 0, A = K/L + X and R^2 = K^2/L^2 - Y, where
         X = (2/L) sum_{q=0} sin^2(p x),  Y = (4/L^2) sum_{l<m} sin^2((t_l - t_m) x),
-    so s^2 = 2 (K/L) X + X^2 + Y is a sum of nonnegative terms.  Each
-    sin(m x) comes by angle addition from S = sin x and C = cos x, the
-    latter as sin(pi (n - 2j) / 2n) with the angle reduced in integers:
-    two sines per row.
+    so s^2 = 2 (K/L) X + X^2 + Y is a sum of nonnegative terms; a sum with
+    no term (Y of the square stencil) is the scalar 0.0.  sin(m x) comes by
+    angle addition from S = sin x and, if some m >= 2, C = cos x, a second
+    sine: one per row for the square and triangular stencils, two for others.
     """
     L = len(stencil)
     t = [q * p for p, q in stencil if q]
@@ -283,18 +283,24 @@ def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
     xs = [abs(p) for p, q in stencil if not q]
     ys = [abs(a - b) for i, a in enumerate(t) for b in t[i + 1:]]
     top = max(xs + ys)
-    S = np.sin(np.pi * j / n)
-    C = np.sin(np.pi * (n - 2 * j) / (2 * n)) if top > 1 else None
-    X, Y = np.zeros(len(n)), np.zeros(len(n))
+    S = np.multiply(j, np.pi)
+    np.sin(np.divide(S, n, out=S), out=S)
+    C = None
+    if top > 1:  # cos x = sin(pi (n - 2j) / 2n)
+        C = np.subtract(n, j)
+        C -= j
+        C *= 0.5 * np.pi  # rounds to exactly half of the float (n - 2j) pi
+        np.sin(np.divide(C, n, out=C), out=C)
+    X = Y = 0.0  # each sum starts from its first term: 0.0 + x is x
     sin_m, cos_m = S, C
     for m in range(1, top + 1):
         if m > 1:
             sin_m, cos_m = sin_m * C + cos_m * S, cos_m * C - sin_m * S
         sq = sin_m * sin_m
         if m in xs:
-            X += xs.count(m) * sq
+            X = xs.count(m) * sq if isinstance(X, float) else operator.iadd(X, xs.count(m) * sq)
         if m in ys:
-            Y += ys.count(m) * sq
+            Y = ys.count(m) * sq if isinstance(Y, float) else operator.iadd(Y, ys.count(m) * sq)
     X *= 2.0 / L
     Y *= 4.0 / (L * L)
     return np.sqrt(X * (2.0 * K / L + X) + Y), X, Y
@@ -347,30 +353,30 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     rows with n s < 160, the only ones that can pass the cutoff.
 
     Rows 0 < j < n/2 stand for rows j and n - j, so they are doubled: all
-    rows j >= 1 are multiplied by 2 and the row j = n/2 of an even n by
-    1/2, both exact.  Every element carries its own n and j, so all sizes
-    share one elementwise pass and a row's value does not depend on the
-    other sizes.
+    rows are multiplied by 2 and the row j = n/2 of an even n by 1/2, both
+    exact.  Every element, row 0 (s = 0, set to inf) included, carries its
+    own n and j, so all sizes share one elementwise pass and a row's value
+    does not depend on the other sizes.
     """
-    L = len(stencil)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    half = sizes // 2                            # rows j = 1..n//2 of each size
-    first = np.cumsum(half + 1) - half - 1       # where each size's row 0 goes
-    n = np.repeat(sizes.astype(np.float64), half)
-    at = np.arange(len(n)) + np.repeat(np.arange(1, len(sizes) + 1), half)
-    j = at - np.repeat(first, half)
+    counts = [m // 2 + 1 for m in sizes]  # rows j = 0..m//2 of each size
+    first = list(accumulate(counts[:-1], initial=0))  # where each row 0 goes
+    n = np.array(sizes, dtype=np.float64).repeat(counts)
+    j = np.arange(sum(counts), dtype=np.float64)
+    j -= np.array(first, dtype=np.float64).repeat(counts)
     s, X, Y = _row_kernel(stencil, n, j)
-    near = np.flatnonzero(n * s < -4.0 * _TAIL_LOG_RHO_N)
-    e = _log_rho_n(stencil, n[near], s[near], X[near], Y[near])
+    s[first] = np.inf  # row 0 (s = 0): out of the prefilter, and n/s = 0
+    near = (n * s < -4.0 * _TAIL_LOG_RHO_N).nonzero()[0]
+    e = _log_rho_n(stencil, n[near], s[near],
+                   *(v if isinstance(v, float) else v[near] for v in (X, Y)))
     keep = e > _TAIL_LOG_RHO_N
     tail, e = near[keep], e[keep]
-    out = n / s
-    out[tail] = _tail_rows(stencil, n[tail], j[tail], s[tail], e)
-    out *= 2.0
-    out[(np.cumsum(half) - 1)[sizes % 2 == 0]] *= 0.5
-    rows = np.empty(len(n) + len(sizes))
-    rows[first] = (sizes * sizes - 1) / (6.0 * sum(q != 0 for _, q in stencil) / L)
-    rows[at] = out
+    full = _tail_rows(stencil, n[tail], j[tail], s[tail], e)
+    rows = np.divide(n, s, out=n)
+    rows[tail] = full
+    rows *= 2.0
+    rows[[i + c - 1 for m, i, c in zip(sizes, first, counts) if m % 2 == 0]] *= 0.5  # j = n/2
+    r0 = 6.0 * sum(q != 0 for _, q in stencil) / len(stencil)  # 6 R0
+    rows[first] = [(m * m - 1) / r0 for m in sizes]
     return rows
 
 
@@ -425,19 +431,18 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> list[float]:
     where sigma could overflow, goes to math.fsum segment by segment.
     """
     starts = np.cumsum(lengths) - lengths
-    top = float(np.max(np.abs(values)))
+    top = max(values.max(), -values.min())
     if not top < _EXTRACT_MAX:  # also nan
         return [math.fsum(values[i:i + m].tolist()) for i, m in zip(starts, lengths)]
     ell = math.frexp(float(lengths.max()) + 2.0)[1]
-    r = values.copy()
-    parts = []
+    r, parts = values, []
     while not parts or top:  # one pass at least, then until r is all zero
         sigma = math.ldexp(1.0, math.frexp(top)[1] + ell)
         q = (sigma + r) - sigma
-        r -= q
-        parts.append(np.add.reduceat(q, starts))
-        top = float(np.max(np.abs(r)))
-    return [math.fsum(t) for t in np.column_stack(parts).tolist()]
+        parts.append(np.add.reduceat(q, starts).tolist())
+        r = np.subtract(r, q, out=q)  # into q's buffer: values stay as they are
+        top = max(r.max(), -r.min())
+    return [math.fsum(t) for t in zip(*parts)]
 
 
 def _results(sizes: Sequence[int], rows: np.ndarray) -> list[SumResult]:

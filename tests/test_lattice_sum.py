@@ -540,6 +540,36 @@ def test_gather_path_bits_are_pinned(n, value, compensation):
     assert result.compensation == float.fromhex(compensation)
 
 
+@pytest.mark.parametrize("name, n, value, compensation", [
+    ("square", 7, "0x1.189d89d89d89ep+6", "0x1.0000000000000p-46"),
+    ("square", 64, "0x1.6bdc528c02517p+13", "0x0.0p+0"),
+    ("square", 1030, "0x1.2a9ab6cee3f74p+22", "0x0.0p+0"),
+    ("square", 9985, "0x1.1ffb8aa86b307p+29", "0x1.0000000000000p-23"),
+    ("square", 10000, "0x1.20e4e062097d9p+29", "0x1.0000000000000p-23"),
+    ("triangular", 7, "0x1.fec6055a17312p+5", "0x0.0p+0"),
+    ("triangular", 64, "0x1.4397a5b7c8698p+13", "0x0.0p+0"),
+    ("triangular", 1030, "0x1.06e41b245207dp+22", "0x0.0p+0"),
+    ("triangular", 9985, "0x1.f91a5a432ff25p+28", "0x0.0p+0"),
+    ("triangular", 10000, "0x1.fab35a04e9b1ep+28", "-0x1.0000000000000p-24"),
+    ("modified_union_jack", 7, "0x1.cf30d3e3317dbp+5", "0x1.0000000000000p-47"),
+    ("modified_union_jack", 64, "0x1.1067de296b1c2p+13", "0x0.0p+0"),
+    ("modified_union_jack", 1030, "0x1.ac54b088e3e6bp+21", "0x1.0000000000000p-31"),
+    ("modified_union_jack", 9985, "0x1.9624b608ab573p+28", "-0x1.0000000000000p-24"),
+    ("modified_union_jack", 10000, "0x1.976ce2f62bb2dp+28", "0x0.0p+0"),
+    ("custom.lattice", 7, "0x1.aab918dd4f485p+5", "0x0.0p+0"),
+    ("custom.lattice", 64, "0x1.b9f853f207895p+12", "0x0.0p+0"),
+    ("custom.lattice", 1030, "0x1.46094bc465a40p+21", "0x0.0p+0"),
+    ("custom.lattice", 9985, "0x1.2cdd73f7f1b11p+28", "-0x1.0000000000000p-24"),
+    ("custom.lattice", 10000, "0x1.2dcf78eaea59fp+28", "0x0.0p+0"),
+])
+def test_closed_form_bits_are_pinned(name, n, value, compensation):
+    spec = (parse_lattice_file(str(CUSTOM_LATTICE)) if name == "custom.lattice"
+            else BUILTIN_LATTICES[name])
+    result = exact_sum(spec, n)
+    assert result.value == float.fromhex(value)
+    assert result.compensation == float.fromhex(compensation)
+
+
 def test_exact_sums_gather_path_matches_exact_sum():
     ladder = [1030, 3, 1, 64, 1030, 2]
     want = [exact_sum(NO_ROW_BASIS, n) for n in ladder]
@@ -559,17 +589,20 @@ def test_exact_sums_inputs():
 
 
 def test_exact_sums_memory_is_per_batch():
-    # peak memory follows the batch budget plus the largest size; summing
-    # the whole ladder in one pass would peak near 130 bytes per ladder row
+    # peak memory follows the batch budget plus the largest size, under 128
+    # bytes per budget row, and a single size is its own batch; summing the
+    # whole ladder in one pass would peak near 130 bytes per ladder row
     budget_rows = lattice_sum._BATCH_ROWS + max(FIGURE1_LADDER) // 2 + 1
     assert sum(n // 2 + 1 for n in FIGURE1_LADDER) > 10 * budget_rows
     exact_sums(TRIANGULAR, FIGURE1_LADDER)  # warm numpy's lazy setup
     tracemalloc.start()
     try:
-        for spec in ALL_BUILTINS:
-            tracemalloc.reset_peak()
-            exact_sums(spec, FIGURE1_LADDER)
-            assert tracemalloc.get_traced_memory()[1] < 8192 + 256 * budget_rows
+        for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE))]:
+            for ladder, rows in ((FIGURE1_LADDER, budget_rows), ([10000], 10000 // 2 + 1)):
+                tracemalloc.reset_peak()
+                exact_sums(spec, ladder)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak < 8192 + 128 * rows, (spec.name, len(ladder), peak)
     finally:
         tracemalloc.stop()
 
