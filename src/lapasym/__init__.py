@@ -14,7 +14,7 @@ from .asymptotics import (ExpansionForm, axis_sum_expansion,
                           restricted_integral_f2, restricted_integral_lambda)
 from .decomposition import (double_sum_via_digamma, euler_maclaurin,
                             factor_rows, piece_sums, profile_decomposition)
-from .extrapolation import error_series, fit_expansion
+from .extrapolation import fit_expansion
 from .lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK, SQUARE,
                           TRIANGULAR, GridGeometry, LatticeSpec, SumResult,
                           builtin_lattice, exact_sum, exact_sums, kernel_fm,

@@ -26,9 +26,8 @@ from . import verify
 from .asymptotics import model_for_lattice
 from .exceptions import (ConsistencyError, ConvergenceError, DomainError,
                          FitError, SingularityError)
-from .extrapolation import error_series
 from .lattice_sum import (BUILTIN_LATTICES, builtin_lattice, exact_sum,
-                          parse_lattice_file)
+                          exact_sums, parse_lattice_file)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -185,15 +184,16 @@ def cmd_errors(cfg: RunConfig, out=None) -> int:
     rows = []
     summaries = []
     for name in names:
-        spec = builtin_lattice(name)
         model = model_for_lattice(name)
-        records = error_series(spec, model, panel_ns)
-        for rec in records:
-            rows.append([name, rec.n, _fmt(rec.exact), _fmt(rec.model), _fmt(rec.error)])
-        requested = [r for r in records if r.n in requested_ns]
-        decile = max(1, len(requested) // 10)
-        top = sorted(requested, key=lambda r: r.n)[-decile:]
-        summaries.append((name, sum(r.error for r in top) / len(top)))
+        requested = []  # (n, E_n), a size listed twice counted twice
+        for result in exact_sums(builtin_lattice(name), panel_ns):
+            n, exact = result.n, result.value
+            m = model.evaluate(n)
+            rows.append([name, n, _fmt(exact), _fmt(m), _fmt(exact - m)])
+            if n in requested_ns:
+                requested.append((n, exact - m))
+        top = sorted(requested)[-max(1, len(requested) // 10):]
+        summaries.append((name, sum(e for _, e in top) / len(top)))
 
     sink = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(out)
     with sink as fh:

@@ -186,14 +186,14 @@ def double_sum_via_digamma(n: int) -> float:
     """Quadrant double sum through partial fractions and digamma identities.
 
     No asymptotic truncation anywhere: the identity chain is exact, so
-    this must agree with the direct double sum to rounding.  The complex
-    bracket is purely imaginary, and exactly so in IEEE arithmetic:
-    psi - conj(psi) and the other three terms each have a real part of
-    exactly 0, so its product with i is real and no stray imaginary part
-    is left to check.  All rows k = 1..N are evaluated as arrays and
-    combined by math.fsum.  Digamma takes Re z >= 10 only, and
-    N + i sqrt C has real part N, so a window with N < 10 (n < 40) sums
-    its at most 81 pairs 1/(u_j + u_k) directly, also by math.fsum.
+    this must agree with the direct double sum to rounding.  The imaginary
+    pair's bracket is i times 2 Im psi(N + i sqrt C) - 2 sqrt C/(C + N^2)
+    + 1/sqrt C - pi coth(pi sqrt C), summed in reals; each quotient is a
+    product with a reciprocal, the bits numpy's complex division by a real
+    gave.  All rows k = 1..N are evaluated as arrays and combined by
+    math.fsum.  Digamma takes Re z >= 10 only, and N + i sqrt C has real
+    part N, so a window with N < 10 (n < 40) sums its at most 81 pairs
+    1/(u_j + u_k) directly, also by math.fsum.
     """
     return _route_sum(factor_rows(n))
 
@@ -211,14 +211,13 @@ def _route_sum(rows: FactorRows) -> float:
         psi_plus - psi_minus
         + 1.0 / (sB + N) - 1.0 / sB
     ) / (2.0 * A * sB)
-    psi = digamma_array(N + 1j * sC)
-    bracket = (
-        psi - psi.conj()
-        - 2j * sC / (C + N * N)
-        - 1.0 / (1j * sC)
-        + math.pi * (-1j / np.tanh(math.pi * sC))  # pi cot(pi i sqrt C)
+    bracket = (  # times i, the bracket of the imaginary pair
+        2.0 * digamma_array(N + 1j * sC).imag
+        - 2.0 * sC * (1.0 / (C + N * N))
+        + 1.0 / sC
+        - math.pi * (1.0 / np.tanh(math.pi * sC))  # pi cot(pi i sqrt C) = -i pi coth
     )
-    imag_part = (1j * bracket / (2.0 * A * sC)).real
+    imag_part = -bracket * (1.0 / (2.0 * A * sC))
     return math.fsum((real_part + imag_part).tolist())
 
 

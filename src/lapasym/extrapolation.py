@@ -1,4 +1,4 @@
-"""Error ladders against expansion models, and coefficient recovery by fit.
+"""Coefficient recovery by least-squares fit over a ladder of sizes.
 
 The fit basis is the model family {n^2 log n, n^2, n, 1}.  Because those
 columns span seven orders of magnitude at n ~ 2500, every column is scaled
@@ -14,17 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .asymptotics import ExpansionForm
 from .exceptions import DomainError, FitError
-from .lattice_sum import LatticeSpec, exact_sums
 
-__all__ = [
-    "BASIS_FUNCTIONS",
-    "ErrorRecord",
-    "FitResult",
-    "error_series",
-    "fit_expansion",
-]
+__all__ = ["BASIS_FUNCTIONS", "FitResult", "fit_expansion"]
 
 BASIS_FUNCTIONS = {
     "n2logn": lambda n: n * n * math.log(n),
@@ -32,26 +24,6 @@ BASIS_FUNCTIONS = {
     "n": float,
     "1": lambda n: 1.0,
 }
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    n: int
-    exact: float
-    model: float
-    error: float
-
-
-def error_series(lattice: LatticeSpec, model: ExpansionForm,
-                 n_values: Sequence[int]) -> list[ErrorRecord]:
-    """E_n = F_n - model(n) for each requested n, all F_n from one :func:`exact_sums`."""
-    if not n_values:
-        raise DomainError("n_values must be nonempty")
-    records = []
-    for result in exact_sums(lattice, n_values):
-        exact, m = result.value, model.evaluate(result.n)
-        records.append(ErrorRecord(n=result.n, exact=exact, model=m, error=exact - m))
-    return records
 
 
 @dataclass(frozen=True)

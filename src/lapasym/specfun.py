@@ -175,16 +175,6 @@ _DIGAMMA_EDGE = 10.0  # digamma's domain is Re z >= this edge
 _DIGAMMA_COEFF = tuple(float(BERNOULLI.exact[2 * j] / (2 * j)) for j in range(1, 8))
 
 
-def _digamma_finish(z):
-    """psi(z) for Re z >= 10: log z - 1/(2z) - sum_j B_{2j}/(2j z^{2j})."""
-    u = 1.0 / (z * z)
-    tail = _DIGAMMA_COEFF[-1] * u
-    for c in reversed(_DIGAMMA_COEFF[:-1]):
-        tail += c
-        tail *= u
-    return np.log(z) - 0.5 / z - tail
-
-
 def digamma_array(z) -> np.ndarray:
     """Digamma elementwise over a real or complex array with Re z >= 10.
 
@@ -202,7 +192,12 @@ def digamma_array(z) -> np.ndarray:
     bad = ~(np.isfinite(z) & (z.real >= _DIGAMMA_EDGE))
     if bad.any():
         raise DomainError(f"digamma needs finite z with Re z >= 10, got {z[bad][0].item()!r}")
-    return _digamma_finish(z)[()]
+    u = 1.0 / (z * z)
+    tail = _DIGAMMA_COEFF[-1] * u
+    for c in reversed(_DIGAMMA_COEFF[:-1]):
+        tail += c
+        tail *= u
+    return (np.log(z) - 0.5 / z - tail)[()]
 
 
 # ---------------------------------------------------------------------------

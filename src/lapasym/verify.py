@@ -436,9 +436,5 @@ def run_suite(name: str, max_n: int = 200, n0: int = 0,
               workers=None) -> list[CheckResult]:
     """One suite by name, or all of them.  ``workers`` is ignored; kept for existing callers."""
     del workers
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(max_n=max_n, n0=n0))
-        return results
-    return SUITES[name](max_n=max_n, n0=n0)
+    names = SUITES if name == "all" else [name]
+    return [r for suite in names for r in SUITES[suite](max_n=max_n, n0=n0)]

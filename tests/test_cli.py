@@ -9,9 +9,11 @@ import sys
 import pytest
 
 from lapasym import decomposition, lattice_sum, verify
+from lapasym.asymptotics import model_for_lattice
 from lapasym.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, RunConfig,
                          cmd_errors, cmd_sum, cmd_verify, config_from_argv,
                          main)
+from lapasym.exceptions import ConsistencyError, DomainError
 from lapasym.lattice_sum import SQUARE, LatticeSpec, exact_sum
 
 
@@ -30,7 +32,7 @@ def test_config_rejects_unknown_lattice():
         config_from_argv(["sum", "--lattice", "kagome", "--n", "4"])
 
 
-def test_main_maps_config_error_to_exit_2(tmp_path):
+def test_main_maps_config_error_to_exit_2(tmp_path, capsys):
     assert main(["sum", "--lattice", "nope", "--n", "4"]) == EXIT_CONFIG
     assert main(["bogus-subcommand"]) == EXIT_CONFIG
     assert main(["errors", "--lattice", "square", "--n-list", "10,abc"]) == EXIT_CONFIG
@@ -44,6 +46,11 @@ def test_main_maps_config_error_to_exit_2(tmp_path):
     path.write_text("s = 1 0\ns = 0 1\ndivisor = 4\n")
     assert main(["sum", "--lattice", "square", "--lattice-file", str(path),
                  "--n", "4"]) == EXIT_CONFIG
+    for stencil in ("s = 1 0\n", ""):  # fewer than two vectors
+        path.write_text(stencil + "divisor = 4\n")
+        capsys.readouterr()
+        assert main(["sum", "--lattice-file", str(path), "--n", "4"]) == EXIT_CONFIG
+        assert "stencil needs at least two vectors" in capsys.readouterr().err
     assert main(["sum", "--n", "4", "--workers", "2"]) == EXIT_CONFIG
     for gone in ("--start", "--stop", "--step"):  # unknown options: --n-list sets the ladder
         assert main(["errors", "--lattice", "square", gone, "0"]) == EXIT_CONFIG
@@ -146,6 +153,35 @@ def test_errors_csv_and_summary(tmp_path):
         assert float(row[2]) == float(format(float(row[2]), ".17g"))  # round trip
 
 
+def test_errors_csv_e_n_is_f_n_minus_model(tmp_path):
+    out = tmp_path / "errors.csv"
+    cfg = config_from_argv(["errors", "--lattice", "square", "--n-list", "8,12,16",
+                            "--out", str(out)])
+    assert run_cmd(cmd_errors, cfg)[0] == EXIT_OK
+    model = model_for_lattice("square")
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["n"]) for row in rows] == [8, 12, 16]
+    for row in rows:
+        n, f_n, m = int(row["n"]), float(row["F_n"]), float(row["model"])
+        assert f_n == exact_sum(SQUARE, n).value
+        assert m == model.evaluate(n)
+        assert float(row["E_n"]) == f_n - m
+
+
+def test_errors_top_decile_counts_a_repeated_size_each_time():
+    # 21 sizes listed, 10 of them distinct: the top decile is the two
+    # largest listed, n = 9 and 10, not the largest distinct one alone
+    cfg = config_from_argv(["errors", "--lattice", "square",
+                            "--n-list", ",".join(map(str, list(range(1, 11)) + [2] * 11))])
+    code, text = run_cmd(cmd_errors, cfg)
+    assert code == EXIT_OK
+    model = model_for_lattice("square")
+    e = {n: exact_sum(SQUARE, n).value - model.evaluate(n) for n in (9, 10)}
+    assert text.splitlines()[-1] == \
+        f"plateau square: mean E_n over top decile = {(e[9] + e[10]) / 2:.4f}"
+
+
 def test_errors_plot_requires_out(tmp_path):
     assert main(["errors", "--lattice", "square", "--n-list", "30,60",
                  "--plot", str(tmp_path / "p.gp")]) == EXIT_CONFIG
@@ -206,6 +242,9 @@ def test_errors_rejects_lattice_file(tmp_path):
     path.write_text("s = 1 0\ns = 0 1\ndivisor = 4\n")
     assert main(["errors", "--lattice-file", str(path),
                  "--n-list", "30,60"]) == EXIT_CONFIG
+    # argparse keeps --lattice-file off errors; cmd_errors guards a direct caller
+    with pytest.raises(DomainError, match="built-in lattice"):
+        cmd_errors(RunConfig(subcommand="errors", lattice_file=str(path)))
 
 
 def test_numerical_error_exit_code(monkeypatch):
@@ -230,6 +269,22 @@ def test_out_of_memory_is_a_config_error(monkeypatch, capsys):
     assert main(["sum", "--lattice", "square", "--n", "100000000000"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "100000000000" in err
+
+
+def test_out_of_memory_in_errors_and_verify_names_the_largest_n(monkeypatch, capsys):
+    import lapasym.cli as cli_mod
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "exact_sums", exhaust)
+    monkeypatch.setattr(verify, "run_suite", exhaust)
+    for argv, n in ((["errors", "--lattice", "square", "--n-list", "30,70000,60"], 70000),
+                    (["errors", "--lattice", "square"], 2500),  # the default ladder's top
+                    (["verify", "--max-n", "90000"], 90000)):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: n = {n} needs more memory than is available\n"
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +354,28 @@ def test_verify_factor_row_bounds_names_its_sizes(max_n, sizes):
     checks = {r.name: r for r in verify.suite_identities(max_n=max_n)}
     assert checks["factor_row_bounds"].passed
     assert checks["factor_row_bounds"].detail == f"bounds hold at n = {sizes}"
+
+
+def test_verify_factor_row_bounds_reports_a_violation(monkeypatch):
+    factor_rows = decomposition.factor_rows
+
+    def violated(n):
+        if n == 11:
+            raise ConsistencyError(f"factor-row bounds violated at n = {n}")
+        return factor_rows(n)
+
+    monkeypatch.setattr(decomposition, "factor_rows", violated)
+    checks = {r.name: r for r in verify.suite_identities(max_n=120)}
+    assert [name for name, r in checks.items() if not r.passed] == ["factor_row_bounds"]
+    assert checks["factor_row_bounds"].detail == "factor-row bounds violated at n = 11"
+
+
+def test_run_suite_all_is_every_suite_in_order():
+    every = verify.run_suite("all", max_n=100)
+    assert len(every) == 23
+    assert [(r.name, r.passed) for r in every] == [
+        (r.name, r.passed) for suite in verify.SUITES for r in verify.run_suite(suite, max_n=100)]
+    assert all(r.passed for r in every)
 
 
 def test_verify_reports_failures(monkeypatch):

@@ -166,9 +166,20 @@ def test_piece_sums_double_sum_matches_direct(n):
 
 
 def test_route_keeps_its_bits_at_the_cut():
-    # n = 40 is the first size through digamma (N = 10, Re z = 10 exactly)
-    assert double_sum_via_digamma(40).hex() == "0x1.8fb108d94ce65p+1"
-    assert double_sum_via_digamma(43).hex() == "0x1.8ca7cfda59c26p+1"
+    # the bits the route had with its bracket in complex arithmetic
+    bits = {
+        40: "0x1.8fb108d94ce65p+1",  # the first size through digamma: N = 10, Re z = 10
+        43: "0x1.8ca7cfda59c26p+1",
+        # plain division instead of the reciprocal products moves these two:
+        44: "0x1.a0f30f75b2036p+1",  # by 2 A sqrt C
+        45: "0x1.9ff220c87391cp+1",  # by tanh
+        100: "0x1.1d90ea27c6c0ap+2",
+        2500: "0x1.2e7789f156071p+3",
+        16003: "0x1.8bb279c3ea3aep+3",
+    }
+    for n, want in bits.items():
+        assert double_sum_via_digamma(n).hex() == want, n
+        assert piece_sums(n).r_double.hex() == want, n
 
 
 def test_piece_sums_families_unchanged():
@@ -413,6 +424,8 @@ def test_euler_maclaurin_domain():
         euler_maclaurin(lambda x: x, 10, 7)
     with pytest.raises(DomainError):
         euler_maclaurin(lambda x: x, 10, 3, derivatives=[lambda x: 1.0])
+    with pytest.raises(DomainError, match="N must be positive"):
+        euler_maclaurin(lambda x: x, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Tests for error ladders and least-squares coefficient recovery."""
+"""Tests for least-squares coefficient recovery."""
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapasym.asymptotics import ExpansionForm, model_for_lattice
+from lapasym.asymptotics import model_for_lattice
 from lapasym.exceptions import DomainError, FitError
-from lapasym.extrapolation import (BASIS_FUNCTIONS, error_series,
-                                   fit_expansion)
-from lapasym.lattice_sum import SQUARE, exact_sum, restricted_sum_f2
+from lapasym.extrapolation import BASIS_FUNCTIONS, fit_expansion
+from lapasym.lattice_sum import SQUARE, exact_sum, exact_sums, restricted_sum_f2
 
 
 def test_basis_functions():
@@ -17,29 +16,6 @@ def test_basis_functions():
     assert BASIS_FUNCTIONS["n2"](10) == 100.0
     assert BASIS_FUNCTIONS["n"](10) == 10.0
     assert BASIS_FUNCTIONS["1"](10) == 1.0
-
-
-# ---------------------------------------------------------------------------
-# Error series
-# ---------------------------------------------------------------------------
-
-def test_error_series_records_are_literal_differences():
-    model = model_for_lattice("square")
-    for rec in error_series(SQUARE, model, [8, 12, 16]):
-        assert rec.error == rec.exact - rec.model
-        assert rec.exact == exact_sum(SQUARE, rec.n).value
-
-
-def test_error_series_zero_model_returns_plain_sums():
-    zero = ExpansionForm(c0=0.0, c1=0.0)
-    records = error_series(SQUARE, zero, [2, 4])
-    assert records[0].error == pytest.approx(2.5, abs=1e-15)
-    assert records[0].model == 0.0
-
-
-def test_error_series_requires_values():
-    with pytest.raises(DomainError):
-        error_series(SQUARE, model_for_lattice("square"), [])
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +84,14 @@ def test_rank_deficiency():
     flat = [(100, 1.0)] * 8
     with pytest.raises(FitError):
         fit_expansion(flat)
+    with pytest.raises(FitError, match="zero basis column"):  # n^2 log n is 0 at n = 1
+        fit_expansion([(1, 0.0)] * 6)
 
 
 def test_fitted_model_residual_tracks_plateau_spread():
-    ns = list(range(100, 1001, 100))
-    ladder = [(n, exact_sum(SQUARE, n).value) for n in ns]
-    errors = [r.error for r in error_series(SQUARE, model_for_lattice("square"), ns)]
+    model = model_for_lattice("square")
+    ladder = [(r.n, r.value) for r in exact_sums(SQUARE, range(100, 1001, 100))]
+    errors = [f - model.evaluate(n) for n, f in ladder]
     spread = max(errors) - min(errors)
     fit = fit_expansion(ladder)
     assert fit.residual_max <= 2.0 * max(spread, 1e-9)

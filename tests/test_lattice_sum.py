@@ -874,6 +874,11 @@ def test_parse_lattice_file_errors(tmp_path):
     bad.write_text("s = 1 0\ns = 0 1\nwhat = ever\ndivisor = 4\n")
     with pytest.raises(DomainError):
         parse_lattice_file(str(bad))
+    for stencil in ("s = 1 0\n", ""):
+        few = tmp_path / "few_vectors.lattice"
+        few.write_text(stencil + "divisor = 4\n")
+        with pytest.raises(DomainError, match="stencil needs at least two vectors"):
+            parse_lattice_file(str(few))
 
 
 def test_builtin_registry():
