@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exceptions import DomainError
 from .lattice_sum import GridGeometry
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpansionForm:
+class ExpansionForm(NamedTuple):
     """Coefficients of the two-term model c0 n^2 log n + c1 n^2."""
 
     c0: float

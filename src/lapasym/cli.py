@@ -20,7 +20,7 @@ import contextlib
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import verify
 from .asymptotics import model_for_lattice
@@ -39,8 +39,7 @@ _FIGURE_LADDER = (25, 2500, 25)   # bottom panel: 25..2500 step 25
 _SMALL_PANEL_MAX = 100            # top panel: 1..100 step 1
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed command configuration.
 
     The field defaults are the CLI's defaults, except that ``errors

@@ -41,7 +41,6 @@ tests check both against direct O(N^2) summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -108,8 +107,7 @@ def factor_rows(n: int) -> FactorRows:
 # Direct row sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PieceSums:
+class PieceSums(NamedTuple):
     """The six row-sum families plus the quadrant double sum.
 
     The six families are direct sums over k = 1..N; r_double is the
@@ -225,8 +223,7 @@ def _route_sum(rows: FactorRows) -> float:
 # Coefficient cascade
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CascadeRow:
+class CascadeRow(NamedTuple):
     """Second-order expansion coefficients of one row's summands in 1/N0.
 
     Eleven (alpha, beta, gamma) triples; index i holds the coefficients of
@@ -420,8 +417,7 @@ def euler_maclaurin(g: Callable[[float], float], N: int, p: int,
 # Profile route for the log and arctan row sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileDecomposition:
+class ProfileDecomposition(NamedTuple):
     """Direct row sums next to their cascade-profile reconstruction.
 
     For n = 0 mod 4 the residue shift vanishes and the stage 8/9 profiles

@@ -9,8 +9,7 @@ would otherwise drown in the normal equations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +25,7 @@ BASIS_FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     coefficients: dict[str, float]   # keyed by basis name, fixed ones included
     residual_max: float
     condition_estimate: float

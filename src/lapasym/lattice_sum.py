@@ -44,9 +44,8 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,25 +85,33 @@ _MAX_ENTRY = 2 ** 10
 # Lattice and grid descriptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Cosine stencil of a periodic lattice plus its trace divisor."""
-
+class _LatticeFields(NamedTuple):
     name: str
     stencil: tuple[tuple[int, int], ...]
     trace_divisor: int
 
-    def __post_init__(self):
-        if len(self.stencil) < 2:
+
+class LatticeSpec(_LatticeFields):
+    """Cosine stencil of a periodic lattice plus its trace divisor.
+
+    Construction (and unpickling) checks the stencil and the divisor;
+    ``_replace`` and ``_make`` skip those checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, stencil: tuple[tuple[int, int], ...], trace_divisor: int):
+        if len(stencil) < 2:
             raise DomainError("stencil needs at least two vectors")
-        if self.stencil[0] != (1, 0) or self.stencil[1] != (0, 1):
+        if stencil[0] != (1, 0) or stencil[1] != (0, 1):
             raise DomainError("stencil must start with (1,0), (0,1)")
-        if any(v == (0, 0) for v in self.stencil):
+        if any(v == (0, 0) for v in stencil):
             raise DomainError("stencil vectors must be nonzero")
-        if any(abs(c) > _MAX_ENTRY for v in self.stencil for c in v):
+        if any(abs(c) > _MAX_ENTRY for v in stencil for c in v):
             raise DomainError(f"stencil entries must lie in [-{_MAX_ENTRY}, {_MAX_ENTRY}]")
-        if self.trace_divisor <= 0:
+        if trace_divisor <= 0:
             raise DomainError("trace divisor must be positive")
+        return super().__new__(cls, name, stencil, trace_divisor)
 
     @property
     def L(self) -> int:
@@ -162,8 +169,7 @@ def parse_lattice_file(path: str) -> LatticeSpec:
     return LatticeSpec(os.path.basename(path), tuple(stencil), divisor)
 
 
-@dataclass(frozen=True)
-class GridGeometry:
+class GridGeometry(NamedTuple):
     """Residue-class bookkeeping for the restricted summation window.
 
     n = 4 N + n0 with n0 = n mod 4.  The restricted window keeps the grid
@@ -187,8 +193,7 @@ class GridGeometry:
                    beta_n=0.5 * math.pi * (1.0 + (2.0 - n0) / n))
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(NamedTuple):
     """A lattice sum and how it was combined.
 
     ``value`` is the correctly rounded sum of the weighted row sums, the

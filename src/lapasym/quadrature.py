@@ -13,8 +13,7 @@ there, which these integrals check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .asymptotics import integral_f1_restricted
 from .exceptions import ConvergenceError, DomainError
@@ -61,8 +60,7 @@ _MAX_DEPTH = 40
 _MAX_EVALUATIONS = 100_000  # integrand evaluations per integrate_1d call
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     abs_error_estimate: float
     evaluations: int
@@ -98,10 +96,14 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
     :class:`~lapasym.exceptions.ConvergenceError` (with the partial result
     attached) at the first segment whose estimate is nan or infinite, and
     when the depth or evaluation limit cut refinement short and the total
-    estimate is still not within ``tol``.
+    estimate is still not within ``tol``.  A ``tol`` that is negative or
+    nan, which no estimate can meet, raises DomainError before the first
+    evaluation; ``tol = 0`` is accepted.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
+    if not tol >= 0.0:
+        raise DomainError(f"need tol >= 0, got {tol!r}")
     total = 0.0
     err_total = 0.0
     evaluations = 0
@@ -125,8 +127,8 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
         stack.append((mid, hi, half_tol, depth + 1))
     result = QuadratureResult(total, err_total, evaluations)
     # a segment accepted within its share adds at most that share, and the
-    # shares tol 2^-depth sum to tol exactly, so only a cut segment (or a
-    # nan tol) can leave the total outside tol
+    # shares tol 2^-depth sum to tol exactly, so only a cut segment can
+    # leave the total outside tol
     if not err_total <= tol:
         raise ConvergenceError(
             f"subdivision or evaluation limit reached with estimate "

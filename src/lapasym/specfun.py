@@ -26,12 +26,14 @@ never mutated, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .exceptions import DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BernoulliTable",
@@ -48,20 +50,29 @@ __all__ = [
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(NamedTuple):
     """Bernoulli numbers B_0..B_max as exact rationals plus float renderings.
 
-    Convention: B_1 = -1/2 (the one matching the Euler-Maclaurin boundary
-    terms used in :mod:`lapasym.decomposition`).
+    ``pairs[m]`` is B_m = p/q as a reduced integer pair (p, q) with q > 0;
+    ``floats[m]`` is p/q correctly rounded.  Convention: B_1 = -1/2 (the
+    one matching the Euler-Maclaurin boundary terms used in
+    :mod:`lapasym.decomposition`).
     """
 
-    exact: tuple[Fraction, ...]
+    pairs: tuple[tuple[int, int], ...]
     floats: tuple[float, ...]
 
     @property
+    def exact(self) -> tuple[Fraction, ...]:
+        """B_0..B_max as Fractions, built on each read."""
+        # imported here so that importing lapasym never loads fractions
+        # (and the decimal module it imports); no import-time table needs it
+        from fractions import Fraction
+        return tuple(Fraction(p, q) for p, q in self.pairs)
+
+    @property
     def max_index(self) -> int:
-        return len(self.exact) - 1
+        return len(self.pairs) - 1
 
 
 def _make_bernoulli(max_index: int) -> BernoulliTable:
@@ -71,9 +82,10 @@ def _make_bernoulli(max_index: int) -> BernoulliTable:
     from the O(K^2) integer recurrence of Brent and Harvey, "Fast
     computation of Bernoulli, tangent and secant numbers" (2011), and
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); B_1 = -1/2 and the other
-    odd B vanish.  That is one Fraction per index, where the textbook
+    odd B vanish.  That is one gcd per index, where the textbook
     recurrence B_m = -(1/(m+1)) sum_{j<m} C(m+1, j) B_j takes
-    O(max_index^2) Fraction operations at import.
+    O(max_index^2) rational operations at import.  Python's int true
+    division rounds correctly, so each float is p/q rounded once.
     """
     K = max_index // 2
     T = [0, 1] + [0] * (K - 1)  # T[1..K]
@@ -82,12 +94,13 @@ def _make_bernoulli(max_index: int) -> BernoulliTable:
     for k in range(2, K + 1):
         for j in range(k, K + 1):
             T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    values = [Fraction(1), Fraction(-1, 2)][:max_index + 1]
+    pairs = [(1, 1), (-1, 2)][:max_index + 1]
     for m in range(2, max_index + 1):
         k = m // 2
-        values.append(Fraction((-1) ** (k - 1) * m * T[k], 4 ** k * (4 ** k - 1))
-                      if m % 2 == 0 else Fraction(0))
-    return BernoulliTable(tuple(values), tuple(float(v) for v in values))
+        p, q = ((-1) ** (k - 1) * m * T[k], 4 ** k * (4 ** k - 1)) if m % 2 == 0 else (0, 1)
+        g = math.gcd(p, q)
+        pairs.append((p // g, q // g))
+    return BernoulliTable(tuple(pairs), tuple(p / q for p, q in pairs))
 
 
 BERNOULLI = _make_bernoulli(40)
@@ -97,8 +110,7 @@ BERNOULLI = _make_bernoulli(40)
 # Fundamental constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FundamentalConstants:
+class FundamentalConstants(NamedTuple):
     """Shared source of truth for the constants entering the expansions."""
 
     catalan_G: float
@@ -126,8 +138,8 @@ CONSTANTS = FundamentalConstants(
 # 17 terms leave less than 1e-18.
 _CL2_SPLIT = 2.0 * math.pi / 3.0
 _CL2_ZERO = tuple(
-    float(abs(BERNOULLI.exact[2 * m]) / (2 * m * (2 * m + 1) * math.factorial(2 * m)))
-    for m in range(1, 18)
+    abs(p) / (q * 2 * m * (2 * m + 1) * math.factorial(2 * m))
+    for m, (p, q) in enumerate(BERNOULLI.pairs[2:36:2], start=1)
 )
 _CL2_PI = tuple((4 ** m - 1) * c for m, c in enumerate(_CL2_ZERO, start=1))
 
@@ -172,7 +184,8 @@ def clausen_cl2(theta: float) -> float:
 _DIGAMMA_EDGE = 10.0  # digamma's domain is Re z >= this edge
 # B_{2j}/(2j) for j=1..7: the first omitted term, |B_16|/(16 x^16), is
 # 4.4e-17 at the edge x = 10, below the rounding of psi there.
-_DIGAMMA_COEFF = tuple(float(BERNOULLI.exact[2 * j] / (2 * j)) for j in range(1, 8))
+_DIGAMMA_COEFF = tuple(p / (q * 2 * j)
+                       for j, (p, q) in enumerate(BERNOULLI.pairs[2:16:2], start=1))
 
 
 def digamma_array(z) -> np.ndarray:

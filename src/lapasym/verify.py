@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,8 +24,7 @@ from .lattice_sum import (BUILTIN_LATTICES, GridGeometry, exact_sum,
 __all__ = ["CheckResult", "Remainder", "REMAINDERS", "SUITES", "run_suite", "available_suites"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -123,6 +120,7 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
                       f"both ends + 4 roundings of 2^-53 of the sum + 2.12 2^-53 for "
                       f"the arguments"))
 
+    from fractions import Fraction  # here, so `sum` and `errors` never load it
     b = specfun.BERNOULLI.exact
     ok = (b[1] == Fraction(-1, 2) and b[2] == Fraction(1, 6)
           and b[3] == 0 and b[4] == Fraction(-1, 30)
@@ -339,8 +337,7 @@ def _non_increasing(values):
     return all(b <= a for a, b in zip(values, values[1:]))
 
 
-@dataclass(frozen=True)
-class Remainder:
+class Remainder(NamedTuple):
     """A large-n remainder of the fourth-degree Taylor window.
 
     ``value(n, pieces)`` takes the caller's ``piece_sums(n)``; ``limit(n0)``

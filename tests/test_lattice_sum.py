@@ -307,6 +307,27 @@ def test_exact_sum_against_50_digit_reference():
             assert abs(mp.mpf(got) / total - 1) <= 1e-14, (spec.name, n)
 
 
+# F_n of small grids as exact fractions, identified from 60-digit dense
+# mpmath sums over every (j, k) != (0, 0) of the n x n grid
+GOLDEN_FRACTIONS = [
+    *((SQUARE, n, f) for n, f in zip(range(2, 13), (
+        Fraction(5, 2), Fraction(8), Fraction(103, 6), Fraction(152, 5),
+        Fraction(3359, 70), Fraction(912, 13), Fraction(69329, 714),
+        Fraction(81136, 629), Fraction(65126173, 392370),
+        Fraction(2019768, 9701), Fraction(7680923, 30030)))),
+    (TRIANGULAR, 5, Fraction(306, 11)),
+    (TRIANGULAR, 12, Fraction(318962951, 1381380)),
+    (MODIFIED_UNION_JACK, 5, Fraction(4256, 165)),
+]
+
+
+@pytest.mark.parametrize("spec, n, want", GOLDEN_FRACTIONS,
+                         ids=[f"{spec.name}-{n}" for spec, n, _ in GOLDEN_FRACTIONS])
+def test_exact_sum_within_an_ulp_of_golden_fraction(spec, n, want):
+    want = float(want)
+    assert abs(exact_sum(spec, n).value - want) <= math.ulp(want)
+
+
 def row_formula_reference(stencil, n, mp):
     """F_n from the closed-form row sums in mpmath, for a stencil with |q| <= 1."""
     L = len(stencil)
@@ -360,6 +381,16 @@ def test_rows_past_the_tail_cutoff_are_n_over_s(n):
         assert np.count_nonzero(~far) <= 8, name
         assert np.array_equal(_closed_form_rows(stencil, [n])[1:],
                               weight * np.where(far, n / s, full)), name
+
+
+def test_log_rho_n_is_minus_inf_where_r_vanishes():
+    # row j = 13 of R_ZERO_ROWS at n = 39 has R = 0, where K^2/L^2 - Y
+    # rounds to -1.1e-16; clamped at 0 it gives rho = 0 and e = -inf, while
+    # the square root of its magnitude would give e = -750.5
+    stencil = dict(row_stencils())["r_zero_rows"]
+    sizes = np.array([39.0])
+    s, X, Y = _row_kernel(stencil, sizes, np.array([13]))
+    assert _log_rho_n(stencil, sizes, s, X, Y)[0] == -np.inf
 
 
 def test_tail_prefilter_keeps_every_tail_row():

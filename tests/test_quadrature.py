@@ -1,5 +1,4 @@
 """Tests for the adaptive quadrature oracles."""
-import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +40,24 @@ def test_reciprocal_shifted_cos():
 def test_interval_validation():
     with pytest.raises(DomainError):
         integrate_1d(math.sin, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -math.inf, math.nan])
+def test_unreachable_tol_raises_before_evaluating(tol):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return math.cos(x)
+
+    with pytest.raises(DomainError, match="tol"):
+        integrate_1d(counted, 0.0, 1.0, tol=tol)
+    assert calls == []
+
+
+def test_zero_tol_is_met_by_an_exact_estimate():
+    res = integrate_1d(math.cos, 0.0, 1.0, tol=0.0)
+    assert (res.abs_error_estimate, res.evaluations) == (0.0, 15)
 
 
 def test_convergence_error_carries_partial():
@@ -244,7 +261,7 @@ def _shift_log_cos(monkeypatch):
 
 
 def _shift_catalan(monkeypatch, by=1e-11):
-    moved = dataclasses.replace(CONSTANTS, catalan_G=CONSTANTS.catalan_G + by)
+    moved = CONSTANTS._replace(catalan_G=CONSTANTS.catalan_G + by)
     monkeypatch.setattr(specfun, "CONSTANTS", moved)
 
 
@@ -274,7 +291,7 @@ def _scale_digamma_more(monkeypatch):
 def _scale_gamma_quarter(monkeypatch):
     # exp_tail_limit reads the constant table asymptotics imported; its
     # uncached body sees the moved one and leaves the cache alone
-    moved = dataclasses.replace(CONSTANTS, gamma_quarter=CONSTANTS.gamma_quarter * (1.0 + 5e-14))
+    moved = CONSTANTS._replace(gamma_quarter=CONSTANTS.gamma_quarter * (1.0 + 5e-14))
     monkeypatch.setattr(asymptotics, "CONSTANTS", moved)
     monkeypatch.setattr(asymptotics, "exp_tail_limit", asymptotics.exp_tail_limit.__wrapped__)
 
@@ -284,7 +301,7 @@ def _scale_em_integral(monkeypatch):
 
     def scaled(*args, **kwargs):
         res = integrate(*args, **kwargs)
-        return dataclasses.replace(res, value=res.value * (1.0 + 1e-14))
+        return res._replace(value=res.value * (1.0 + 1e-14))
 
     monkeypatch.setattr(decomposition, "integrate_1d", scaled)
 
@@ -294,7 +311,7 @@ def _shift_profile(monkeypatch):
 
     def shifted(n):
         pr = profile(n)
-        return dataclasses.replace(pr, r_log_profile=pr.r_log_profile + 1e-13)
+        return pr._replace(r_log_profile=pr.r_log_profile + 1e-13)
 
     monkeypatch.setattr(decomposition, "profile_decomposition", shifted)
 
