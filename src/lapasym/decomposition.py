@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError
-from .lattice_sum import GridGeometry, quartic_rows
+from .lattice_sum import GridGeometry, _segment_sums, quartic_rows
 from .quadrature import integrate_1d
 from .specfun import BERNOULLI, digamma_array
 
@@ -90,15 +90,13 @@ def factor_rows(n: int) -> FactorRows:
     B = (1.0 + A) / (2.0 * c)
     # C = (A - 1)/(2c) cancels for small k (A - 1 ~ 2 c k^2); 2u/(1 + A) does not
     C = 2.0 * u / (1.0 + A)
-    k = np.arange(1, N + 1, dtype=np.float64)
+    k2 = np.arange(1, N + 1, dtype=np.float64) ** 2
     sB = np.sqrt(B)
-    ok = (
-        np.all((1.0 < A) & (A < 1.3))
-        and np.all((3.0 * n * n / math.pi ** 2 < B) & (B < 3.5 * n * n / math.pi ** 2))
-        and np.all((0.69 * k * k < C) & (C <= k * k))
-        and np.all((0.3 * n < sB - N) & (sB + N < 0.85 * n))
-    )
-    if not ok:
+    ok = ((1.0 < A) & (A < 1.3)
+          & (3.0 * n * n / math.pi ** 2 < B) & (B < 3.5 * n * n / math.pi ** 2)
+          & (0.69 * k2 < C) & (C <= k2)
+          & (0.3 * n < sB - N) & (sB + N < 0.85 * n))
+    if not ok.all():
         raise ConsistencyError(f"factor-row bounds violated at n = {n}")
     return FactorRows(u, A, B, C)
 
@@ -188,10 +186,10 @@ def double_sum_via_digamma(n: int) -> float:
     pair's bracket is i times 2 Im psi(N + i sqrt C) - 2 sqrt C/(C + N^2)
     + 1/sqrt C - pi coth(pi sqrt C), summed in reals; each quotient is a
     product with a reciprocal, the bits numpy's complex division by a real
-    gave.  All rows k = 1..N are evaluated as arrays and combined by
-    math.fsum.  Digamma takes Re z >= 10 only, and N + i sqrt C has real
-    part N, so a window with N < 10 (n < 40) sums its at most 81 pairs
-    1/(u_j + u_k) directly, also by math.fsum.
+    gave.  All rows k = 1..N are evaluated as arrays and combined into the
+    float math.fsum would return.  Digamma takes Re z >= 10 only, and
+    N + i sqrt C has real part N, so a window with N < 10 (n < 40) sums its
+    at most 81 pairs 1/(u_j + u_k) directly, also correctly rounded.
     """
     return _route_sum(factor_rows(n))
 
@@ -201,12 +199,12 @@ def _route_sum(rows: FactorRows) -> float:
     u, A, B, C = rows
     N = len(A)
     if N < 10:  # digamma takes Re z >= 10 only, and Re(N + i sqrt C) = N
-        return math.fsum((1.0 / (u[:, None] + u)).ravel().tolist())
+        return _segment_sums((1.0 / (u[:, None] + u)).ravel(), np.array([N * N]))[0]
     sB = np.sqrt(B)
     sC = np.sqrt(C)
-    psi_plus, psi_minus = np.split(digamma_array(np.concatenate((sB + N, sB - N))), 2)
+    psi = digamma_array(np.concatenate((sB + N, sB - N)))
     real_part = (
-        psi_plus - psi_minus
+        psi[:N] - psi[N:]
         + 1.0 / (sB + N) - 1.0 / sB
     ) / (2.0 * A * sB)
     bracket = (  # times i, the bracket of the imaginary pair
@@ -216,7 +214,7 @@ def _route_sum(rows: FactorRows) -> float:
         - math.pi * (1.0 / np.tanh(math.pi * sC))  # pi cot(pi i sqrt C) = -i pi coth
     )
     imag_part = -bracket * (1.0 / (2.0 * A * sC))
-    return math.fsum((real_part + imag_part).tolist())
+    return _segment_sums(real_part + imag_part, np.array([N]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def _fd_derivative(g, order, h):
     return d
 
 
-def euler_maclaurin(g: Callable[[float], float], N: int, p: int,
+def euler_maclaurin(g: Callable[[np.ndarray], np.ndarray], N: int, p: int,
                     derivatives: Sequence[Callable[[float], float]] | None = None,
                     ) -> tuple[float, float]:
     """Euler-Maclaurin value of (1/N) sum_{k=1}^N g(k/N) plus a remainder bound.
@@ -371,6 +369,8 @@ def euler_maclaurin(g: Callable[[float], float], N: int, p: int,
     where B_l are Bernoulli numbers and B_p(.) the periodic Bernoulli
     polynomial, max|B_p(.)| is exact (for odd p >= 3 a bound at most 1.65
     times it) and int_0^1 |g^(p)| is a 513-point trapezoid estimate.
+    ``g`` is a numpy function: the integral passes it arrays of nodes (see
+    :func:`lapasym.quadrature.integrate_1d`), the end terms floats.
     ``derivatives``, when given, supplies g', g'', ... up to order p;
     otherwise central differences with step eps^(1/(p+2)) are used, which
     requires g to be evaluable slightly outside [0, 1], and the bound is

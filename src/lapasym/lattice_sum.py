@@ -17,8 +17,8 @@ rows of consecutive sizes are evaluated together in one elementwise pass
 (:func:`exact_sums`).  A row costs one sine, or two if it needs cos x;
 s^2 = A^2 - R^2 is a sum of sin^2 terms, so it needs no difference, and
 rho^n is formed only on the few rows per size where it is representable
-beside 1.  Since 1 - rho >= s/4, n log rho <= -n s/4, so n log rho itself
-is formed only on the rows with n s < 160, which alone can reach -40.
+beside 1.  Since 1 - rho >= s/2, n log rho <= -n s/2, so n log rho itself
+is formed only on the rows with n s < 80, which alone can reach -40.
 Other stencils gather their rows from a sin^2 table (:func:`_gathered_rows`):
 one row of n floats at a time, with psi as (2/L) sum_l sin^2(s_l . x / 2),
 which loses no relative precision near the zeros of psi, and each row is
@@ -316,8 +316,9 @@ def _log_rho_n(stencil, n, s, X, Y) -> np.ndarray:
 
     1 - rho = s (s + A + R) / ((A + R) (A + s)) needs R only through
     A + R; R^2 is clamped at 0 where R = 0, where rho = 0 and the log1p
-    argument is clamped at -1, whose log is -inf.  Since A <= 2 - K/L and
-    s <= A, 1 - rho >= s / (A + s) >= s / 4, so e <= -n s / 4.
+    argument is clamped at -1, whose log is -inf.  Since R <= K/L and
+    A <= 2 - K/L, A + R <= 2, so (s + A + R)/(A + R) >= (s + 2)/2, and
+    with A <= 2, 1 - rho >= (s/2)(s + 2)/(A + s) >= s/2: e <= -n s/2.
     """
     L = len(stencil)
     K = sum(q != 0 for _, q in stencil)
@@ -354,8 +355,8 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     (1 - rho^n)^2 round to 1 and 4 rho^n sin^2(n phi / 2) vanishes beside
     1, so the row rounds to exactly n/s.  Only the first few rows of each
     size have e > -40; they alone need phi and the full formula
-    (:func:`_tail_rows`), and since e <= -n s / 4, e is formed only on
-    rows with n s < 160, the only ones that can pass the cutoff.
+    (:func:`_tail_rows`), and since e <= -n s / 2, e is formed only on
+    rows with n s < 80, the only ones that can pass the cutoff.
 
     Rows 0 < j < n/2 stand for rows j and n - j, so they are doubled: all
     rows are multiplied by 2 and the row j = n/2 of an even n by 1/2, both
@@ -370,7 +371,7 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     j -= np.array(first, dtype=np.float64).repeat(counts)
     s, X, Y = _row_kernel(stencil, n, j)
     s[first] = np.inf  # row 0 (s = 0): out of the prefilter, and n/s = 0
-    near = (n * s < -4.0 * _TAIL_LOG_RHO_N).nonzero()[0]
+    near = (n * s < -2.0 * _TAIL_LOG_RHO_N).nonzero()[0]
     e = _log_rho_n(stencil, n[near], s[near],
                    *(v if isinstance(v, float) else v[near] for v in (X, Y)))
     keep = e > _TAIL_LOG_RHO_N

@@ -13,7 +13,10 @@ there, which these integrals check.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .asymptotics import integral_f1_restricted
 from .exceptions import ConvergenceError, DomainError
@@ -56,46 +59,54 @@ _WG = (
     0.417959183673469387755,
 )
 
+# The rule on [-1, 1] with its 15 nodes in ascending order: the Kronrod
+# weights, and the Kronrod minus the Gauss-7 weights (the Gauss weight is
+# 0 at the Kronrod-only nodes), whose sum is K15 - G7.
+_X = np.array([-x for x in _XGK[:7]] + list(_XGK[::-1]))
+_W = np.array([_WGK[:7] + _WGK[::-1],
+               (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0)])
+_W[1] = _W[0] - _W[1]
+_HALVES = np.array([-1.0, 1.0])
+
 _MAX_DEPTH = 40
-_MAX_EVALUATIONS = 100_000  # integrand evaluations per integrate_1d call
+_MAX_EVALUATIONS = 100_000  # node evaluations per integrate_1d call
 
 
 class QuadratureResult(NamedTuple):
-    value: float
-    abs_error_estimate: float
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
 
 
-def _gk15(fn, a, b):
-    """One Gauss-Kronrod 7/15 application on [a, b] -> (k15, |k15-g7|)."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    fc = fn(c)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        x = h * _XGK[i]
-        fsum = fn(c - x) + fn(c + x)
-        kron += _WGK[i] * fsum
-        if i % 2 == 1:  # odd Kronrod indices are the Gauss-7 nodes
-            gauss += _WG[i // 2] * fsum
-    kron *= h
-    gauss *= h
-    return kron, abs(kron - gauss)
+def _scalar(x):
+    """A numpy scalar as a float; an array as it is."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
-def integrate_1d(fn: Callable[[float], float], a: float, b: float,
+def _add_level(total, err_total, h, ke):
+    """The running sums plus h times a level's K15 and |K15 - G7| sums."""
+    sums = h * np.add.reduce(ke, axis=-2)
+    return total + sums[..., 0], err_total + sums[..., 1]
+
+
+def integrate_1d(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                  tol: float = 1e-11) -> QuadratureResult:
-    """Adaptive bisection with the nested Gauss-Kronrod 7/15 rule.
+    """Adaptive bisection with the nested Gauss-Kronrod 7/15 rule, a level at a time.
 
-    Each subinterval is bisected until its |K15 - G7| discrepancy fits its
-    share of ``tol`` or depth 40 is reached.  Mild endpoint log
-    singularities are absorbed by depth.  Once 100000 evaluations are
-    spent, no segment is bisected further: the pending ones (at most one
-    per level) are evaluated once and accepted.  Raises
+    ``fn`` is a numpy function of an array: every segment pending at one
+    depth is evaluated in one call ``fn(nodes)``, with ``nodes`` of shape
+    (m, 15), and its values broadcast to (..., m, 15).  A leading shape
+    makes a vector of integrals over shared segments; ``value`` and
+    ``abs_error_estimate`` then take that shape, and are floats for a
+    scalar integrand.  A segment is bisected while any component's
+    |K15 - G7| exceeds the segment's share tol 2^-depth, up to depth 40,
+    and only while the evaluations so far plus 30 per segment to split
+    stay within 100000 nodes; otherwise the level's segments are accepted.
+    Mild endpoint log singularities are absorbed by depth.  Raises
     :class:`~lapasym.exceptions.ConvergenceError` (with the partial result
-    attached) at the first segment whose estimate is nan or infinite, and
-    when the depth or evaluation limit cut refinement short and the total
+    attached) at the first level with a nan or infinite estimate, and when
+    the depth or evaluation limit cut refinement short and some total
     estimate is still not within ``tol``.  A ``tol`` that is negative or
     nan, which no estimate can meet, raises DomainError before the first
     evaluation; ``tol = 0`` is accepted.
@@ -104,91 +115,110 @@ def integrate_1d(fn: Callable[[float], float], a: float, b: float,
         raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
     if not tol >= 0.0:
         raise DomainError(f"need tol >= 0, got {tol!r}")
-    total = 0.0
-    err_total = 0.0
+    # the segments pending at a depth share one half-width h, and their
+    # centres form an (m, 1) column.  A share tol 2^-depth over h is
+    # tol / h at every depth; capped at the largest float, a nan or
+    # infinite estimate misses it even for tol = inf
+    c = np.array([[0.5 * (a + b)]])
+    h = 0.5 * (b - a)
+    limit = min(tol / h, sys.float_info.max)
+    total = err_total = 0.0
     evaluations = 0
-    stack = [(a, b, tol, 0)]
-    while stack:
-        lo, hi, seg_tol, depth = stack.pop()
-        val, err = _gk15(fn, lo, hi)
-        evaluations += 15
-        if not math.isfinite(err):  # never fits a share of tol; bisecting would spend the budget
+    depth = 0
+    while True:
+        nodes = c + h * _X
+        f = np.asarray(fn(nodes))
+        if f.shape[-2:] != nodes.shape:
+            f = np.broadcast_to(f, np.broadcast_shapes(f.shape, nodes.shape))
+        evaluations += nodes.size
+        # K15 and |K15 - G7| over h per segment, shape (..., m, 2)
+        ke = np.add.reduce(f[..., None, :] * _W, axis=-1)
+        err = np.abs(ke[..., 1], out=ke[..., 1])
+        fits = err <= limit
+        if fits.ndim > 1:  # a segment fits if every component does
+            fits = fits.reshape(-1, len(c)).all(axis=0)
+        count = len(c) - np.count_nonzero(fits)  # segments to split
+        # nan or inf: bisecting would only spend the budget
+        if count and not np.maximum.reduce(err, axis=None) < math.inf:
+            total, err_total = _add_level(total, err_total, h, ke)
             raise ConvergenceError(
-                f"non-finite error estimate {err} on [{lo!r}, {hi!r}]",
-                partial=QuadratureResult(total + val, err_total + err, evaluations))
-        if (err <= seg_tol or depth >= _MAX_DEPTH
-                or evaluations >= _MAX_EVALUATIONS):
-            total += val
-            err_total += err
-            continue
-        mid = 0.5 * (lo + hi)
-        half_tol = 0.5 * seg_tol
-        stack.append((lo, mid, half_tol, depth + 1))
-        stack.append((mid, hi, half_tol, depth + 1))
-    result = QuadratureResult(total, err_total, evaluations)
+                f"non-finite error estimate at depth {depth}",
+                partial=QuadratureResult(_scalar(total), _scalar(err_total), evaluations))
+        if (not count or depth >= _MAX_DEPTH
+                or evaluations + 30 * count > _MAX_EVALUATIONS):
+            total, err_total = _add_level(total, err_total, h, ke)
+            break
+        if count < len(c):
+            total, err_total = _add_level(total, err_total, h, ke[..., fits, :])
+            c = c[~fits]
+        h *= 0.5
+        c = (c + h * _HALVES).reshape(-1, 1)  # each split centre c -> c - h, c + h
+        depth += 1
+    result = QuadratureResult(_scalar(total), _scalar(err_total), evaluations)
     # a segment accepted within its share adds at most that share, and the
     # shares tol 2^-depth sum to tol exactly, so only a cut segment can
-    # leave the total outside tol
-    if not err_total <= tol:
+    # leave a total outside tol
+    worst = np.maximum.reduce(err_total, axis=None)
+    if not worst <= tol:
         raise ConvergenceError(
             f"subdivision or evaluation limit reached with estimate "
-            f"{err_total:.3e} > {tol:.3e}",
+            f"{worst:.3e} > {tol:.3e}",
             partial=result,
         )
     return result
 
 
-def integrate_2d(fn: Callable[[float, float], float],
+def integrate_2d(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  ax: float, bx: float, ay: float, by: float) -> QuadratureResult:
-    """Tensor-product oracle: adaptive outer integral of adaptive inner ones.
+    """Tensor-product oracle: an adaptive outer integral of adaptive inner ones.
 
-    The outer integral runs to tolerance 1e-8, each inner one to 1e-9, and
-    abs_error_estimate adds (bx - ax) 1e-9 for the inner errors.  Meant
-    only for small cross-checks; cost grows multiplicatively.
+    ``fn(x, y)`` is a numpy function of broadcast arrays.  The outer
+    integral runs to tolerance 1e-8; at each of its levels, one
+    vector-valued :func:`integrate_1d` over y takes the inner integrals of
+    all outer nodes to 1e-9 each, on shared segments.  abs_error_estimate
+    adds (bx - ax) 1e-9 for the inner errors, and ``evaluations`` counts
+    outer nodes, one inner integral each.  Meant only for small
+    cross-checks; cost grows multiplicatively.
     """
-    evaluations = 0
-
-    def outer(x: float) -> float:
-        nonlocal evaluations
-        inner = integrate_1d(lambda y: fn(x, y), ay, by, tol=1e-9)
-        evaluations += inner.evaluations
-        return inner.value
-
-    res = integrate_1d(outer, ax, bx, tol=1e-8)
-    return QuadratureResult(res.value, res.abs_error_estimate + (bx - ax) * 1e-9, evaluations)
+    res = integrate_1d(
+        lambda x: integrate_1d(lambda y: fn(x[..., None, None], y), ay, by, tol=1e-9).value,
+        ax, bx, tol=1e-8)
+    return res._replace(abs_error_estimate=res.abs_error_estimate + (bx - ax) * 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # Restricted-region kernel integrals (square lattice)
 # ---------------------------------------------------------------------------
 
-def eta_sq(theta: float) -> float:
+def eta_sq(theta):
     """eta^2(theta) = cos^4 theta + sin^4 theta, the angular quartic factor.
 
-    By eight-fold symmetry the region [0, beta_n]^2 minus [0, pi/n]^2 maps
-    to angles theta in [0, pi/4] with radius running between
-    pi/(n cos theta) and beta_n/cos theta; the quartic part of the kernel
-    enters only through eta^2(theta).
+    ``theta`` is a float or a numpy array.  By eight-fold symmetry the
+    region [0, beta_n]^2 minus [0, pi/n]^2 maps to angles theta in
+    [0, pi/4] with radius running between pi/(n cos theta) and
+    beta_n/cos theta; the quartic part of the kernel enters only through
+    eta^2(theta).
     """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return c ** 4 + s ** 4
+    return np.cos(theta) ** 4 + np.sin(theta) ** 4
 
 
 def integral_f2_restricted(n: int) -> QuadratureResult:
     """Quadrature oracle of :func:`lapasym.asymptotics.restricted_integral_f2`.
 
     The same f1 value plus (4 n^2 / pi^2) times the angular integral of
-    log(12 - (pi/n)^2 g) - log(12 - beta_n^2 g), here by adaptive
-    quadrature instead of the closed form.
+    log(12 - (pi/n)^2 g) - log(12 - beta_n^2 g), g = eta^2/cos^2, here by
+    adaptive quadrature instead of the closed form; the integrand is one
+    log of the quotient, a numpy function of the angles.
     """
     beta = GridGeometry.restricted(n).beta_n
-    pin = math.pi / n
+    low, high = (math.pi / n) ** 2 / 12.0, beta * beta / 12.0
 
-    def angular(theta: float) -> float:
-        c = math.cos(theta)
-        g = eta_sq(theta) / (c * c)
-        return math.log(12.0 - pin * pin * g) - math.log(12.0 - beta * beta * g)
+    def angular(theta):
+        # g = (1 + t^2)/(1 + t) with t = tan^2 theta, so the quotient
+        # (12 - 12 low g)/(12 - 12 high g) is (p - low q)/(p - high q)
+        t = np.tan(theta) ** 2
+        p, q = 1.0 + t, 1.0 + t * t
+        return np.log((p - low * q) / (p - high * q))
 
     inner = integrate_1d(angular, 0.0, 0.25 * math.pi)
     scale = 4.0 * n * n / (math.pi * math.pi)
@@ -204,13 +234,13 @@ def factored_log_integrals(u: float) -> tuple[float, float]:
 
     Returns (J1, J2) with
     J1 = int_0^{pi/2} log(2u - 1 - cos t) dt and
-    J2 = int_0^{pi/2} log(cos t + 1 - 1/u) dt, both by quadrature.
-    Requires u > 1 so that both integrands stay positive.
+    J2 = int_0^{pi/2} log(cos t + 1 - 1/u) dt, both by quadrature of
+    numpy integrands.  Requires u > 1 so that both integrands stay positive.
     """
     if not u > 1.0:
         raise DomainError(f"need u > 1, got {u!r}")
     s1 = 2.0 * u - 1.0
     s2 = 1.0 - 1.0 / u
-    j1 = integrate_1d(lambda t: math.log(s1 - math.cos(t)), 0.0, 0.5 * math.pi)
-    j2 = integrate_1d(lambda t: math.log(math.cos(t) + s2), 0.0, 0.5 * math.pi)
+    j1 = integrate_1d(lambda t: np.log(s1 - np.cos(t)), 0.0, 0.5 * math.pi)
+    j2 = integrate_1d(lambda t: np.log(np.cos(t) + s2), 0.0, 0.5 * math.pi)
     return j1.value, j2.value

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import asymptotics, decomposition, quadrature, specfun
-from .lattice_sum import (BUILTIN_LATTICES, GridGeometry, exact_sum,
+from .lattice_sum import (BUILTIN_LATTICES, GridGeometry, _segment_sums, exact_sum,
                           quadrant_sum, restricted_sum_f2)
 
 __all__ = ["CheckResult", "Remainder", "REMAINDERS", "SUITES", "run_suite", "available_suites"]
@@ -44,18 +44,51 @@ _CL2_ERROR = 4e-16
 _PSI_ERROR = 3.2e-16
 
 
-def _psi_anchor_ratio(psi, references):
-    """Worst gap of psi (its imaginary part if complex) to math.fsum of each
-    reference's terms, over digamma's stated accuracy max(1, |psi|) + 2^-53
-    (count sum |terms| + |reference|): count roundings per term, 1 in fsum."""
-    worst = 0.0
-    for value, (terms, count) in zip(psi.tolist(), references):
-        want = math.fsum(terms)
-        limit = (_PSI_ERROR * max(1.0, abs(value))
-                 + (count * math.fsum(map(abs, terms)) + abs(want)) * 2.0 ** -53)
-        got = value.imag if isinstance(value, complex) else value
-        worst = max(worst, abs(got - want) / limit)
-    return worst
+def _segments(lengths):
+    """Each element's position in its segment, and where each segment starts,
+    for consecutive segments of the given lengths laid out flat."""
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(starts[-1] + lengths[-1]) - np.repeat(starts, lengths), starts
+
+
+def _digamma_references(m, N, y):
+    """The terms of the three references of ``digamma_recurrence``, each
+    as one flat array with every point's head terms followed by its tail,
+    and each point's count of terms: psi(m) = -gamma + sum_{j<m} 1/j,
+    psi(m + 1/2) = -gamma - 2 log 2 + sum_{j<=m} 2/(2j - 1) and
+    Im psi(N + iy) = -1/(2y) + (pi/2) coth(pi y) - sum_{j<N} y/(j^2 + y^2).
+    Each term is the IEEE expression a float loop over j forms, so
+    _segment_sums of a point's terms is math.fsum of that loop's list."""
+    gamma = specfun.CONSTANTS.euler_gamma
+    pos, starts = _segments(m)  # 1/j at position j, after 1 head
+    pos[starts] = 1
+    integer = 1.0 / pos
+    integer[starts] = -gamma
+    pos, starts = _segments(m + 2)  # 2/(2j - 1) at position j + 1, after 2 heads
+    half = 2.0 / (2 * pos - 3.0)
+    half[starts] = -gamma
+    half[starts + 1] = -2.0 * math.log(2.0)
+    pos, starts = _segments(N + 1)  # -y/(j^2 + y^2) at position j + 1, after 2 heads
+    j = pos - 1.0
+    ys = np.repeat(y, N + 1)
+    imag = -ys / (j * j + ys * ys)
+    imag[starts] = -0.5 / y
+    imag[starts + 1] = [(math.pi / 2.0) / math.tanh(math.pi * t) for t in y.tolist()]
+    return (integer, m), (half, m + 2), (imag, N + 1)
+
+
+def _psi_anchor_ratio(psi, terms, lengths, count):
+    """Worst gap of psi (its imaginary part if complex) to the sum of each
+    point's reference terms, one segment of ``terms`` per point, over
+    digamma's stated accuracy max(1, |psi|) + 2^-53 (count sum |terms| +
+    |reference|): count roundings per term, 1 in the sum.  Each sum is the
+    float math.fsum returns."""
+    want = np.array(_segment_sums(terms, lengths))
+    size = np.array(_segment_sums(np.abs(terms), lengths))
+    got = psi.imag if np.iscomplexobj(psi) else psi
+    limit = (_PSI_ERROR * np.maximum(1.0, np.abs(psi))
+             + (count * size + np.abs(want)) * 2.0 ** -53)
+    return float(np.max(np.abs(got - want) / limit))
 
 
 def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult]:
@@ -73,7 +106,8 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
                       f"{limit:.2e} = Cl2's stated accuracy + half an ulp of G"))
 
     # psi against three closed forms on its domain Re z >= 10, each
-    # reference one math.fsum: psi(m) = -gamma + sum_{j<m} 1/j and
+    # reference summed to the float math.fsum returns (_digamma_references):
+    # psi(m) = -gamma + sum_{j<m} 1/j and
     # psi(m + 1/2) = -gamma - 2 log 2 + sum_{j<=m} 2/(2j - 1) at m = 10..110,
     # and the imaginary part the route's bracket uses,
     # Im psi(N + iy) = -1/(2y) + (pi/2) coth(pi y) - sum_{j<N} y/(j^2 + y^2).
@@ -82,20 +116,14 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
     # 4 for (pi/2) coth(pi y) (pi y, tanh, the reciprocal and pi/2: coth's
     # slope is below 0.01 at y >= 1), 3 for y/(j^2 + y^2) and 1 for 1/(2y)
     psi = specfun.digamma_array
-    gamma = c.euler_gamma
     m = np.arange(10, 111)
-    ratios = [_psi_anchor_ratio(psi(m + 0.0), (
-        ([-gamma] + [1.0 / j for j in range(1, k)], 1) for k in m.tolist()))]
-    ratios.append(_psi_anchor_ratio(psi(m + 0.5), (
-        ([-gamma, -2.0 * math.log(2.0)] + [2.0 / (2 * j - 1) for j in range(1, k + 1)], 2)
-        for k in m.tolist())))
     # the stdlib's seeded draws, which spare each run numpy.random's import
     rng = random.Random(20260808)
     draws = [(rng.randint(10, 50), rng.uniform(1.0, 100.0)) for _ in range(200)]
     N, y = (np.array(col) for col in zip(*draws))
-    ratios.append(_psi_anchor_ratio(psi(N + 1j * y), (
-        ([-0.5 / t, (math.pi / 2.0) / math.tanh(math.pi * t)]
-         + [-t / (j * j + t * t) for j in range(1, n)], 4) for n, t in draws)))
+    ratios = [_psi_anchor_ratio(psi(z), terms, lengths, count)
+              for z, (terms, lengths), count in zip(
+                  (m + 0.0, m + 0.5, N + 1j * y), _digamma_references(m, N, y), (1, 2, 4))]
     out.append(_check("digamma_recurrence", max(ratios) <= 1.0,
                       f"worst residual/limit {ratios[0]:.2f} at psi(m), {ratios[1]:.2f} at "
                       f"psi(m + 1/2) (m = 10..110), {ratios[2]:.2f} at Im psi(N + iy) (200 "
@@ -105,7 +133,8 @@ def suite_specfun(max_n: int = 0, n0: int = 0, workers=None) -> list[CheckResult
 
     draws = [(rng.randint(1, 50), rng.uniform(0.1, 5.0)) for _ in range(100)]
     N, a = (np.array(col) for col in zip(*draws))
-    direct = np.array([math.fsum(1.0 / (j + t) for j in range(10, n + 10)) for n, t in draws])
+    pos, _ = _segments(N)
+    direct = np.array(_segment_sums(1.0 / ((pos + 10.0) + np.repeat(a, N)), N))
     top, bottom = psi(N + 10 + a), psi(10 + a)
     gap = np.abs(direct - (top - bottom))
     # each term 1/(j + a) rounds twice, the fsum and the difference once
@@ -263,25 +292,27 @@ def suite_quadrature(max_n: int = 200, n0: int = 0, workers=None) -> list[CheckR
     out = []
     c = specfun.CONSTANTS
 
-    res = quadrature.integrate_1d(lambda t: math.log(math.cos(t)), 0.0, math.pi / 4.0)
+    res = quadrature.integrate_1d(lambda t: np.log(np.cos(t)), 0.0, math.pi / 4.0)
     gap = abs(res.value - (-(math.pi / 4.0) * math.log(2.0) + 0.5 * c.catalan_G))
     limit = res.abs_error_estimate + 2.0 ** -50  # the target's terms are below 1
     out.append(_check("catalan_integral", gap <= limit, f"gap {gap:.3e}; limit "
                       f"{limit:.2e} = abs_error_estimate + 8 roundings of 2^-53"))
 
     # each closed form within _log_cos_limit, each quadrature within its
-    # own abs_error_estimate
+    # own abs_error_estimate; the 50 arguments of a regime share one
+    # vector-valued quadrature per integrand
     rng = random.Random(1234)
     worst, margin = 0.0, math.inf
     for regime, lo, hi, sign, carry in (("gt1", 1.1, 10.0, -1.0, 8.0),
                                         ("in01", 0.05, 0.95, 1.0, 0.0)):
-        for a in [rng.uniform(lo, hi) for _ in range(50)]:
-            closed_forms = asymptotics.log_cos_closed_forms(a, regime)
-            for closed, op in zip(closed_forms, (math.log, lambda x: 1.0 / x)):
-                q = quadrature.integrate_1d(lambda t: op(a + sign * math.cos(t)), 0.0, math.pi / 2)
-                gap = abs(closed - q.value)
-                limit = q.abs_error_estimate + _log_cos_limit(closed, carry)
-                worst, margin = max(worst, gap), min(margin, limit - gap)
+        args = [rng.uniform(lo, hi) for _ in range(50)]
+        closed_forms = np.array([asymptotics.log_cos_closed_forms(a, regime) for a in args]).T
+        shift = np.array(args)[:, None, None]
+        for closed, op in zip(closed_forms, (np.log, np.reciprocal)):
+            q = quadrature.integrate_1d(lambda t: op(shift + sign * np.cos(t)), 0.0, math.pi / 2)
+            gap = np.abs(closed - q.value)
+            limit = q.abs_error_estimate + _log_cos_limit(closed, carry)
+            worst, margin = max(worst, gap.max()), min(margin, (limit - gap).min())
     out.append(_check("log_cos_closed_forms", margin >= 0.0, f"max gap {worst:.3e} over 100 "
                       f"arguments, least margin {margin:.2e} to its limit: quadrature's "
                       f"abs_error_estimate + 2 Cl2 errors + (8 |J| + 8 for r if a > 1) 2^-53"))

@@ -272,20 +272,20 @@ def test_criterion_11_quadrature_vs_closed_forms():
         j11, j12 = log_cos_closed_forms(a, "gt1")
         worst = max(
             worst,
-            abs(j11 - integrate_1d(lambda t: math.log(a - math.cos(t)),
+            abs(j11 - integrate_1d(lambda t: np.log(a - np.cos(t)),
                                    0.0, math.pi / 2).value),
-            abs(j12 - integrate_1d(lambda t: 1.0 / (a - math.cos(t)),
+            abs(j12 - integrate_1d(lambda t: 1.0 / (a - np.cos(t)),
                                    0.0, math.pi / 2).value))
     for a in rng.uniform(0.05, 0.95, size=50):
         a = float(a)
         j21, j22 = log_cos_closed_forms(a, "in01")
         worst = max(
             worst,
-            abs(j21 - integrate_1d(lambda t: math.log(math.cos(t) + a),
+            abs(j21 - integrate_1d(lambda t: np.log(np.cos(t) + a),
                                    0.0, math.pi / 2).value),
-            abs(j22 - integrate_1d(lambda t: 1.0 / (math.cos(t) + a),
+            abs(j22 - integrate_1d(lambda t: 1.0 / (np.cos(t) + a),
                                    0.0, math.pi / 2).value))
-    catalan = integrate_1d(lambda t: math.log(math.cos(t)), 0.0, math.pi / 4).value
+    catalan = integrate_1d(lambda t: np.log(np.cos(t)), 0.0, math.pi / 4).value
     cat_gap = abs(catalan - (-(math.pi / 4) * math.log(2.0) + CONSTANTS.catalan_G / 2.0))
     ok = worst <= 1e-9 and cat_gap <= 1e-11
     assert report(

@@ -394,8 +394,8 @@ def test_log_rho_n_is_minus_inf_where_r_vanishes():
 
 
 def test_tail_prefilter_keeps_every_tail_row():
-    # 1 - rho >= s / 4, so e = n log rho <= -n s / 4, and rows with
-    # n s >= 160 lie past the cutoff -40; the prefilter drops only those,
+    # 1 - rho >= s / 2, so e = n log rho <= -n s / 2, and rows with
+    # n s >= 80 lie past the cutoff -40; the prefilter drops only those,
     # so every row above the cutoff still takes the full formula
     for n in [*range(2, 300), 517, 2500, 9999, 10007, 20000]:
         j = np.arange(1, n // 2 + 1)
@@ -404,11 +404,24 @@ def test_tail_prefilter_keeps_every_tail_row():
         for name, stencil in row_stencils():
             s, X, Y = _row_kernel(stencil, sizes, j)
             e = _log_rho_n(stencil, sizes, s, X, Y)
-            assert np.all(e <= -sizes * s / 4), (name, n)
+            assert np.all(e <= -sizes * s / 2), (name, n)
             tail = e > lattice_sum._TAIL_LOG_RHO_N
             full = weight * _tail_rows(stencil, sizes, j, s, e)
             assert np.array_equal(_closed_form_rows(stencil, [n])[1:][tail],
                                   full[tail]), (name, n)
+
+
+@pytest.mark.parametrize("n", [7, 64, 1030, 9985, 10000])
+def test_rows_the_prefilter_skips_are_past_the_cutoff(n):
+    # at the sizes whose bits are pinned, no row with n s >= 80, which
+    # the prefilter never forms e on, has e = n log rho above -40
+    j = np.arange(1, n // 2 + 1)
+    sizes = np.full(len(j), float(n))
+    for name, stencil in row_stencils():
+        s, X, Y = _row_kernel(stencil, sizes, j)
+        e = _log_rho_n(stencil, sizes, s, X, Y)
+        skipped = sizes * s >= 80.0
+        assert np.all(e[skipped] <= -40.0), (name, n)
 
 
 def fsum_each(segments):

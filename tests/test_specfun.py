@@ -110,7 +110,7 @@ def test_clausen_integral_representation(theta):
     # Cl2(t) = -int_0^t log(2 sin(u/2)) du; split off the log-singular head
     eps = 1e-7
     head = eps * math.log(eps) - eps  # int_0^eps log u du, sine factor is O(eps^3)
-    tail = integrate_1d(lambda u: math.log(2.0 * math.sin(0.5 * u)),
+    tail = integrate_1d(lambda u: np.log(2.0 * np.sin(0.5 * u)),
                         eps, theta, tol=1e-13).value
     assert clausen_cl2(theta) == pytest.approx(-(head + tail), abs=5e-13)
 
@@ -190,6 +190,28 @@ def test_digamma_half():
     want = math.fsum([-CONSTANTS.euler_gamma, -2.0 * math.log(2.0)]
                      + [2.0 / (2 * j - 1) for j in range(1, 11)])
     assert digamma_array(10.5) == pytest.approx(want, abs=2e-15)
+
+
+def test_digamma_references_are_math_fsum_of_the_float_loops():
+    # the flat array references of verify's digamma_recurrence against
+    # math.fsum of the Python float loops they replace, bit for bit
+    gamma = CONSTANTS.euler_gamma
+    m = np.array([10, 57, 110])
+    N, y = np.array([10, 33, 50]), np.array([1.0, 17.25, 99.9])
+    loops = (
+        [[-gamma] + [1.0 / j for j in range(1, k)] for k in m.tolist()],
+        [[-gamma, -2.0 * math.log(2.0)] + [2.0 / (2 * j - 1) for j in range(1, k + 1)]
+         for k in m.tolist()],
+        [[-0.5 / t, (math.pi / 2.0) / math.tanh(math.pi * t)]
+         + [-t / (j * j + t * t) for j in range(1, n)] for n, t in zip(N.tolist(), y.tolist())],
+    )
+    for (terms, lengths), loop in zip(verify._digamma_references(m, N, y), loops):
+        assert lengths.tolist() == [len(terms_) for terms_ in loop]
+        assert np.array_equal(terms, np.concatenate(loop))
+        want = [math.fsum(terms_).hex() for terms_ in loop]
+        assert [v.hex() for v in verify._segment_sums(terms, lengths)] == want
+        sizes = [math.fsum(map(abs, terms_)).hex() for terms_ in loop]
+        assert [v.hex() for v in verify._segment_sums(np.abs(terms), lengths)] == sizes
 
 
 def test_digamma_recurrence_random_points():
