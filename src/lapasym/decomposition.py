@@ -335,28 +335,22 @@ def cascade_profile(x: float) -> CascadeRow:
 # Euler-Maclaurin engine
 # ---------------------------------------------------------------------------
 
-_FD_STENCILS = {
-    1: ((-0.5, -1), (0.5, 1)),
-    2: ((1.0, -1), (-2.0, 0), (1.0, 1)),
-    3: ((-0.5, -2), (1.0, -1), (-1.0, 1), (0.5, 2)),
-    4: ((1.0, -2), (-4.0, -1), (6.0, 0), (-4.0, 1), (1.0, 2)),
-    5: ((-0.5, -3), (2.0, -2), (-2.5, -1), (2.5, 1), (-2.0, 2), (0.5, 3)),
-    6: ((1.0, -3), (-6.0, -2), (15.0, -1), (-20.0, 0), (15.0, 1), (-6.0, 2), (1.0, 3)),
-}
-
-
 def _fd_derivative(g, order, h):
-    stencil = _FD_STENCILS[order]
+    """The central difference of g: g once on x + h (-r..r), r = ceil(order / 2),
+    differenced order times, the one or two values left averaged, over h^order."""
+    r = (order + 1) // 2
+    offsets = h * np.arange(-r, r + 1)
     scale = h ** -order
 
     def d(x):
-        return scale * math.fsum(w * g(x + off * h) for w, off in stencil)
+        x = np.asarray(x)[..., None] + offsets
+        return scale * np.diff(np.broadcast_to(g(x), x.shape), order).mean(axis=-1)
 
     return d
 
 
 def euler_maclaurin(g: Callable[[np.ndarray], np.ndarray], N: int, p: int,
-                    derivatives: Sequence[Callable[[float], float]] | None = None,
+                    derivatives: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
                     ) -> tuple[float, float]:
     """Euler-Maclaurin value of (1/N) sum_{k=1}^N g(k/N) plus a remainder bound.
 
@@ -369,12 +363,11 @@ def euler_maclaurin(g: Callable[[np.ndarray], np.ndarray], N: int, p: int,
     where B_l are Bernoulli numbers and B_p(.) the periodic Bernoulli
     polynomial, max|B_p(.)| is exact (for odd p >= 3 a bound at most 1.65
     times it) and int_0^1 |g^(p)| is a 513-point trapezoid estimate.
-    ``g`` is a numpy function: the integral passes it arrays of nodes (see
-    :func:`lapasym.quadrature.integrate_1d`), the end terms floats.
-    ``derivatives``, when given, supplies g', g'', ... up to order p;
-    otherwise central differences with step eps^(1/(p+2)) are used, which
-    requires g to be evaluable slightly outside [0, 1], and the bound is
-    inflated by the differentiation error estimate.
+    ``g`` and each derivative are numpy functions of an array (a constant
+    is broadcast).  ``derivatives``, when given, supplies g', g'', ... up
+    to order p; otherwise central differences with step eps^(1/(p+2)) are
+    used, which requires g to be evaluable slightly outside [0, 1], and
+    the bound is inflated by the differentiation error estimate.
     """
     if not 1 <= p <= 6:
         raise DomainError(f"derivative order must satisfy 1 <= p <= 6, got {p}")
@@ -405,7 +398,7 @@ def euler_maclaurin(g: Callable[[np.ndarray], np.ndarray], N: int, p: int,
         max_bp = 0.5 if p == 1 else p * abs(BERNOULLI.floats[p - 1]) / (2.0 * math.pi)
     xs = np.linspace(0.0, 1.0, 513)
     dp = derivatives[p - 1]
-    vals = np.array([abs(dp(float(t))) for t in xs])
+    vals = np.abs(np.broadcast_to(dp(xs), xs.shape))
     int_abs = float(np.trapezoid(vals, xs))
     bound = max_bp * int_abs / (math.factorial(p) * N ** p)
     if fd_step is not None:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -283,11 +283,17 @@ def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
     sine: one per row for the square and triangular stencils, two for others.
     """
     L = len(stencil)
-    t = [q * p for p, q in stencil if q]
-    K = len(t)
-    xs = [abs(p) for p, q in stencil if not q]
-    ys = [abs(a - b) for i, a in enumerate(t) for b in t[i + 1:]]
-    top = max(xs + ys)
+    # counts of t = q p over q != 0, of |p| over q = 0, and of |t_l - t_m|
+    # over the pairs l < m, taken from the counts of distinct t: the cost
+    # grows with the distinct values, not with K^2
+    t, xs, ys = {}, {}, {}
+    for p, q in stencil:
+        key, counts = (q * p, t) if q else (abs(p), xs)
+        counts[key] = counts.get(key, 0) + 1
+    for (a, ca), (b, cb) in combinations(t.items(), 2):
+        ys[abs(a - b)] = ys.get(abs(a - b), 0) + ca * cb
+    K = L - sum(xs.values())
+    top = max([*xs, *ys])
     S = np.multiply(j, np.pi)
     np.sin(np.divide(S, n, out=S), out=S)
     C = None
@@ -303,9 +309,9 @@ def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
             sin_m, cos_m = sin_m * C + cos_m * S, cos_m * C - sin_m * S
         sq = sin_m * sin_m
         if m in xs:
-            X = xs.count(m) * sq if isinstance(X, float) else operator.iadd(X, xs.count(m) * sq)
+            X = xs[m] * sq if isinstance(X, float) else operator.iadd(X, xs[m] * sq)
         if m in ys:
-            Y = ys.count(m) * sq if isinstance(Y, float) else operator.iadd(Y, ys.count(m) * sq)
+            Y = ys[m] * sq if isinstance(Y, float) else operator.iadd(Y, ys[m] * sq)
     X *= 2.0 / L
     Y *= 4.0 / (L * L)
     return np.sqrt(X * (2.0 * K / L + X) + Y), X, Y

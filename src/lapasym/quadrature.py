@@ -26,7 +26,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_1d",
     "integrate_2d",
-    "eta_sq",
     "integral_f2_restricted",
     "factored_log_integrals",
 ]
@@ -190,25 +189,16 @@ def integrate_2d(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # Restricted-region kernel integrals (square lattice)
 # ---------------------------------------------------------------------------
 
-def eta_sq(theta):
-    """eta^2(theta) = cos^4 theta + sin^4 theta, the angular quartic factor.
-
-    ``theta`` is a float or a numpy array.  By eight-fold symmetry the
-    region [0, beta_n]^2 minus [0, pi/n]^2 maps to angles theta in
-    [0, pi/4] with radius running between pi/(n cos theta) and
-    beta_n/cos theta; the quartic part of the kernel enters only through
-    eta^2(theta).
-    """
-    return np.cos(theta) ** 4 + np.sin(theta) ** 4
-
-
 def integral_f2_restricted(n: int) -> QuadratureResult:
     """Quadrature oracle of :func:`lapasym.asymptotics.restricted_integral_f2`.
 
-    The same f1 value plus (4 n^2 / pi^2) times the angular integral of
-    log(12 - (pi/n)^2 g) - log(12 - beta_n^2 g), g = eta^2/cos^2, here by
-    adaptive quadrature instead of the closed form; the integrand is one
-    log of the quotient, a numpy function of the angles.
+    By eight-fold symmetry the window [0, beta_n]^2 minus [0, pi/n]^2 maps
+    to angles theta in [0, pi/4], the radius running from pi/(n cos theta)
+    to beta_n/cos theta.  So the result is the same f1 value plus
+    (4 n^2 / pi^2) times the angular integral of log(12 - (pi/n)^2 g)
+    - log(12 - beta_n^2 g), g = (cos^4 + sin^4)/cos^2, here by adaptive
+    quadrature instead of the closed form; the integrand is one log of
+    the quotient, a numpy function of the angles.
     """
     beta = GridGeometry.restricted(n).beta_n
     low, high = (math.pi / n) ** 2 / 12.0, beta * beta / 12.0

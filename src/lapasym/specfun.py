@@ -220,19 +220,20 @@ def digamma_array(z) -> np.ndarray:
 def log_q_pochhammer_inv(q: float) -> float:
     """-log((q;q)_inf) as the Lambert-type series sum_k q^k / (k (1 - q^k)).
 
-    Valid for 0 < q < 1; terms are accumulated until they fall below 1e-17.
-    At q = exp(-2 pi) this equals log(2 pi^(3/4)) - pi/12 - log Gamma(1/4).
+    Valid for 0 < q < 1; terms are accumulated until they fall below 1e-17,
+    within a budget of 10^4 terms.  That admits every q <= 0.997; a q
+    closer to 1, which needs more (about 30/(1 - q) terms), raises
+    DomainError.  At q = exp(-2 pi), six terms, this equals
+    log(2 pi^(3/4)) - pi/12 - log Gamma(1/4).
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q!r}")
     terms = []
     qk = 1.0
-    k = 0
-    while True:
-        k += 1
+    for k in range(1, 10_001):
         qk *= q
         term = qk / (k * (1.0 - qk))
         terms.append(term)
         if term < 1e-17:
-            break
-    return math.fsum(terms)
+            return math.fsum(terms)
+    raise DomainError(f"q = {q!r} needs more than 10^4 terms; q <= 0.997 is admitted")

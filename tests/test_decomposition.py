@@ -418,6 +418,45 @@ def test_euler_maclaurin_finite_difference_path():
     assert with_analytic == pytest.approx(direct, abs=1e-6)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("h", [2.0 ** -4, None])
+def test_fd_derivative_stencils_differentiate_monomials(m, h):
+    # the m-th central difference of x^m is m! and of x^k, k < m, is 0,
+    # up to the rounding of 2^m values of size at most (2 + m h)^m over h^m
+    h = h or np.finfo(float).eps ** (1.0 / (m + 2))
+    x = np.array([0.0, 0.3, 1.0])
+    tol = 2.0 ** (m + 2) * np.finfo(float).eps * (2.0 + m * h) ** m / h ** m
+    for k in range(m + 1):
+        d = decomposition._fd_derivative(lambda t, k=k: t ** k, m, h)(x)
+        assert d.shape == x.shape
+        assert np.abs(d - (math.factorial(m) if k == m else 0.0)).max() <= tol, k
+
+
+def test_euler_maclaurin_finite_differences_call_g_a_few_times():
+    calls = []
+
+    def g(x):
+        calls.append(np.shape(x))
+        return np.exp(x)
+
+    value, bound = euler_maclaurin(g, 20, 4)
+    assert len(calls) <= 20
+    assert abs(value - math.fsum(math.exp(k / 20.0) / 20.0 for k in range(1, 21))) <= bound
+
+
+def test_euler_maclaurin_samples_the_last_derivative_in_one_call():
+    shapes = []
+
+    def second(x):
+        shapes.append(np.shape(x))
+        return 2.0 + 0.0 * x
+
+    _, bound = euler_maclaurin(lambda x: x * x, 10, 2,
+                               derivatives=[lambda x: 2.0 * x, second])
+    assert shapes == [(513,)]
+    assert bound == pytest.approx(2.0 / (6.0 * 2.0 * 100.0), rel=1e-15)
+
+
 def test_euler_maclaurin_domain():
     with pytest.raises(DomainError):
         euler_maclaurin(lambda x: x, 10, 0)

@@ -651,6 +651,23 @@ def test_exact_sums_memory_is_per_batch():
         tracemalloc.stop()
 
 
+def test_row_kernel_memory_is_bounded_in_the_stencil_size():
+    # 4002 vectors with 8 distinct q p: the sin^2 counts of Y come from
+    # pairs of distinct values, not from the 8 million pairs of vectors
+    stencil = ((1, 0), (0, 1)) + tuple((k % 7 + 1, 1) for k in range(4000))
+    spec = LatticeSpec("long", stencil, 4)
+    exact_sum(SQUARE, 8)  # warm numpy's lazy setup
+    tracemalloc.start()
+    try:
+        value = exact_sum(spec, 8).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the gather path adds each psi's 4002 sin^2 terms one at a time
+    assert value == pytest.approx(math.fsum(_gathered_rows(spec, 8)), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 517, 2500])
 def test_row_combine_is_correctly_rounded(n):
     # both paths return rows already weighted by the inversion symmetry

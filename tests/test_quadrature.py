@@ -13,9 +13,8 @@ from lapasym.asymptotics import (integral_f1_restricted,
                                  restricted_integral_expansion)
 from lapasym.exceptions import ConvergenceError, DomainError
 from lapasym.lattice_sum import GridGeometry
-from lapasym.quadrature import (eta_sq, factored_log_integrals,
-                                integral_f2_restricted, integrate_1d,
-                                integrate_2d)
+from lapasym.quadrature import (factored_log_integrals, integral_f2_restricted,
+                                integrate_1d, integrate_2d)
 from lapasym.specfun import CONSTANTS
 
 
@@ -191,14 +190,6 @@ def test_log_integral_closed_forms_inside():
 # Polar reduction and the restricted-region integrals
 # ---------------------------------------------------------------------------
 
-def test_eta_sq_identity():
-    # cos^4 + sin^4 == 2 cos^4 - 2 cos^2 + 1 pointwise
-    for theta in np.linspace(0.0, math.pi / 4.0, 1000):
-        c = math.cos(theta)
-        alt = 2.0 * c ** 4 - 2.0 * c * c + 1.0
-        assert abs(eta_sq(theta) - alt) <= 1e-15
-
-
 def test_f1_restricted_closed_arithmetic():
     n = 8
     beta_n = (math.pi / 2.0) * (1.0 - 2.0 / 8.0 + 1.0)  # n0 = 0: (pi/2)(1 + 2/8)
@@ -252,11 +243,10 @@ def test_f2_restricted_against_2d_oracle():
 def test_f2_integrand_at_zero_angle():
     # eta(0) = 1, so the angular integrand at 0 is log(12 - (pi/n)^2) - log(12 - beta_n^2)
     n = 16
-    assert eta_sq(0.0) == 1.0
     beta_n = GridGeometry.restricted(n).beta_n
-    general = math.log(12.0 - (math.pi / n) ** 2 * eta_sq(0.0)
+    general = math.log(12.0 - (math.pi / n) ** 2 * 1.0
                        / math.cos(0.0) ** 2) \
-        - math.log(12.0 - beta_n ** 2 * eta_sq(0.0) / math.cos(0.0) ** 2)
+        - math.log(12.0 - beta_n ** 2 * 1.0 / math.cos(0.0) ** 2)
     reduced = math.log(12.0 - (math.pi / n) ** 2) - math.log(12.0 - beta_n ** 2)
     assert general == reduced
     assert reduced > 0.0  # the lower radial bound sits closer to the log branch point

@@ -1,6 +1,7 @@
 """Tests for the scalar special functions."""
 import cmath
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -367,6 +368,15 @@ def test_q_pochhammer_product_identity(q):
         total -= math.log1p(-t)
         m += 1
     assert log_q_pochhammer_inv(q) == pytest.approx(total, abs=1e-13)
+
+
+def test_q_pochhammer_term_budget():
+    # 10^4 terms admit q = 0.997; q = 1 - 1e-9 would need about 3e10
+    assert 0.0 < log_q_pochhammer_inv(0.997) < math.inf
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="10\\^4 terms"):
+        log_q_pochhammer_inv(1.0 - 1e-9)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_q_pochhammer_domain():
