@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -172,8 +173,8 @@ def cmd_errors(cfg: RunConfig, out=None) -> int:
     if cfg.lattice_file:
         raise DomainError("errors needs a built-in lattice; only those carry "
                           "expansion models")
-    if cfg.plot and not cfg.out:
-        raise DomainError("--plot requires --out (the script references the CSV)")
+    if cfg.plot and (not cfg.out or os.path.realpath(cfg.plot) == os.path.realpath(cfg.out)):
+        raise DomainError("--plot requires --out, another file (the script references the CSV)")
     names = sorted(BUILTIN_LATTICES) if cfg.lattice == "all" else [cfg.lattice]
     ladder = _ladder(cfg)
     requested_ns = set(ladder)

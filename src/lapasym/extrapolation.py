@@ -39,7 +39,8 @@ def fit_expansion(values: Sequence[tuple[int, float]],
     ``fixed`` pins coefficients (by basis name) that are subtracted from
     the data before fitting the rest.  Ladders must stay in one residue
     class mod 4, so that residue-dependent constants are constant across
-    the ladder; a mixed ladder raises DomainError.
+    the ladder; a mixed ladder, a size n < 1 or a value that is not finite
+    raises DomainError before the fit.
     """
     fixed = dict(fixed or {})
     for name in list(fixed) + list(basis):
@@ -49,6 +50,8 @@ def fit_expansion(values: Sequence[tuple[int, float]],
     if len(values) < len(free) + 2:
         raise DomainError(
             f"ladder of {len(values)} points is too short for {len(free)} columns")
+    if any(n < 1 or not math.isfinite(f) for n, f in values):
+        raise DomainError("ladder needs sizes n >= 1 and finite values")
     ns = [n for n, _ in values]
     if len({n % 4 for n in ns}) > 1:
         raise DomainError("ladder mixes residue classes mod 4")
@@ -71,8 +74,4 @@ def fit_expansion(values: Sequence[tuple[int, float]],
     ])
     residual_max = float(np.max(np.abs(predicted - np.array([f for _, f in values]))))
     condition = float(sing[0] / sing[-1]) if sing.size else math.inf
-    return FitResult(
-        coefficients=coefficients,
-        residual_max=residual_max,
-        condition_estimate=condition,
-    )
+    return FitResult(coefficients, residual_max, condition)

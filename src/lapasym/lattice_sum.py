@@ -16,9 +16,8 @@ a closed form (:func:`_closed_form_rows`), so F_n costs O(n), and the
 rows of consecutive sizes are evaluated together in one elementwise pass
 (:func:`exact_sums`).  A row costs one sine, or two if it needs cos x;
 s^2 = A^2 - R^2 is a sum of sin^2 terms, so it needs no difference, and
-rho^n is formed only on the few rows per size where it is representable
-beside 1.  Since 1 - rho >= s/2, n log rho <= -n s/2, so n log rho itself
-is formed only on the rows with n s < 80, which alone can reach -40.
+only the rows with n s < 80, at most 32 per size for the built-ins, take
+rho^n and the full formula: every other row rounds to n/s.
 Other stencils gather their rows from a sin^2 table (:func:`_gathered_rows`):
 one row of n floats at a time, with psi as (2/L) sum_l sin^2(s_l . x / 2),
 which loses no relative precision near the zeros of psi, and each row is
@@ -74,7 +73,7 @@ __all__ = [
 _BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per quadrature block; bounds memory
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # kernel_fm denominators below this raise
-_TAIL_LOG_RHO_N = -40.0   # closed-form rows with n log rho <= this are n/s
+_TAIL_NS = 80.0           # closed-form rows with n s >= this are n/s
 _EXTRACT_MAX = 2.0 ** 960  # batches reaching this go to math.fsum
 # |stencil entry| bound: a row forms sin(m x) for every m up to twice the
 # largest entry, and the gather path forms p j + q k in int64
@@ -271,28 +270,30 @@ def _row_basis(stencil) -> tuple[tuple[int, int], tuple[int, int]] | None:
     return None
 
 
-def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
-    """s = sqrt(A^2 - R^2) and the sin^2 sums X, Y for rows j of sizes n.
-
-    With x = pi j / n, K = #{q != 0} and t_l = q_l p_l over the vectors
-    with q != 0, A = K/L + X and R^2 = K^2/L^2 - Y, where
-        X = (2/L) sum_{q=0} sin^2(p x),  Y = (4/L^2) sum_{l<m} sin^2((t_l - t_m) x),
-    so s^2 = 2 (K/L) X + X^2 + Y is a sum of nonnegative terms; a sum with
-    no term (Y of the square stencil) is the scalar 0.0.  sin(m x) comes by
-    angle addition from S = sin x and, if some m >= 2, C = cos x, a second
-    sine: one per row for the square and triangular stencils, two for others.
-    """
-    L = len(stencil)
-    # counts of t = q p over q != 0, of |p| over q = 0, and of |t_l - t_m|
-    # over the pairs l < m, taken from the counts of distinct t: the cost
-    # grows with the distinct values, not with K^2
+def _row_counts(stencil):
+    """K = #{q != 0}, L and the counts t of q p over q != 0, xs of |p| over q = 0
+    and ys of |t_l - t_m| > 0 over l < m, ys in pairs of distinct t, not of vectors."""
     t, xs, ys = {}, {}, {}
     for p, q in stencil:
         key, counts = (q * p, t) if q else (abs(p), xs)
         counts[key] = counts.get(key, 0) + 1
     for (a, ca), (b, cb) in combinations(t.items(), 2):
         ys[abs(a - b)] = ys.get(abs(a - b), 0) + ca * cb
-    K = L - sum(xs.values())
+    return sum(t.values()), len(stencil), t, xs, ys
+
+
+def _row_kernel(counts, n: np.ndarray, j: np.ndarray):
+    """s = sqrt(A^2 - R^2) and the sin^2 sums X, Y for rows j of sizes n.
+
+    With x = pi j / n and the counts of :func:`_row_counts`, A = K/L + X
+    and R^2 = K^2/L^2 - Y, where
+        X = (2/L) sum_{q=0} sin^2(p x),  Y = (4/L^2) sum_{l<m} sin^2((t_l - t_m) x),
+    so s^2 = 2 (K/L) X + X^2 + Y is a sum of nonnegative terms; a sum with
+    no term (Y of the square stencil) is the scalar 0.0.  sin(m x) comes by
+    angle addition from S = sin x and, if some m >= 2, C = cos x, a second
+    sine: one per row for the square and triangular stencils, two for others.
+    """
+    K, L, _, xs, ys = counts
     top = max([*xs, *ys])
     S = np.multiply(j, np.pi)
     np.sin(np.divide(S, n, out=S), out=S)
@@ -317,7 +318,7 @@ def _row_kernel(stencil, n: np.ndarray, j: np.ndarray):
     return np.sqrt(X * (2.0 * K / L + X) + Y), X, Y
 
 
-def _log_rho_n(stencil, n, s, X, Y) -> np.ndarray:
+def _log_rho_n(counts, n, s, X, Y) -> np.ndarray:
     """e = n log rho from the terms of :func:`_row_kernel` on the same rows.
 
     1 - rho = s (s + A + R) / ((A + R) (A + s)) needs R only through
@@ -326,8 +327,7 @@ def _log_rho_n(stencil, n, s, X, Y) -> np.ndarray:
     A <= 2 - K/L, A + R <= 2, so (s + A + R)/(A + R) >= (s + 2)/2, and
     with A <= 2, 1 - rho >= (s/2)(s + 2)/(A + s) >= s/2: e <= -n s/2.
     """
-    L = len(stencil)
-    K = sum(q != 0 for _, q in stencil)
+    K, L = counts[:2]
     big_a = K / L + X
     a_plus_r = big_a + np.sqrt(np.maximum(K * K / (L * L) - Y, 0.0))
     one_minus_rho = s * (s + a_plus_r) / (a_plus_r * (big_a + s))
@@ -335,34 +335,35 @@ def _log_rho_n(stencil, n, s, X, Y) -> np.ndarray:
         return n * np.log1p(np.maximum(-one_minus_rho, -1.0))
 
 
-def _tail_rows(stencil, n, j, s, e) -> np.ndarray:
-    """The full row formula, with phi = arg z, for rows j >= 1 of sizes n."""
-    L = len(stencil)
+def _tail_rows(counts, n, j, s, X, Y) -> np.ndarray:
+    """The full row formula on rows j >= 1 of sizes n: e by :func:`_log_rho_n`,
+    phi = arg z, z = sum_t c_t e^(i t a) / L, one exponential per distinct t."""
+    e = _log_rho_n(counts, n, s, X, Y)
+    L, t = counts[1:3]
     a = 2.0 * np.pi * j / n
-    z = sum(np.exp(1j * (q * p) * a) for p, q in stencil if q) / L
-    phi = np.angle(z)
+    phi = np.angle(sum(c * np.exp(1j * v * a) for v, c in t.items()) / L)
     return (n / s) * -np.expm1(2.0 * e) / (
         np.expm1(e) ** 2 + 4.0 * np.exp(e) * np.sin(0.5 * n * phi) ** 2)
 
 
-def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
+def _closed_form_rows(counts, sizes: Sequence[int]) -> np.ndarray:
     """Weighted rows 0..n//2 of F_n for each n in sizes, concatenated in order.
 
-    For a stencil with every q in {-1, 0, 1}.  With a = 2 pi j / n, row j
-    of psi is A - R cos(b + phi), where A = 1 - (1/L) sum_{q=0} cos(p a)
-    and R e^{i phi} = z = (1/L) sum_{q!=0} e^{i q p a}.  Expanding 1/psi
-    in powers of rho = R / (A + s), s = sqrt(A^2 - R^2), only the terms
-    aliased to multiples of n survive the sum over k, so
+    For a stencil with every q in {-1, 0, 1}, by its :func:`_row_counts`.
+    With a = 2 pi j / n, row j of psi is A - R cos(b + phi), where
+    A = 1 - (1/L) sum_{q=0} cos(p a) and R e^{i phi} = z = (1/L) sum_{q!=0}
+    e^{i q p a}.  Expanding 1/psi in powers of rho = R / (A + s),
+    s = sqrt(A^2 - R^2), only the terms aliased to multiples of n survive
+    the sum over k, so
         sum_k 1/psi = (n/s) (1 - rho^2n) / ((1 - rho^n)^2 + 2 rho^n (1 - cos n phi)).
-    Row 0 without the origin is (n^2 - 1) / (6 R0), R0 = #{q != 0} / L.
-    s^2 = A^2 - R^2 is written as a sum of sin^2 terms (:func:`_row_kernel`)
-    and e = n log rho comes from log1p without a difference
-    (:func:`_log_rho_n`).  Where e <= -40, rho^n < 4.3e-18: 1 - rho^2n and
-    (1 - rho^n)^2 round to 1 and 4 rho^n sin^2(n phi / 2) vanishes beside
-    1, so the row rounds to exactly n/s.  Only the first few rows of each
-    size have e > -40; they alone need phi and the full formula
-    (:func:`_tail_rows`), and since e <= -n s / 2, e is formed only on
-    rows with n s < 80, the only ones that can pass the cutoff.
+    Row 0 without the origin is (n^2 - 1) / (6 R0), R0 = K / L.  s^2 is a
+    sum of sin^2 terms (:func:`_row_kernel`) and e = n log rho comes from
+    log1p without a difference (:func:`_log_rho_n`).  As e <= -n s / 2, a
+    row with n s >= _TAIL_NS = 80 has e <= -40 and rho^n < 4.3e-18:
+    1 - rho^2n and (1 - rho^n)^2 round to 1 and 4 rho^n sin^2(n phi / 2)
+    vanishes beside 1, so the row rounds to exactly n/s.  Only the rows
+    with n s < 80, at most 32 per size for the built-ins, take phi and the
+    full formula (:func:`_tail_rows`).
 
     Rows 0 < j < n/2 stand for rows j and n - j, so they are doubled: all
     rows are multiplied by 2 and the row j = n/2 of an even n by 1/2, both
@@ -370,24 +371,21 @@ def _closed_form_rows(stencil, sizes: Sequence[int]) -> np.ndarray:
     own n and j, so all sizes share one elementwise pass and a row's value
     does not depend on the other sizes.
     """
-    counts = [m // 2 + 1 for m in sizes]  # rows j = 0..m//2 of each size
-    first = list(accumulate(counts[:-1], initial=0))  # where each row 0 goes
-    n = np.array(sizes, dtype=np.float64).repeat(counts)
-    j = np.arange(sum(counts), dtype=np.float64)
-    j -= np.array(first, dtype=np.float64).repeat(counts)
-    s, X, Y = _row_kernel(stencil, n, j)
-    s[first] = np.inf  # row 0 (s = 0): out of the prefilter, and n/s = 0
-    near = (n * s < -2.0 * _TAIL_LOG_RHO_N).nonzero()[0]
-    e = _log_rho_n(stencil, n[near], s[near],
-                   *(v if isinstance(v, float) else v[near] for v in (X, Y)))
-    keep = e > _TAIL_LOG_RHO_N
-    tail, e = near[keep], e[keep]
-    full = _tail_rows(stencil, n[tail], j[tail], s[tail], e)
+    lengths = [m // 2 + 1 for m in sizes]  # rows j = 0..m//2 of each size
+    first = list(accumulate(lengths[:-1], initial=0))  # where each row 0 goes
+    n = np.array(sizes, dtype=np.float64).repeat(lengths)
+    j = np.arange(sum(lengths), dtype=np.float64)
+    j -= np.array(first, dtype=np.float64).repeat(lengths)
+    s, X, Y = _row_kernel(counts, n, j)
+    s[first] = np.inf  # row 0 (s = 0): out of the tail, and n/s = 0
+    tail = (n * s < _TAIL_NS).nonzero()[0]
+    full = _tail_rows(counts, n[tail], j[tail], s[tail],
+                      *(v if isinstance(v, float) else v[tail] for v in (X, Y)))
     rows = np.divide(n, s, out=n)
     rows[tail] = full
     rows *= 2.0
-    rows[[i + c - 1 for m, i, c in zip(sizes, first, counts) if m % 2 == 0]] *= 0.5  # j = n/2
-    r0 = 6.0 * sum(q != 0 for _, q in stencil) / len(stencil)  # 6 R0
+    rows[[i + c - 1 for m, i, c in zip(sizes, first, lengths) if m % 2 == 0]] *= 0.5  # j = n/2
+    r0 = 6.0 * counts[0] / counts[1]  # 6 R0
     rows[first] = [(m * m - 1) / r0 for m in sizes]
     return rows
 
@@ -498,10 +496,10 @@ def exact_sums(spec: LatticeSpec, ns: Iterable[int]) -> list[SumResult]:
     if basis is None:
         return [_results([n], _gathered_rows(spec, n))[0] for n in sizes]
     (u0, u1), (w0, w1) = basis
-    stencil = [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
+    counts = _row_counts([(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil])
     results = []
     for batch in _batches(sizes):
-        results += _results(batch, _closed_form_rows(stencil, batch))
+        results += _results(batch, _closed_form_rows(counts, batch))
     return results
 
 

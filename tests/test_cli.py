@@ -198,6 +198,18 @@ def test_errors_plot_without_out_fails_before_any_output(tmp_path):
     assert "--plot requires --out" in proc.stderr
 
 
+def test_errors_plot_onto_its_own_csv_fails_before_any_output(tmp_path):
+    # the script would overwrite the CSV it plots; the same file under
+    # another spelling is caught too, and nothing is written
+    out = tmp_path / "errors.csv"
+    out.write_text("kept\n")
+    for plot in (out, tmp_path / "." / "errors.csv"):
+        assert main(["errors", "--lattice", "square", "--n-list", "10,20",
+                     "--out", str(out), "--plot", str(plot)]) == EXIT_CONFIG
+    assert out.read_text() == "kept\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["errors.csv"]
+
+
 def test_errors_plot_script(tmp_path):
     out = tmp_path / "errors.csv"
     script = tmp_path / "errors.gp"

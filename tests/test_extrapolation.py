@@ -80,6 +80,21 @@ def test_ladder_preconditions():
         fit_expansion(short, basis=("n2", "bogus"))
 
 
+def test_ladder_with_a_size_below_one_is_rejected():
+    ladder = synthetic_ladder(1.0, 1.0, 1.0, 1.0, [4, 8, 12, 16, 20, 24])
+    with pytest.raises(DomainError):
+        fit_expansion([(0, 1.0)] + ladder[1:])  # log 0 would raise ValueError
+    with pytest.raises(DomainError):
+        fit_expansion([(-4, 1.0)] + ladder[1:], basis=("n2", "n", "1"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ladder_with_a_value_that_is_not_finite_is_rejected(bad):
+    ladder = synthetic_ladder(1.0, 1.0, 1.0, 1.0, [100, 200, 300, 400, 500, 600])
+    with pytest.raises(DomainError):
+        fit_expansion(ladder[:3] + [(400, bad)] + ladder[4:])
+
+
 def test_rank_deficiency():
     flat = [(100, 1.0)] * 8
     with pytest.raises(FitError):

@@ -1,7 +1,9 @@
 """Tests for the exact-sum engine, kernels, and lattice plumbing."""
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ from lapasym.lattice_sum import (BUILTIN_LATTICES, MODIFIED_UNION_JACK,
                                  SQUARE, TRIANGULAR, GridGeometry,
                                  LatticeSpec, _closed_form_rows,
                                  _gathered_rows, _log_rho_n, _row_basis,
-                                 _row_kernel, _segment_sums, _tail_rows,
+                                 _row_counts, _row_kernel, _segment_sums,
+                                 _tail_rows,
                                  builtin_lattice, exact_sum, exact_sums,
                                  kernel_fm, kernel_psi,
                                  parse_lattice_file, quadrant_sum,
@@ -29,6 +32,8 @@ NO_ROW_BASIS = LatticeSpec("no_row_basis", ((1, 0), (0, 1), (2, 2), (2, -2)), 4)
 # R = 0 where a = 2 pi j / n = 2 pi / 3 (1 + e^{ia} + e^{2ia} = 0); at n = 39
 # rounding pushes the closed form's log1p argument below -1 there
 R_ZERO_ROWS = LatticeSpec("r_zero_rows", ((1, 0), (0, 1), (-2, -1), (2, 0), (1, 1)), 4)
+# t = q p repeats (1, 1 and 0, 0), so z weights e^{ita} by the count of t
+REPEATED_T = LatticeSpec("repeated_t", ((1, 0), (0, 1), (1, 1), (1, 1), (2, 1), (0, 1)), 4)
 
 
 def brute_force_sum(spec, n):
@@ -359,67 +364,69 @@ def test_exact_sum_against_30_digit_row_formula():
 
 
 def row_stencils():
-    """Each closed-form test stencil in its row basis."""
-    for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE)), R_ZERO_ROWS]:
+    """The row counts of each closed-form test stencil in its row basis."""
+    for spec in ALL_BUILTINS + [parse_lattice_file(str(CUSTOM_LATTICE)), R_ZERO_ROWS,
+                                REPEATED_T]:
         (u0, u1), (w0, w1) = _row_basis(spec.stencil)
-        yield spec.name, [(p * u0 + q * u1, p * w0 + q * w1) for p, q in spec.stencil]
+        yield spec.name, _row_counts([(p * u0 + q * u1, p * w0 + q * w1)
+                                      for p, q in spec.stencil])
 
 
 @pytest.mark.parametrize("n", [2, 7, 39, 517, 2500, 10007])
 def test_rows_past_the_tail_cutoff_are_n_over_s(n):
     # e = n log rho <= -40 means rho^n < 4.3e-18, so every factor of the
-    # full row formula beside n/s rounds to 1; only a handful of rows stay
+    # full row formula beside n/s rounds to 1; only a handful of rows stay,
+    # and the rows with n s >= 80, which are n/s, lie among the others
     j = np.arange(1, n // 2 + 1)
     sizes = np.full(len(j), float(n))
     weight = np.where(2 * j == n, 1.0, 2.0)
-    for name, stencil in row_stencils():
-        s, X, Y = _row_kernel(stencil, sizes, j)
-        e = _log_rho_n(stencil, sizes, s, X, Y)
-        far = e <= lattice_sum._TAIL_LOG_RHO_N
-        full = _tail_rows(stencil, sizes, j, s, e)
+    for name, counts in row_stencils():
+        s, X, Y = _row_kernel(counts, sizes, j)
+        far = _log_rho_n(counts, sizes, s, X, Y) <= -40.0
+        full = _tail_rows(counts, sizes, j, s, X, Y)
         assert np.array_equal(full[far], (n / s)[far]), name
         assert np.count_nonzero(~far) <= 8, name
-        assert np.array_equal(_closed_form_rows(stencil, [n])[1:],
-                              weight * np.where(far, n / s, full)), name
+        assert np.array_equal(_closed_form_rows(counts, [n])[1:], weight * full), name
 
 
 def test_log_rho_n_is_minus_inf_where_r_vanishes():
     # row j = 13 of R_ZERO_ROWS at n = 39 has R = 0, where K^2/L^2 - Y
     # rounds to -1.1e-16; clamped at 0 it gives rho = 0 and e = -inf, while
     # the square root of its magnitude would give e = -750.5
-    stencil = dict(row_stencils())["r_zero_rows"]
+    counts = dict(row_stencils())["r_zero_rows"]
     sizes = np.array([39.0])
-    s, X, Y = _row_kernel(stencil, sizes, np.array([13]))
-    assert _log_rho_n(stencil, sizes, s, X, Y)[0] == -np.inf
+    s, X, Y = _row_kernel(counts, sizes, np.array([13]))
+    assert _log_rho_n(counts, sizes, s, X, Y)[0] == -np.inf
 
 
 def test_tail_prefilter_keeps_every_tail_row():
     # 1 - rho >= s / 2, so e = n log rho <= -n s / 2, and rows with
-    # n s >= 80 lie past the cutoff -40; the prefilter drops only those,
-    # so every row above the cutoff still takes the full formula
+    # n s >= 80 lie past the cutoff -40; every row with n s < 80, and so
+    # every row above the cutoff, takes the full formula
     for n in [*range(2, 300), 517, 2500, 9999, 10007, 20000]:
         j = np.arange(1, n // 2 + 1)
         sizes = np.full(len(j), float(n))
         weight = np.where(2 * j == n, 1.0, 2.0)
-        for name, stencil in row_stencils():
-            s, X, Y = _row_kernel(stencil, sizes, j)
-            e = _log_rho_n(stencil, sizes, s, X, Y)
+        for name, counts in row_stencils():
+            s, X, Y = _row_kernel(counts, sizes, j)
+            e = _log_rho_n(counts, sizes, s, X, Y)
             assert np.all(e <= -sizes * s / 2), (name, n)
-            tail = e > lattice_sum._TAIL_LOG_RHO_N
-            full = weight * _tail_rows(stencil, sizes, j, s, e)
-            assert np.array_equal(_closed_form_rows(stencil, [n])[1:][tail],
+            tail = sizes * s < lattice_sum._TAIL_NS
+            assert np.all(tail[e > -40.0]), (name, n)
+            full = weight * _tail_rows(counts, sizes, j, s, X, Y)
+            assert np.array_equal(_closed_form_rows(counts, [n])[1:][tail],
                                   full[tail]), (name, n)
 
 
 @pytest.mark.parametrize("n", [7, 64, 1030, 9985, 10000])
 def test_rows_the_prefilter_skips_are_past_the_cutoff(n):
-    # at the sizes whose bits are pinned, no row with n s >= 80, which
-    # the prefilter never forms e on, has e = n log rho above -40
+    # at the sizes whose bits are pinned, no row with n s >= 80, which the
+    # closed form takes as n/s without forming e, has e = n log rho above -40
     j = np.arange(1, n // 2 + 1)
     sizes = np.full(len(j), float(n))
-    for name, stencil in row_stencils():
-        s, X, Y = _row_kernel(stencil, sizes, j)
-        e = _log_rho_n(stencil, sizes, s, X, Y)
+    for name, counts in row_stencils():
+        s, X, Y = _row_kernel(counts, sizes, j)
+        e = _log_rho_n(counts, sizes, s, X, Y)
         skipped = sizes * s >= 80.0
         assert np.all(e[skipped] <= -40.0), (name, n)
 
@@ -668,10 +675,60 @@ def test_row_kernel_memory_is_bounded_in_the_stencil_size():
     assert value == pytest.approx(math.fsum(_gathered_rows(spec, 8)), rel=1e-13, abs=0.0)
 
 
+@settings(max_examples=60)
+@given(extra=st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)).filter(
+    lambda v: v != (0, 0)), max_size=8))
+def test_row_counts_match_brute_force(extra):
+    # every vector and every pair l < m counted one by one; a pair with
+    # t_l = t_m adds sin^2(0) = 0 to Y, so only |t_l - t_m| > 0 is counted
+    stencil = ((1, 0), (0, 1)) + tuple(extra) + tuple(extra[::2])  # repeats
+    t = [q * p for p, q in stencil if q]
+    K, L, t_counts, xs, ys = _row_counts(stencil)
+    assert (K, L) == (len(t), len(stencil))
+    assert t_counts == dict(Counter(t))
+    assert xs == dict(Counter(abs(p) for p, q in stencil if not q))
+    assert ys == dict(Counter(abs(a - b) for a, b in combinations(t, 2) if a != b))
+
+
+@pytest.mark.parametrize("name, n, value, compensation", [
+    ("r_zero_rows", 7, "0x1.bd6e87b286a34p+5", "0x0.0p+0"),
+    ("r_zero_rows", 64, "0x1.e904022f28910p+12", "0x0.0p+0"),
+    ("r_zero_rows", 1030, "0x1.745b4c3204825p+21", "-0x1.0000000000000p-31"),
+    ("r_zero_rows", 10000, "0x1.5d7da0132b6d8p+28", "0x0.0p+0"),
+    ("repeated_t", 7, "0x1.d73f5214c866ap+5", "-0x1.0000000000000p-47"),
+    ("repeated_t", 64, "0x1.16e85e85795b7p+13", "-0x1.0000000000000p-39"),
+    ("repeated_t", 1030, "0x1.b7da342f3d2c3p+21", "0x1.0000000000000p-31"),
+    ("repeated_t", 10000, "0x1.a2e3531b67e1ep+28", "-0x1.0000000000000p-24"),
+])
+def test_repeated_and_r_zero_stencil_bits_are_pinned(name, n, value, compensation):
+    # z weights each distinct t = q p by its count; without the count the
+    # repeated-t stencil moves at n = 7
+    result = exact_sum({"r_zero_rows": R_ZERO_ROWS, "repeated_t": REPEATED_T}[name], n)
+    assert result.value == float.fromhex(value)
+    assert result.compensation == float.fromhex(compensation)
+
+
+def test_tail_forms_one_exponential_per_distinct_t(monkeypatch):
+    # 4002 vectors with 8 distinct t = q p: z takes one complex np.exp per
+    # distinct t, not one per vector
+    stencil = ((1, 0), (0, 1)) + tuple((k % 7 + 1, 1) for k in range(4000))
+    spec = LatticeSpec("long", stencil, 4)
+    want = exact_sum(spec, 1000)
+    exp, complex_calls = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        complex_calls.append(np.iscomplexobj(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    assert exact_sum(spec, 1000) == want
+    assert 0 < sum(complex_calls) <= 8
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 517, 2500])
 def test_row_combine_is_correctly_rounded(n):
     # both paths return rows already weighted by the inversion symmetry
-    cases = [(spec, _closed_form_rows(spec.stencil, [n])) for spec in ALL_BUILTINS]
+    cases = [(spec, _closed_form_rows(_row_counts(spec.stencil), [n])) for spec in ALL_BUILTINS]
     cases.append((NO_ROW_BASIS, _gathered_rows(NO_ROW_BASIS, n)))
     for spec, rows in cases:
         if spec is not NO_ROW_BASIS:

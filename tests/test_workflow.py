@@ -39,6 +39,13 @@ def test_named_paths_exist():
         assert list(ROOT.glob(path)), path
 
 
+def test_install_step_brings_pyyaml():
+    # the test extra has no PyYAML, so without it this module would skip on
+    # the runner
+    install = next(step["run"] for step in _job()["steps"] if step.get("name") == "Install")
+    assert "pyyaml" in install.split()
+
+
 def test_benchmark_flags_are_declared():
     declared = set(re.findall(r'add_argument\(\s*"(--[\w-]+)"',
                               (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")))
