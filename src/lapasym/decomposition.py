@@ -199,7 +199,7 @@ def _route_sum(rows: FactorRows) -> float:
     u, A, B, C = rows
     N = len(A)
     if N < 10:  # digamma takes Re z >= 10 only, and Re(N + i sqrt C) = N
-        return _segment_sums((1.0 / (u[:, None] + u)).ravel(), np.array([N * N]))[0]
+        return math.fsum((1.0 / (u[:, None] + u)).ravel().tolist())
     sB = np.sqrt(B)
     sC = np.sqrt(C)
     psi = digamma_array(np.concatenate((sB + N, sB - N)))
@@ -214,7 +214,9 @@ def _route_sum(rows: FactorRows) -> float:
         - math.pi * (1.0 / np.tanh(math.pi * sC))  # pi cot(pi i sqrt C) = -i pi coth
     )
     imag_part = -bracket * (1.0 / (2.0 * A * sC))
-    return _segment_sums(real_part + imag_part, np.array([N]))[0]
+    terms = real_part + imag_part
+    # one float either way; the extraction passes are faster from about 512 terms
+    return math.fsum(terms.tolist()) if N < 512 else _segment_sums(terms, np.array([N]))[0]
 
 
 # ---------------------------------------------------------------------------

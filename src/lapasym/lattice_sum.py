@@ -16,7 +16,7 @@ a closed form (:func:`_closed_form_rows`), so F_n costs O(n), and the
 rows of consecutive sizes are evaluated together in one elementwise pass
 (:func:`exact_sums`).  A row costs one sine, or two if it needs cos x;
 s^2 = A^2 - R^2 is a sum of sin^2 terms, so it needs no difference, and
-only the rows with n s < 80, at most 32 per size for the built-ins, take
+only the rows with n s < 40, at most 16 per size for the built-ins, take
 rho^n and the full formula: every other row rounds to n/s.
 Other stencils gather their rows from a sin^2 table (:func:`_gathered_rows`):
 one row of n floats at a time, with psi as (2/L) sum_l sin^2(s_l . x / 2),
@@ -32,10 +32,10 @@ The restricted quartic sum lives on the window |j|, |k| <= N of
 u_k = k^2 - (pi^2 / 3 n^2) k^4 of :func:`quartic_rows`.  Its open
 quadrant sum_{j,k=1}^N 1/(u_j + u_k) (:func:`quadrant_sum`) is the
 trapezoidal rule on its Laplace integral, h sum_m t_m S(t_m)^2 with
-S(t) = sum_j e^(-t u_j): fewer than 60 N exponentials, in blocks of at
-most max(_BLOCK_ELEMENTS, N) floats.  The decomposition module gets the
-same double sum in O(N) through digamma rows; each route checks the
-other, and the tests check both against direct summation.
+S(t) = sum_j e^(-t u_j): the nodes with t u_N <= 0.05 in closed form, the
+rest from fewer than 60 N exponentials in blocks of at most
+max(_BLOCK_ELEMENTS, N) floats.  The decomposition module gets the same
+double sum in O(N) through digamma rows; each route checks the other.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ __all__ = [
 _BLOCK_ELEMENTS = 2 ** 15  # float64s (256 KiB) per quadrature block; bounds memory
 _BATCH_ROWS = 4096        # closed-form rows per elementwise pass; bounds memory
 _SINGULAR_FLOOR = 1e-300  # kernel_fm denominators below this raise
-_TAIL_NS = 80.0           # closed-form rows with n s >= this are n/s
+_TAIL_NS = 40.0           # closed-form rows with n s >= this are n/s
 _EXTRACT_MAX = 2.0 ** 960  # batches reaching this go to math.fsum
 # |stencil entry| bound: a row forms sin(m x) for every m up to twice the
 # largest entry, and the gather path forms p j + q k in int64
@@ -323,9 +323,12 @@ def _log_rho_n(counts, n, s, X, Y) -> np.ndarray:
 
     1 - rho = s (s + A + R) / ((A + R) (A + s)) needs R only through
     A + R; R^2 is clamped at 0 where R = 0, where rho = 0 and the log1p
-    argument is clamped at -1, whose log is -inf.  Since R <= K/L and
-    A <= 2 - K/L, A + R <= 2, so (s + A + R)/(A + R) >= (s + 2)/2, and
-    with A <= 2, 1 - rho >= (s/2)(s + 2)/(A + s) >= s/2: e <= -n s/2.
+    argument is clamped at -1, whose log is -inf.  e <= -n s: with R > 0
+    write A = R cosh theta, theta >= 0 (psi >= 0 gives A >= R); then
+    s = R sinh theta and rho = R / (A + s) = e^-theta.  Since R <= K/L and
+    A <= 2 - K/L, A + R <= 2, so R <= 2 / (1 + cosh theta) and
+    s <= 2 sinh theta / (1 + cosh theta) = 2 tanh(theta/2) <= theta,
+    that is e = -n theta <= -n s.
     """
     K, L = counts[:2]
     big_a = K / L + X
@@ -358,11 +361,11 @@ def _closed_form_rows(counts, sizes: Sequence[int]) -> np.ndarray:
         sum_k 1/psi = (n/s) (1 - rho^2n) / ((1 - rho^n)^2 + 2 rho^n (1 - cos n phi)).
     Row 0 without the origin is (n^2 - 1) / (6 R0), R0 = K / L.  s^2 is a
     sum of sin^2 terms (:func:`_row_kernel`) and e = n log rho comes from
-    log1p without a difference (:func:`_log_rho_n`).  As e <= -n s / 2, a
-    row with n s >= _TAIL_NS = 80 has e <= -40 and rho^n < 4.3e-18:
+    log1p without a difference (:func:`_log_rho_n`).  As e <= -n s, a
+    row with n s >= _TAIL_NS = 40 has e <= -40 and rho^n < 4.3e-18:
     1 - rho^2n and (1 - rho^n)^2 round to 1 and 4 rho^n sin^2(n phi / 2)
     vanishes beside 1, so the row rounds to exactly n/s.  Only the rows
-    with n s < 80, at most 32 per size for the built-ins, take phi and the
+    with n s < 40, at most 16 per size for the built-ins, take phi and the
     full formula (:func:`_tail_rows`).
 
     Rows 0 < j < n/2 stand for rows j and n - j, so they are doubled: all
@@ -524,10 +527,14 @@ def trace_pseudoinverse(spec: LatticeSpec, n: int) -> float:
 
 # Laplace-quadrature constants of quadrant_sum; each bound is relative
 _LAPLACE_STEP = 0.2           # trapezoid step h in log t: aliasing 1.04e-20
-_LAPLACE_TAIL = 2.0 ** -64    # each of the two truncated node tails
+_LAPLACE_TAIL = 2.0 ** -64    # the truncated upper node tail
 _LAPLACE_COLUMN_CUT = 60.0    # drop e^(-t u_j) once t (u_j - u_1) > this
 _LAPLACE_SERIES_X = 0.05      # nodes with t u_N <= this use the moment series
 _LAPLACE_MOMENTS = 13         # moments P_0..P_12 of that series
+# k + 1 over the 25 coefficients a_k of S^2, and 1 / (1 - e^(-(k+1) h)), the
+# series nodes' geometric sums of x^(k+1)
+_LAPLACE_POWERS = np.arange(1.0, 2 * _LAPLACE_MOMENTS)
+_LAPLACE_GEOMETRIC = -1.0 / np.expm1(-_LAPLACE_STEP * _LAPLACE_POWERS)
 
 
 def quartic_rows(n: int) -> np.ndarray:
@@ -543,6 +550,22 @@ def quartic_rows(n: int) -> np.ndarray:
     return k2 - c * (k2 * k2)
 
 
+def _laplace_series(u: np.ndarray) -> tuple[int, np.ndarray]:
+    """The last series node m* and the terms (h / u_N) a_k x*^(k+1) / (1 - e^(-(k+1) h))
+    of h sum_{m <= m*} t_m S(t_m)^2, S = sum_k s_k x^k and S^2 = sum_k a_k x^k in
+    x = t u_N (a = np.convolve(s, s)), over x_m = x* e^((m - m*) h); in x nothing underflows."""
+    h = _LAPLACE_STEP
+    top = math.floor(math.log(_LAPLACE_SERIES_X / u[-1]) / h)
+    ratio = u / u[-1]
+    power = np.ones(len(u))
+    s = [float(len(u))]
+    for k in range(1, _LAPLACE_MOMENTS):
+        power *= ratio
+        s.append((-1) ** k * float(power.sum()) / math.factorial(k))
+    x_star = math.exp(h * top) * u[-1]
+    return top, (h / u[-1]) * np.convolve(s, s) * x_star ** _LAPLACE_POWERS * _LAPLACE_GEOMETRIC
+
+
 def _laplace_quadrant(u: np.ndarray) -> float:
     """sum_{j,k} 1/(u_j + u_k) for increasing u > 0, by quadrature in log t.
 
@@ -555,52 +578,40 @@ def _laplace_quadrant(u: np.ndarray) -> float:
     * trapezoid (aliasing): 2 sum_{k>=1} |Gamma(1 + 2 pi i k / h)|, from
       |Gamma(1 + i y)|^2 = pi y / sinh(pi y); 1.04e-20 at h = 0.2
       (Trefethen and Weideman, SIAM Review 56 (2014) 385);
-    * node tails: m runs from floor(log(T / (2 u_N)) / h) to
-      ceil(log(-log T / (2 u_1)) / h), T = _LAPLACE_TAIL = 2^-64, so the
-      nodes below lose at most t_lo (u_j + u_k) <= T and those above
-      at most e^(-t_hi (u_j + u_k)) <= T;
+    * series: the nodes with x = t u_N <= _LAPLACE_SERIES_X = 0.05, every
+      m <= m* with no lower cut, take S = sum_{k<13} (-x)^k P_k / k!,
+      P_k = sum_j (u_j / u_N)^k (remainder at most e^0.05 0.05^13 / 13! =
+      2.1e-27), summed in closed form by :func:`_laplace_series`;
+    * node tail: m runs up to ceil(log(-log T / (2 u_1)) / h),
+      T = _LAPLACE_TAIL = 2^-64, so the nodes above lose at most
+      e^(-t_hi (u_j + u_k)) <= T;
     * column cut: a node forms e^(-t u_j) only while
       t (u_j - u_1) <= _LAPLACE_COLUMN_CUT = 60, so S loses at most
-      N e^-60 and S^2 twice that;
-    * series: nodes with x = t u_N <= _LAPLACE_SERIES_X = 0.05 take
-      S = sum_{k<13} (-x)^k P_k / k!, P_k = sum_j (u_j / u_N)^k, whose
-      remainder is at most e^0.05 0.05^13 / 13! = 2.1e-27.
+      N e^-60 and S^2 twice that.
     The other nodes form their exponentials min(16, _BLOCK_ELEMENTS // N)
     nodes at a time (at least one), so a block holds at most
-    max(_BLOCK_ELEMENTS, N) floats; np.exp forms 47.6-57.5 N values for
+    max(_BLOCK_ELEMENTS, N) floats; np.exp forms 47.5-53.7 N values for
     every N from 50 to 4000.  Rounding is left to the tests (<= 4e-16
     against the direct sum).
     """
     h = _LAPLACE_STEP
-    lo = math.floor(math.log(_LAPLACE_TAIL / (2.0 * u[-1])) / h)
+    top, series = _laplace_series(u)
     hi = math.ceil(math.log(-math.log(_LAPLACE_TAIL) / (2.0 * u[0])) / h)
-    t = np.exp(h * np.arange(lo, hi + 1))
-    x = t * u[-1]
-    near = int(np.searchsorted(x, _LAPLACE_SERIES_X, side="right"))
-    ratio = u / u[-1]
-    power = np.ones(len(u))
-    coeffs = [float(len(u))]
-    for k in range(1, _LAPLACE_MOMENTS):
-        power *= ratio
-        coeffs.append(float(power.sum()) / math.factorial(k))
+    t = np.exp(h * np.arange(top + 1, hi + 1))
     S = np.empty(len(t))
-    minus_x, series = -x[:near], 0.0
-    for c in reversed(coeffs):
-        series = series * minus_x + c
-    S[:near] = series
     # A block forms the columns its first (smallest) node keeps for all of
     # its nodes.  That count, about sqrt(60 / t) as u_j grows like j^2,
     # falls by e^(-h/2) = e^-0.1 per node, so 16 nodes form at most about
     # twice the exponentials their own cuts need.  A later node keeps more
     # columns than its cut asks, so its loss stays within N e^-60.
     block = min(16, max(1, _BLOCK_ELEMENTS // len(u)))
-    for i0 in range(near, len(t), block):
+    for i0 in range(0, len(t), block):
         tb = t[i0:i0 + block]
         cols = int(np.searchsorted(u, u[0] + _LAPLACE_COLUMN_CUT / tb[0], side="right"))
         e = np.multiply.outer(-tb, u[:cols])
         S[i0:i0 + len(tb)] = np.exp(e, out=e).sum(axis=1)
         del e  # one block alive at a time: free it before the next forms
-    return math.fsum((h * t * S * S).tolist())
+    return math.fsum([*series.tolist(), *(h * t * S * S).tolist()])
 
 
 def quadrant_sum(n: int) -> float:
@@ -608,11 +619,11 @@ def quadrant_sum(n: int) -> float:
 
     u is :func:`quartic_rows`, increasing on the window.  The sum is the
     trapezoidal rule on its Laplace integral (:func:`_laplace_quadrant`):
-    about 300 nodes and fewer than 60 N exponentials, in blocks of at most
-    max(_BLOCK_ELEMENTS, N) floats, where the pairs themselves would take
-    N^2/2 reciprocals.  Independent of the digamma route of
-    :mod:`lapasym.decomposition`; the tests check both against direct
-    summation.
+    the moment-series nodes in closed form, 30-160 more from fewer than
+    60 N exponentials in blocks of at most max(_BLOCK_ELEMENTS, N) floats,
+    where the pairs themselves would take N^2/2 reciprocals.  Independent
+    of the digamma route of :mod:`lapasym.decomposition`; the tests check
+    both against direct summation.
     """
     return _laplace_quadrant(quartic_rows(n))
 

@@ -376,7 +376,7 @@ def row_stencils():
 def test_rows_past_the_tail_cutoff_are_n_over_s(n):
     # e = n log rho <= -40 means rho^n < 4.3e-18, so every factor of the
     # full row formula beside n/s rounds to 1; only a handful of rows stay,
-    # and the rows with n s >= 80, which are n/s, lie among the others
+    # and the rows with n s >= 40, which are n/s, lie among the others
     j = np.arange(1, n // 2 + 1)
     sizes = np.full(len(j), float(n))
     weight = np.where(2 * j == n, 1.0, 2.0)
@@ -400,8 +400,8 @@ def test_log_rho_n_is_minus_inf_where_r_vanishes():
 
 
 def test_tail_prefilter_keeps_every_tail_row():
-    # 1 - rho >= s / 2, so e = n log rho <= -n s / 2, and rows with
-    # n s >= 80 lie past the cutoff -40; every row with n s < 80, and so
+    # e = n log rho <= -n s (the proof is in _log_rho_n), so rows with
+    # n s >= 40 lie past the cutoff -40; every row with n s < 40, and so
     # every row above the cutoff, takes the full formula
     for n in [*range(2, 300), 517, 2500, 9999, 10007, 20000]:
         j = np.arange(1, n // 2 + 1)
@@ -410,7 +410,7 @@ def test_tail_prefilter_keeps_every_tail_row():
         for name, counts in row_stencils():
             s, X, Y = _row_kernel(counts, sizes, j)
             e = _log_rho_n(counts, sizes, s, X, Y)
-            assert np.all(e <= -sizes * s / 2), (name, n)
+            assert np.all(e <= -sizes * s), (name, n)
             tail = sizes * s < lattice_sum._TAIL_NS
             assert np.all(tail[e > -40.0]), (name, n)
             full = weight * _tail_rows(counts, sizes, j, s, X, Y)
@@ -418,16 +418,35 @@ def test_tail_prefilter_keeps_every_tail_row():
                                   full[tail]), (name, n)
 
 
+@settings(max_examples=60)
+@given(base=st.sampled_from([((1, 0), (0, 1)), ((1, 1), (0, 1))]),
+       extra=st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)).filter(
+           lambda v: v != (0, 0)), max_size=6),
+       n=st.integers(2, 20000))
+def test_log_rho_n_is_at_most_minus_n_s(base, extra, n):
+    # the bound of _log_rho_n's docstring on every row of a random stencil
+    # with q in {-1, 0, 1}, the form every row basis gives.  The square
+    # lattice in the basis ((1, 0), (1, 1)) is ((1, 1), (0, 1)), with K = L;
+    # there the bound is tight as s -> 0, so 1e-12 relative is left for
+    # the rounding of e
+    counts = _row_counts(base + tuple(extra))
+    j = np.arange(1, n // 2 + 1)
+    sizes = np.full(len(j), float(n))
+    s, X, Y = _row_kernel(counts, sizes, j)
+    e = _log_rho_n(counts, sizes, s, X, Y)
+    assert np.all(e <= -sizes * s * (1.0 - 1e-12))
+
+
 @pytest.mark.parametrize("n", [7, 64, 1030, 9985, 10000])
 def test_rows_the_prefilter_skips_are_past_the_cutoff(n):
-    # at the sizes whose bits are pinned, no row with n s >= 80, which the
+    # at the sizes whose bits are pinned, no row with n s >= 40, which the
     # closed form takes as n/s without forming e, has e = n log rho above -40
     j = np.arange(1, n // 2 + 1)
     sizes = np.full(len(j), float(n))
     for name, counts in row_stencils():
         s, X, Y = _row_kernel(counts, sizes, j)
         e = _log_rho_n(counts, sizes, s, X, Y)
-        skipped = sizes * s >= 80.0
+        skipped = sizes * s >= 40.0
         assert np.all(e[skipped] <= -40.0), (name, n)
 
 
@@ -873,6 +892,35 @@ def test_laplace_moment_series_within_budget(n):
     series = mp.fsum((-x) ** k / mp.factorial(k) * mp.fsum(rj ** k for rj in r)
                      for k in range(lattice_sum._LAPLACE_MOMENTS))
     assert abs(series / exact - 1) <= 2.1e-27
+
+
+@pytest.mark.parametrize("n", [4, 41, 1287, 16000, 1_000_000])
+def test_laplace_series_nodes_against_40_digit_node_sum(n):
+    # the closed form of the moment-series nodes against their trapezoid
+    # sum h t_m S(t_m)^2 node by node in 40 digits over m = m*, m* - 1, ...
+    # until the terms fall below 1e-40 of the first.  m* is found in
+    # mpmath; its node is e^(h m*) at the float exponent h m*, as every
+    # node takes its own, and the nodes below are exactly geometric.  S
+    # takes moments from math.fsum of float powers of the float u_j / u_N.
+    # The leading term rounds at most 11 times 2^-53 to first order: exp
+    # (2) and the product forming x*, h / u_N, three more products, expm1
+    # (2) and the quotient of the geometric factor, and the final fsum
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    u = quartic_rows(n)
+    h = mp.mpf(lattice_sum._LAPLACE_STEP)
+    u_n = mp.mpf(u[-1])
+    top = int(mp.floor(mp.log(mp.mpf(lattice_sum._LAPLACE_SERIES_X) / u_n) / h))
+    ratio = u / u[-1]
+    s = [mp.mpf(math.fsum((ratio ** k).tolist())) * (-1) ** k / mp.factorial(k)
+         for k in range(lattice_sum._LAPLACE_MOMENTS)]
+    t_top = mp.exp(mp.mpf(lattice_sum._LAPLACE_STEP * top))
+    want = mp.fsum(h * t * mp.polyval(s[::-1], t * u_n) ** 2
+                   for t in (t_top * mp.exp(-i * h) for i in range(470)))
+    got_top, terms = lattice_sum._laplace_series(u)
+    assert got_top == top
+    assert abs(mp.mpf(math.fsum(terms.tolist())) / want - 1) <= 11 * 2.0 ** -53
 
 
 @pytest.mark.parametrize("n", [21, 1287, 16000, 140001])

@@ -310,21 +310,62 @@ def test_digamma_round_memory_is_bounded():
 def test_digamma_against_40_digit_reference():
     # relative error; the real grid starts at the domain's edge 10 and
     # reaches 1e8, the complex points fill Re z in [10, 110), |Im z| <= 100
-    # and the route's N + i sqrt C at N = 10
+    # and the route's range, Re z up to 4000 with 0 < Im z <= 1.2 Re z, and
+    # take the route's N + i sqrt C at N = 10 and N = 4000 (n = 16000).  A
+    # call takes its number of terms from its smallest |z|, so the route's
+    # range is also called from Re z = 250 (2 terms) and 3703 (1 term) on
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
     x = np.concatenate([np.linspace(10.0, 30.0, 600), np.geomspace(30.0, 1e8, 60)])
     rng = np.random.default_rng(20261020)
+
+    def route_range(low, size):
+        re = np.exp(rng.uniform(math.log(low), math.log(4000.0), size))
+        return re + 1j * re * (1.2 - rng.uniform(0.0, 1.2, size))  # in (0, 1.2 Re z]
+
     z = np.concatenate([rng.uniform(10.0, 110.0, 500) + 1j * rng.uniform(-100.0, 100.0, 500),
                         10.0 + 1j * np.linspace(0.1, 50.0, 500)])  # N + i sqrt(C)
-    for args in (x, z):
+    _, _, _, C = factor_rows(16000)
+    calls = [(x, 1), (z, 1), (route_range(10.0, 300), 1), (route_range(250.0, 200), 1),
+             (route_range(3703.0, 100), 1), (4000.0 + 1j * np.sqrt(C), 20)]  # every 20th
+    for args, step in calls:
         arr = digamma_array(args)
         assert arr.dtype == args.dtype
-        for got, arg in zip(arr.tolist(), args.tolist()):
+        for got, arg in zip(arr[::step].tolist(), args[::step].tolist()):
             want = mp.digamma(arg)
             err = abs(mp.mpmathify(got) - want) / abs(want)
             assert err <= verify._PSI_ERROR, arg
+
+
+def test_digamma_term_count_thresholds():
+    # 7 terms from the edge |z| = 10, then one fewer from each derived
+    # threshold on; just below and just above each, in a call of its own,
+    # real and complex, against 40-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    fewer = specfun._DIGAMMA_FEWER
+    assert [round(r, 1) for r in fewer] == [12.3, 16.7, 26.5, 55.8, 211.5, 3702.9]
+    for r in (10.0, *fewer):
+        for radius in (r * (1.0 - 1e-12), r * (1.0 + 1e-12)):
+            if radius < 10.0:
+                continue  # below the domain's edge
+            re = max(10.0, 0.8 * radius)
+            for arg in (radius, complex(re, math.sqrt(radius * radius - re * re))):
+                got = digamma_array(arg)
+                err = abs(mp.mpmathify(got.item()) - mp.digamma(arg)) / abs(mp.digamma(arg))
+                assert err <= verify._PSI_ERROR, arg
+
+
+def test_digamma_conjugate_symmetry_is_exact():
+    # log |z| and atan2, odd in Im z, and the series in 1/z keep
+    # psi(conj z) = conj(psi(z)) bit for bit over the route's range
+    rng = np.random.default_rng(41)
+    re = np.exp(rng.uniform(math.log(10.0), math.log(4000.0), 2000))
+    z = re + 1j * re * rng.uniform(-1.2, 1.2, 2000)
+    for args in (z, z[re > 3703.0], z[:1]):
+        assert np.array_equal(digamma_array(args.conj()), digamma_array(args).conj())
 
 
 # ---------------------------------------------------------------------------

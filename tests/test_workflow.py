@@ -31,6 +31,20 @@ def test_matrix_starts_at_requires_python():
     assert min(versions, key=lambda v: tuple(map(int, v.split(".")))) == floor
 
 
+def test_numpy_floor_has_a_job():
+    # one job installs the lowest numpy pyproject.toml admits, and the pin
+    # step installs what the matrix names
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=([\d.]+)"', pyproject).group(1)
+    matrix = _job()["strategy"]["matrix"]
+    assert matrix["numpy"] == ["latest"]
+    assert [(e["python-version"], e["numpy"]) for e in matrix["include"]] == \
+        [("3.10", f"{floor}.*")]
+    pin = next(step for step in _job()["steps"] if step.get("name") == "Pin numpy")
+    assert pin["if"] == "matrix.numpy != 'latest'"
+    assert pin["run"] == 'pip install "numpy==${{ matrix.numpy }}"'
+
+
 def test_named_paths_exist():
     paths = {m for run in _runs()
              for m in re.findall(r"\b(?:scripts|perfbench|tests)/[\w*]+\.py\b", run)}
